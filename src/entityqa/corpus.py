@@ -233,7 +233,8 @@ def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:
 _APOSTROPHES = re.compile("[‘’‚‛]")
 
 _contraction_cache: dict[str, str] | None = None
-_contraction_re: re.Pattern | None = None
+# Compiled pattern and lower-cased table for the default contractions.
+_default_rules: tuple[re.Pattern, dict[str, str]] | None = None
 
 
 def default_contractions() -> Mapping[str, str]:
@@ -247,29 +248,30 @@ def default_contractions() -> Mapping[str, str]:
 def fold_accents(text: str) -> str:
     """Replace accented characters by their unaccented equivalents
     (canonical decomposition, combining marks dropped)."""
+    if text.isascii():
+        # NFD leaves ASCII as it is and no ASCII character is a mark.
+        return text
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
 
 
-def _compile_contractions(table: Mapping[str, str]) -> re.Pattern:
+def _contraction_rules(table: Mapping[str, str]) -> tuple[re.Pattern, dict[str, str]]:
     # Longest keys first so can't've wins over can't.
     keys = sorted(table, key=len, reverse=True)
     pattern = r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b"
-    return re.compile(pattern, re.IGNORECASE)
+    return re.compile(pattern, re.IGNORECASE), {k.lower(): v for k, v in table.items()}
 
 
 def preprocess_text(raw: str, contraction_table: Mapping[str, str] | None = None) -> str:
     """Accent-fold and expand contractions; idempotent on its own output."""
-    global _contraction_re
+    global _default_rules
     text = fold_accents(_APOSTROPHES.sub("'", raw))
     if contraction_table is None:
-        contraction_table = default_contractions()
-        if _contraction_re is None:
-            _contraction_re = _compile_contractions(contraction_table)
-        pattern = _contraction_re
+        if _default_rules is None:
+            _default_rules = _contraction_rules(default_contractions())
+        pattern, lowered = _default_rules
     else:
-        pattern = _compile_contractions(contraction_table)
-    lowered = {k.lower(): v for k, v in contraction_table.items()}
+        pattern, lowered = _contraction_rules(contraction_table)
 
     def expand(match: re.Match) -> str:
         found = match.group(0)

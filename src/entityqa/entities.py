@@ -84,7 +84,12 @@ class GazetteerExtractor:
             key = tuple(canonicalize(surface).split())
             if key:
                 self.entries[key] = tag
-        self.max_len = max((len(k) for k in self.entries), default=0)
+        # Length of the longest entry beginning with each first token: a
+        # match can only start at a token found here, and is no longer.
+        self.longest_from: dict[str, int] = {}
+        for key in self.entries:
+            if len(key) > self.longest_from.get(key[0], 0):
+                self.longest_from[key[0]] = len(key)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GazetteerExtractor":
@@ -102,37 +107,48 @@ class GazetteerExtractor:
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
         mentions: list[EntityMention] = []
+        # Canonical form per raw token, for this docset only, so memory
+        # does not grow with the vocabulary of the whole corpus.
+        canonical: dict[str, str] = {}
         for doc in docset.documents:
+            doc_id = doc.doc_id
             for sentence in doc.sentences:
-                mentions.extend(self._scan(sentence.text, doc.doc_id, sentence.index))
+                mentions.extend(self._scan(sentence.text, doc_id,
+                                           sentence.index, canonical))
         return mentions
 
-    def _scan(self, text: str, doc_id: str, sent_idx: int) -> list[EntityMention]:
-        tokens = [(m.group(0), m.start(), m.end()) for m in _WORD.finditer(text)]
-        keys = [canonicalize(tok) for tok, _, _ in tokens]
+    def _scan(self, text: str, doc_id: str, sent_idx: int,
+              canonical: dict[str, str]) -> list[EntityMention]:
+        tokens = _WORD.findall(text)
+        keys = list(map(canonical.get, tokens))
+        if None in keys:  # a token not yet canonicalised in this docset
+            for tok in tokens:
+                if tok not in canonical:
+                    canonical[tok] = canonicalize(tok)
+            keys = list(map(canonical.get, tokens))
+        longest_from = self.longest_from
+        if longest_from.keys().isdisjoint(keys):
+            return []
+        spans = [m.span() for m in _WORD.finditer(text)]
         found: list[EntityMention] = []
+        n = len(keys)
         i = 0
-        while i < len(tokens):
-            match_len = 0
-            match_tag = ""
-            for length in range(min(self.max_len, len(tokens) - i), 0, -1):
-                key = tuple(keys[i:i + length])
-                tag = self.entries.get(key)
+        while i < n:
+            for length in range(min(longest_from.get(keys[i], 0), n - i), 0, -1):
+                tag = self.entries.get(tuple(keys[i:i + length]))
                 if tag is not None:
-                    match_len, match_tag = length, tag
+                    start = spans[i][0]
+                    end = spans[i + length - 1][1]
+                    found.append(EntityMention(
+                        surface=text[start:end],
+                        tag=tag,
+                        doc_id=doc_id,
+                        sentence_index=sent_idx,
+                        start=start,
+                        end=end,
+                    ))
+                    i += length
                     break
-            if match_len:
-                start = tokens[i][1]
-                end = tokens[i + match_len - 1][2]
-                found.append(EntityMention(
-                    surface=text[start:end],
-                    tag=match_tag,
-                    doc_id=doc_id,
-                    sentence_index=sent_idx,
-                    start=start,
-                    end=end,
-                ))
-                i += match_len
             else:
                 i += 1
         return found

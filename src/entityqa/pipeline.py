@@ -94,7 +94,13 @@ class PipelineConfig:
 
     @property
     def config_id(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
+        # Computed once per instance: the config is frozen, and `replace`
+        # builds a new instance with an empty cache.
+        cached = self.__dict__.get("_config_id")
+        if cached is None:
+            cached = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
+            object.__setattr__(self, "_config_id", cached)
+        return cached
 
     def required_paths(self) -> dict[str, str]:
         required = {

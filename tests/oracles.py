@@ -3,13 +3,17 @@
 Nothing here imports the code under test. The tie-breaking oracles work
 directly on linear arrangements of tie groups: the Monte-Carlo oracle
 samples uniformly random within-group shuffles; the enumeration oracle
-sums over all within-group relevance placements with exact weights.
+sums over all within-group relevance placements with exact weights. The
+gazetteer oracle is the plain longest-match scan that probes every span
+length at every token, over an NFD accent fold with no shortcuts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+import unicodedata
 
 import numpy as np
 
@@ -142,3 +146,60 @@ def brute_force_df(mentions: list[tuple[str, str, str]],
         if key:
             docs.setdefault(key, set()).add(doc_id)
     return {key: len(ids) for key, ids in docs.items()}
+
+
+def reference_fold_accents(text: str) -> str:
+    """NFD decomposition with every combining mark (category Mn) dropped."""
+    decomposed = unicodedata.normalize("NFD", text)
+    return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
+
+
+_APOSTROPHES = re.compile("[\u2018\u2019\u201a\u201b]")
+_WS = re.compile(r"\s+")
+_OUTER_PUNCT = "\"'`.,;:!?()[]{}<>-_/\\|~*&^%$#@+="
+
+
+def reference_canonicalize(surface: str) -> str:
+    """Lowercase, accent-fold, collapse whitespace, strip outer punctuation."""
+    folded = reference_fold_accents(_APOSTROPHES.sub("'", surface)).lower()
+    return _WS.sub(" ", folded).strip().strip(_OUTER_PUNCT + " ")
+
+
+_WORD = re.compile(r"\w+(?:'\w+)?")
+
+
+def reference_gazetteer_scan(text: str, lexicon: dict[str, str]
+                             ) -> list[tuple[str, str, int, int]]:
+    """Longest-match gazetteer scan of one sentence, as (surface, tag,
+    start, end) in text order.
+
+    Every token is canonicalised on its own, and at every token every span
+    length up to the longest entry is tried, longest first; a match skips
+    the tokens it covers.
+    """
+    entries: dict[tuple[str, ...], str] = {}
+    for surface, tag in lexicon.items():
+        key = tuple(reference_canonicalize(surface).split())
+        if key:
+            entries[key] = tag
+    max_len = max((len(k) for k in entries), default=0)
+    tokens = [(m.group(0), m.start(), m.end()) for m in _WORD.finditer(text)]
+    keys = [reference_canonicalize(tok) for tok, _, _ in tokens]
+    found: list[tuple[str, str, int, int]] = []
+    i = 0
+    while i < len(tokens):
+        match_len = 0
+        match_tag = ""
+        for length in range(min(max_len, len(tokens) - i), 0, -1):
+            tag = entries.get(tuple(keys[i:i + length]))
+            if tag is not None:
+                match_len, match_tag = length, tag
+                break
+        if match_len:
+            start = tokens[i][1]
+            end = tokens[i + match_len - 1][2]
+            found.append((text[start:end], match_tag, start, end))
+            i += match_len
+        else:
+            i += 1
+    return found

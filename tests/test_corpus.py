@@ -12,6 +12,7 @@ from entityqa.corpus import (
     canonicalize,
     collection_spec,
     derive_question_seed,
+    fold_accents,
     load_documents,
     load_questions,
     load_strata_spec,
@@ -22,6 +23,8 @@ from entityqa.corpus import (
     write_documents,
 )
 from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
+
+from oracles import reference_canonicalize, reference_fold_accents
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,12 @@ def test_canonicalize():
     assert canonicalize("  The  Sixth   Sense ") == "the sixth sense"
     assert canonicalize('"Burkina Faso"') == "burkina faso"
     assert canonicalize("Beyoncé") == "beyonce"
+    # ASCII takes a shortcut past the NFD fold; mixed text must not.
+    for text in ("", "plain ASCII, 42_x!", "O'Neil\t~", "Beyonce\u0301",
+                 "Beyoncé and Zoë", "ñandú 3rd", "İstanbul", "Straße",
+                 "O\u2019Neil", "x\u0327 y", "\u00c5ngstr\u00f6m"):
+        assert fold_accents(text) == reference_fold_accents(text)
+        assert canonicalize(text) == reference_canonicalize(text)
 
 
 # ---------------------------------------------------------------------------

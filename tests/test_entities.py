@@ -3,7 +3,7 @@ import random
 import pytest
 
 from datagen import random_mention_corpus
-from oracles import brute_force_df
+from oracles import brute_force_df, reference_gazetteer_scan
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import (
@@ -216,3 +216,86 @@ def test_df_matches_brute_force_on_random_corpora():
         pool = build_pool(mentions, docset, cap=1000)
         got = {c.canonical_surface: c.df for c in pool.candidates}
         assert got == brute_force_df(truth, str.lower)
+
+
+# Word forms that the scan must treat alike or apart: accents precomposed
+# and combining, curly apostrophes, underscores, digits and case.
+_NOISY_WORDS = (
+    "new", "york", "times", "alpha", "beta", "gamma", "café", "cafe\u0301",
+    "Cafe", "ñandú", "nandu", "Zoë", "zoe", "o'neil", "O\u2019Neil", "x_y",
+    "_x_", "__", "3rd", "42", "r2d2", "İstanbul", "straße", "de",
+)
+
+
+def _noisy(word, rng):
+    roll = rng.random()
+    if roll < 0.2:
+        return word.upper()
+    if roll < 0.4:
+        return word.title()
+    return word
+
+
+def _noisy_lexicon(rng):
+    tags = ("PERSON", "GPE", "ORG", "DATE", "PRODUCT")
+    lexicon = {
+        "New York": "GPE", "New York Times": "ORG",
+        "alpha beta": "ORG", "beta gamma": "PRODUCT",
+        "Café": "ORG", "café ñandú zoë de 42": "PRODUCT",
+        "__": "ORG", "": "ORG",
+    }
+    for _ in range(rng.randint(3, 12)):
+        words = [_noisy(rng.choice(_NOISY_WORDS), rng)
+                 for _ in range(rng.randint(1, 4))]
+        lexicon[rng.choice((" ", "  ", " - ")).join(words)] = rng.choice(tags)
+    return lexicon
+
+
+def _noisy_sentence(rng, lexicon):
+    parts = []
+    for _ in range(rng.randint(0, 9)):
+        if rng.random() < 0.3:
+            parts.append(" ".join(_noisy(w, rng)
+                                  for w in rng.choice(list(lexicon)).split()))
+        else:
+            parts.append(_noisy(rng.choice(_NOISY_WORDS), rng))
+    return rng.choice((" ", ", ", " ")).join(parts) + rng.choice((".", "!", ""))
+
+
+def _assert_scan_matches_reference(docset, lexicon):
+    got = [(m.doc_id, m.sentence_index, m.surface, m.tag, m.start, m.end)
+           for m in GazetteerExtractor(lexicon).extract(docset)]
+    want = [(doc.doc_id, sentence.index) + found
+            for doc in docset.documents
+            for sentence in doc.sentences
+            for found in reference_gazetteer_scan(sentence.text, lexicon)]
+    assert got == want
+
+
+def test_gazetteer_scan_matches_reference_on_random_corpora():
+    rng = random.Random(29)
+    for _ in range(30):
+        texts, lexicon, _truth = random_mention_corpus(rng)
+        _assert_scan_matches_reference(_docset(texts), lexicon)
+    matched = 0
+    for _ in range(150):
+        lexicon = _noisy_lexicon(rng)
+        texts = [" ".join(_noisy_sentence(rng, lexicon)
+                          for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))]
+        docset = _docset(texts)
+        _assert_scan_matches_reference(docset, lexicon)
+        matched += len(GazetteerExtractor(lexicon).extract(docset))
+    assert matched > 100  # the noisy corpora do exercise matching
+
+
+def test_gazetteer_scan_prefix_entries_and_short_sentences():
+    lexicon = {"a": "ORG", "a b": "GPE", "a b c d e": "PERSON",
+               "b c": "DATE", "Zoë": "PERSON"}
+    texts = ["a", "a b", "a b c", "a b c d", "a b c d e", "b a b c d e a",
+             "zoe\u0308 A B", "ZOE"]
+    _assert_scan_matches_reference(_docset(texts), lexicon)
+    ext = GazetteerExtractor(lexicon)
+    assert [m.surface for m in ext.extract(_docset(["a b c d"]))] == ["a b"]
+    assert [m.surface for m in ext.extract(_docset(["b a b c d e a"]))] == [
+        "a b c d e", "a"]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -51,6 +52,15 @@ def test_config_id_is_stable_and_canonical():
     assert len(a.config_id) == 12
     assert int(a.config_id, 16) >= 0  # hex digest prefix
     assert a.config_id != PipelineConfig(aggregation="max").config_id
+    # The id is cached per instance; a replaced config gets its own, and
+    # the cache shows in no field-based view of the config.
+    c = replace(a, aggregation="max")
+    assert c.config_id == PipelineConfig(aggregation="max").config_id
+    assert a.config_id != c.config_id
+    assert a == b and a != c
+    assert asdict(a) == asdict(PipelineConfig(aggregation="avg"))
+    assert a.canonical_json() == PipelineConfig(aggregation="avg").canonical_json()
+    assert replace(c, aggregation="avg").config_id == a.config_id
 
 
 def test_canonical_json_sorts_keys():
