@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import tempfile
 import unicodedata
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -212,6 +214,25 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
     for docs in by_question.values():
         docs.sort(key=lambda d: d.original_rank)
     return by_question
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via a temp file + rename so readers never see partial output.
+
+    The text is written as given, with no newline translation, so a CSV
+    keeps its CRLF line terminators.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
+                               prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:

@@ -10,15 +10,17 @@ form from hypergeometric position distributions.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .corpus import canonicalize
+from .corpus import atomic_write_text, canonicalize
 from .errors import DataError, ParseError
 from .ranking import TiedRun
 
@@ -101,12 +103,21 @@ def match_answer(candidate: str, judgment: Judgment) -> bool:
     return False
 
 
-def _relevance_counts(run: TiedRun, judgment: Judgment) -> list[tuple[int, int]]:
+def matching_surfaces(surfaces: Iterable[str],
+                      judgment: Judgment) -> frozenset[str]:
+    """The surfaces that match a gold answer, one match_answer call each."""
+    return frozenset(s for s in surfaces if match_answer(s, judgment))
+
+
+def _relevance_counts(groups: Sequence[frozenset[str]],
+                     relevant: frozenset[str]) -> list[tuple[int, int]]:
     """(group size, number of relevant members) per group, in run order."""
-    return [
-        (len(group), sum(1 for member in group if match_answer(member, judgment)))
-        for group in run.groups
-    ]
+    return [(len(group), len(group & relevant)) for group in groups]
+
+
+def _run_counts(run: TiedRun, judgment: Judgment) -> list[tuple[int, int]]:
+    relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+    return _relevance_counts(run.groups, relevant)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +125,19 @@ def _relevance_counts(run: TiedRun, judgment: Judgment) -> list[tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 def classical_metrics(run: TiedRun, judgment: Judgment) -> tuple[float, float, float]:
-    """(MRR, P@1, Hit@5) with each group counted as a single rank.
+    """(MRR, P@1, Hit@5) with each group counted as a single rank."""
+    return classical_from_counts(_run_counts(run, judgment))
+
+
+def classical_from_counts(counts: Sequence[tuple[int, int]]
+                          ) -> tuple[float, float, float]:
+    """(MRR, P@1, Hit@5) from per-group (size, relevant) counts.
 
     Only the first five groups are scanned — the rank list is a top-5 list
     by construction, and external runs with more groups are treated as if
     truncated.
     """
-    counts = _relevance_counts(run, judgment)[:CLASSICAL_RANK_CUTOFF]
+    counts = counts[:CLASSICAL_RANK_CUTOFF]
     mrr = 0.0
     hit = 0.0
     for index, (_n, r) in enumerate(counts, start=1):
@@ -152,7 +169,18 @@ def _first_relevant_position_dist(n: int, r: int) -> list[tuple[int, float]]:
 def tie_aware_metrics(run: TiedRun, judgment: Judgment,
                       tmrr_mode: str = "expected_reciprocal",
                       hit_cutoff: int = 5) -> tuple[float, float, float]:
-    """(tMRR, tP@1, tHit@5) in closed form.
+    """(tMRR, tP@1, tHit@5) in closed form; see tie_aware_from_counts."""
+    return tie_aware_from_counts(_run_counts(run, judgment), tmrr_mode,
+                                 hit_cutoff)
+
+
+def tie_aware_from_counts(counts: Sequence[tuple[int, int]],
+                          tmrr_mode: str = "expected_reciprocal",
+                          hit_cutoff: int = 5) -> tuple[float, float, float]:
+    """(tMRR, tP@1, tHit@5) from per-group (size, relevant) counts.
+
+    The expectations depend only on each group's size and relevant count
+    (McSherry & Najork, ECIR 2008).
 
     Position distributions: group g occupies linear positions
     N_{g-1}+1 .. N_g, where N_g is the cumulative size. tP@1 is the
@@ -164,7 +192,6 @@ def tie_aware_metrics(run: TiedRun, judgment: Judgment,
     """
     if tmrr_mode not in TMRR_MODES:
         raise ValueError(f"unknown tMRR mode {tmrr_mode!r}")
-    counts = _relevance_counts(run, judgment)
     if not any(r for _n, r in counts):
         return 0.0, 0.0, 0.0
 
@@ -209,6 +236,18 @@ def tie_aware_metrics(run: TiedRun, judgment: Judgment,
     return tmrr, tp1, thit
 
 
+def run_metrics(groups: Sequence[frozenset[str]], relevant: frozenset[str],
+                tmrr_mode: str) -> tuple[float, ...]:
+    """All METRICS of one ranked list of tie groups, in METRICS order.
+
+    `relevant` holds the surfaces that match the question's gold answers
+    (see matching_surfaces); it may include surfaces outside the groups.
+    """
+    counts = _relevance_counts(groups, relevant)
+    return classical_from_counts(counts) + tie_aware_from_counts(counts,
+                                                                 tmrr_mode)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -226,6 +265,13 @@ class MetricReport:
             if len(self.values[metric]) != len(self.question_ids):
                 raise ValueError(f"{metric}: one value per question required")
 
+    @classmethod
+    def from_rows(cls, run_id: str, question_ids: Sequence[str],
+                  rows: Sequence[tuple[float, ...]]) -> "MetricReport":
+        """Report from one run_metrics row per question."""
+        return cls(run_id=run_id, question_ids=tuple(question_ids),
+                   values=dict(zip(METRICS, zip(*rows))))
+
     def mean(self, metric: str) -> float:
         series = self.values[metric]
         return sum(series) / len(series) if series else 0.0
@@ -242,7 +288,7 @@ def evaluate_run(runs: Sequence[TiedRun], judgments: Mapping[str, Judgment],
                  tmrr_mode: str = "expected_reciprocal") -> MetricReport:
     """Score every run in order; every question must carry a judgment."""
     ids: list[str] = []
-    columns: dict[str, list[float]] = {metric: [] for metric in METRICS}
+    rows: list[tuple[float, ...]] = []
     seen: set[str] = set()
     for run in runs:
         if run.question_id in seen:
@@ -251,18 +297,12 @@ def evaluate_run(runs: Sequence[TiedRun], judgments: Mapping[str, Judgment],
         judgment = judgments.get(run.question_id)
         if judgment is None:
             raise DataError(f"no judgment for question {run.question_id!r}")
-        mrr, p1, hit = classical_metrics(run, judgment)
-        tmrr, tp1, thit = tie_aware_metrics(run, judgment, tmrr_mode=tmrr_mode)
+        relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+        rows.append(run_metrics(run.groups, relevant, tmrr_mode))
         ids.append(run.question_id)
-        for metric, value in zip(METRICS, (mrr, p1, hit, tmrr, tp1, thit)):
-            columns[metric].append(value)
     if not ids:
         raise DataError("no runs to evaluate")
-    return MetricReport(
-        run_id=run_id,
-        question_ids=tuple(ids),
-        values={metric: tuple(vals) for metric, vals in columns.items()},
-    )
+    return MetricReport.from_rows(run_id, ids, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +389,26 @@ def per_query_diff(report_a: MetricReport, report_b: MetricReport,
     )
 
 
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
+    """Build the whole CSV in memory, then write it atomically."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buffer.getvalue())
+
+
 def write_diff_csv(path: str | Path, table: DiffTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["question_id", f"diff_{table.metric}"])
-        for qid, diff in table.entries:
-            writer.writerow([qid, f"{diff:.6f}"])
+    write_csv(path, ["question_id", f"diff_{table.metric}"],
+              ([qid, f"{diff:.6f}"] for qid, diff in table.entries))
 
 
 def write_report_csv(path: str | Path, reports: Sequence[MetricReport]) -> None:
     """One row per run/config, one column per metric mean."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", *METRICS])
-        for report in reports:
-            means = report.means()
-            writer.writerow([report.run_id] +
-                            [f"{means[m]:.4f}" for m in METRICS])
+    write_csv(path, ["run_id", *METRICS],
+              ([report.run_id] + [f"{report.mean(m):.4f}" for m in METRICS]
+               for report in reports))
 
 
 def write_report_json(path: str | Path, reports: Sequence[MetricReport]) -> None:
@@ -380,6 +423,4 @@ def write_report_json(path: str | Path, reports: Sequence[MetricReport]) -> None
         }
         for report in reports
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,31 +1,42 @@
 """Experiment drivers: ablation grid, run evaluation, latency benchmark.
 
 The ablation crosses classifier x embedding provider x aggregation x
-combine mode (24 cells); expensive stages (classification, extraction,
-evidence scoring) are computed once per classifier/provider pair and the
-cheap tail (aggregate, combine, rank) is re-run per cell. Additive cells
-sweep the 49-point (alpha, beta) grid and report the best cell by mean
-tMRR.
+combine mode (24 cells). Additive cells sweep the 49-point (alpha, beta)
+grid and report the first grid point, alpha-major, with the best mean
+tMRR, so one grid evaluates 600 variants. Each piece of work runs once at
+the level it depends on:
+
+- per grid: each data file is read once, and the classifier/provider
+  pairs share what they can (one SVM, one centroid classifier per
+  provider, one extractor);
+- per pair and question: `prepare` (typing, extraction, evidence
+  scoring) and the gold match of every pool surface;
+- per pair, question and aggregation mode: one `aggregate` per candidate;
+- per variant: only combine, rounding and tie grouping, then the metrics
+  from the groups' (size, relevant) counts;
+- per emitted row: the config_id.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from .corpus import Question, DocumentSet
+from .corpus import DocumentSet, Question, atomic_write_text
 from .errors import DataError
 from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
-                         compare_reports, evaluate_run)
+                         compare_reports, evaluate_run, matching_surfaces,
+                         run_metrics, write_csv)
 from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
-                       PipelineConfig, atomic_write_text, load_stages,
-                       rank_from_evidence)
-from .ranking import ALPHA_BETA_GRID, TiedRun, load_runs
-from .scoring import AGGREGATION_MODES
+                       PipelineConfig, aggregate_evidence, load_classifier,
+                       load_extractor, load_provider, load_stages,
+                       load_type_map)
+from .ranking import (ALPHA_BETA_GRID, RankingConfig, combine, group_by_score,
+                      load_runs)
+from .scoring import AGGREGATION_MODES, Provider
 
 COMBINE_ORDER = ("multiplicative", "additive")
 
@@ -49,12 +60,60 @@ class AblationRow:
 def _check_coverage(questions: Sequence[Question],
                     docsets: Mapping[str, DocumentSet],
                     judgments: Mapping[str, Judgment]) -> None:
+    if not questions:
+        raise DataError("no questions to evaluate")
+    ids = [q.id for q in questions]
+    if len(set(ids)) != len(ids):
+        duplicates = sorted({qid for qid in ids if ids.count(qid) > 1})
+        raise DataError(f"duplicate question ids: {duplicates}")
     no_docs = sorted(q.id for q in questions if q.id not in docsets)
     if no_docs:
         raise DataError(f"questions without document sets: {no_docs}")
     unjudged = sorted(q.id for q in questions if q.id not in judgments)
     if unjudged:
         raise DataError(f"questions without judgments: {unjudged}")
+
+
+def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
+    """Stages of every classifier/provider pair, each data file read once.
+
+    The SVM reads only the question text, so both providers share it; a
+    centroid classifier is trained in its own provider's embedding space.
+    """
+    pairs = [replace(base_config, classifier=classifier,
+                     embedding_provider=provider)
+             for classifier in CLASSIFIER_KINDS for provider in PROVIDER_KINDS]
+    for pair in pairs:
+        pair.validate_paths()
+    extractor = load_extractor(base_config)
+    type_map = load_type_map(base_config)
+    providers: dict[str, Provider] = {}
+    classifiers: dict[tuple[str, str], object] = {}
+    stages = []
+    for pair in pairs:
+        if pair.embedding_provider not in providers:
+            providers[pair.embedding_provider] = load_provider(pair)
+        provider = providers[pair.embedding_provider]
+        key = (pair.classifier,
+               "" if pair.classifier == "svm" else pair.embedding_provider)
+        if key not in classifiers:
+            classifiers[key] = load_classifier(pair, provider)
+        stages.append(LoadedStages(config=pair, classifier=classifiers[key],
+                                   provider=provider, extractor=extractor,
+                                   type_map=type_map))
+    return stages
+
+
+@dataclass(frozen=True)
+class _Candidates:
+    """One question's pool under one classifier/provider pair, with the
+    semantic scores of one aggregation mode: what every combine variant
+    starts from."""
+    surfaces: tuple[str, ...]
+    semantic: tuple[float, ...]
+    dfs: tuple[int, ...]
+    n_docs: int
+    relevant: frozenset[str]
 
 
 def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
@@ -64,87 +123,98 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
     """Evaluate all 24 stage combinations on one question set."""
     _check_coverage(questions, docsets, judgments)
     rows: list[AblationRow] = []
-    for classifier in CLASSIFIER_KINDS:
-        for provider in PROVIDER_KINDS:
-            pair_config = replace(base_config, classifier=classifier,
-                                  embedding_provider=provider)
-            stages, _ = load_stages(pair_config)
-            prepared = {q.id: stages.prepare(q, docsets[q.id]) for q in questions}
-            for aggregation in AGGREGATION_MODES:
-                for combine in COMBINE_ORDER:
-                    rows.append(_ablation_cell(
-                        pair_config, questions, prepared, judgments,
-                        aggregation, combine, tmrr_mode))
+    for stages in _load_pair_stages(base_config):
+        # Questions with no candidates (unmapped type, empty pool) are left
+        # out here and get the empty run in every variant.
+        evidence_of = {}
+        pools: dict[str, _Candidates] = {}
+        for q in questions:
+            prepared = stages.prepare(q, docsets[q.id])
+            if prepared is None or not prepared[1]:
+                continue
+            _pool, evidence, n_docs = prepared
+            surfaces = tuple(ev.entity.canonical_surface for ev in evidence)
+            evidence_of[q.id] = evidence
+            pools[q.id] = _Candidates(
+                surfaces=surfaces, semantic=(),
+                dfs=tuple(ev.entity.df for ev in evidence), n_docs=n_docs,
+                relevant=matching_surfaces(surfaces, judgments[q.id]))
+        for aggregation in AGGREGATION_MODES:
+            mode_config = replace(stages.config, aggregation=aggregation)
+            candidates = {
+                qid: replace(pool, semantic=tuple(
+                    s.value for s in aggregate_evidence(
+                        evidence_of[qid], pool.n_docs, mode_config)))
+                for qid, pool in pools.items()
+            }
+            for combine_mode in COMBINE_ORDER:
+                rows.append(_ablation_cell(mode_config, questions, candidates,
+                                           combine_mode, tmrr_mode))
     return rows
 
 
-def _evaluate_variant(variant: PipelineConfig, questions: Sequence[Question],
-                      prepared: Mapping[str, object],
-                      judgments: Mapping[str, Judgment],
+def _evaluate_variant(ranking: RankingConfig, questions: Sequence[Question],
+                      candidates: Mapping[str, _Candidates],
                       tmrr_mode: str) -> MetricReport:
-    runs = []
+    """Metrics of one combine variant; a question without candidates gets
+    the empty run."""
+    rows = []
     for question in questions:
-        item = prepared[question.id]
-        if item is None:
-            runs.append(TiedRun(question_id=question.id, groups=(), scores=(),
-                                config_id=variant.config_id))
+        cands = candidates.get(question.id)
+        if cands is None:
+            rows.append(run_metrics((), frozenset(), tmrr_mode))
             continue
-        _pool, evidence, n_docs = item
-        runs.append(rank_from_evidence(evidence, n_docs, question.id,
-                                       variant, variant.config_id))
-    return evaluate_run(runs, judgments, run_id=variant.config_id,
-                        tmrr_mode=tmrr_mode)
+        combined = [combine(value, df, cands.n_docs, ranking)
+                    for value, df in zip(cands.semantic, cands.dfs)]
+        groups, _scores = group_by_score(cands.surfaces, combined,
+                                         ranking.score_digits)
+        rows.append(run_metrics(groups, cands.relevant, tmrr_mode))
+    return MetricReport.from_rows("", [q.id for q in questions], rows)
 
 
-def _ablation_cell(pair_config: PipelineConfig, questions: Sequence[Question],
-                   prepared: Mapping[str, object],
-                   judgments: Mapping[str, Judgment],
-                   aggregation: str, combine: str,
-                   tmrr_mode: str) -> AblationRow:
-    if combine == "multiplicative":
-        variant = replace(pair_config, aggregation=aggregation, combine=combine)
-        report = _evaluate_variant(variant, questions, prepared, judgments,
-                                   tmrr_mode)
-        return AblationRow(
-            classifier=variant.classifier,
-            embedding_provider=variant.embedding_provider,
-            aggregation=aggregation, combine=combine,
-            alpha=None, beta=None,
-            config_id=variant.config_id, means=report.means(),
-        )
-    best: tuple[float, float, float, PipelineConfig, MetricReport] | None = None
-    for alpha, beta in ALPHA_BETA_GRID:
-        variant = replace(pair_config, aggregation=aggregation,
-                          combine=combine, alpha=alpha, beta=beta)
-        report = _evaluate_variant(variant, questions, prepared, judgments,
-                                   tmrr_mode)
-        mean_tmrr = report.mean("tMRR")
-        if best is None or mean_tmrr > best[0]:
-            best = (mean_tmrr, alpha, beta, variant, report)
-    _score, alpha, beta, variant, report = best
+def _ablation_cell(mode_config: PipelineConfig, questions: Sequence[Question],
+                   candidates: Mapping[str, _Candidates],
+                   combine_mode: str, tmrr_mode: str) -> AblationRow:
+    digits = mode_config.score_digits
+    if combine_mode == "multiplicative":
+        report = _evaluate_variant(
+            RankingConfig(combine_mode=combine_mode, score_digits=digits),
+            questions, candidates, tmrr_mode)
+        alpha = beta = None
+        variant = replace(mode_config, combine=combine_mode)
+    else:
+        best: tuple[float, float, float, MetricReport] | None = None
+        for grid_alpha, grid_beta in ALPHA_BETA_GRID:
+            grid_report = _evaluate_variant(
+                RankingConfig(combine_mode=combine_mode, alpha=grid_alpha,
+                              beta=grid_beta, score_digits=digits),
+                questions, candidates, tmrr_mode)
+            mean_tmrr = grid_report.mean("tMRR")
+            # Strictly greater: ties keep the first grid point.
+            if best is None or mean_tmrr > best[0]:
+                best = (mean_tmrr, grid_alpha, grid_beta, grid_report)
+        _score, alpha, beta, report = best
+        variant = replace(mode_config, combine=combine_mode, alpha=alpha,
+                          beta=beta)
     return AblationRow(
         classifier=variant.classifier,
         embedding_provider=variant.embedding_provider,
-        aggregation=aggregation, combine=combine,
+        aggregation=variant.aggregation, combine=combine_mode,
         alpha=alpha, beta=beta,
         config_id=variant.config_id, means=report.means(),
     )
 
 
 def write_ablation_csv(path: str | Path, rows: Sequence[AblationRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", "embedding_provider", "aggregation",
-                         "combine", "alpha", "beta", "config_id", *METRICS])
-        for row in rows:
-            writer.writerow([
-                row.classifier, row.embedding_provider, row.aggregation,
+    write_csv(path, ["classifier", "embedding_provider", "aggregation",
+                     "combine", "alpha", "beta", "config_id", *METRICS],
+              ([row.classifier, row.embedding_provider, row.aggregation,
                 row.combine,
                 "" if row.alpha is None else f"{row.alpha:.1f}",
                 "" if row.beta is None else f"{row.beta:.1f}",
                 row.config_id,
-                *[f"{row.means[m]:.4f}" for m in METRICS],
-            ])
+                *[f"{row.means[m]:.4f}" for m in METRICS]]
+               for row in rows))
 
 
 def write_ablation_json(path: str | Path, rows: Sequence[AblationRow]) -> None:

@@ -11,15 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
-from .corpus import (DocumentSet, Question, preprocess_text, segment_sentences)
+from .corpus import (DocumentSet, Question, atomic_write_text, preprocess_text,
+                     segment_sentences)
 from .entities import (AnnotationFileExtractor, GazetteerExtractor, build_pool,
                        filter_by_type)
 from .errors import ConfigError, UnmappedTypeError
@@ -28,8 +27,9 @@ from .qtype import (EmbeddingClassifier, QuestionClassifier, RuleBasedAnnotator,
                     train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
 from .ranking import RankingConfig, TiedRun, rank_answers, score_candidates
-from .scoring import (AGGREGATION_MODES, CacheProvider, Provider,
-                      WordAverageProvider, aggregate, build_evidence)
+from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,
+                      SemanticScore, WordAverageProvider, aggregate,
+                      build_evidence)
 
 log = logging.getLogger(__name__)
 
@@ -152,21 +152,6 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # Stage loading (one-time cost, kept out of per-question timing)
 # ---------------------------------------------------------------------------
@@ -174,19 +159,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 @dataclass(frozen=True)
 class LoadedStages:
     config: PipelineConfig
-    annotator: RuleBasedAnnotator
-    svm_classifier: QuestionClassifier | None
-    embedding_classifier: EmbeddingClassifier | None
+    classifier: QuestionClassifier | EmbeddingClassifier
     provider: Provider
-    extractor: object  # GazetteerExtractor | AnnotationFileExtractor
+    extractor: GazetteerExtractor | AnnotationFileExtractor
     type_map: AnswerTypeMap
+    annotator: RuleBasedAnnotator = field(default_factory=RuleBasedAnnotator)
 
     def predict_types(self, question: Question) -> tuple[str, str]:
         if self.config.classifier == "svm":
             ann = self.annotator.annotate(question.text)
-            return self.svm_classifier.predict(ann)
+            return self.classifier.predict(ann)
         vector = self.provider.embed(preprocess_text(question.text))
-        return self.embedding_classifier.predict_vector(vector.values)
+        return self.classifier.predict_vector(vector.values)
 
     def prepare(self, question: Question, docset: DocumentSet):
         """Everything up to evidence scores (independent of agg/combine)."""
@@ -225,14 +209,20 @@ class LoadedStages:
             evidence, n_docs, question.id, config, config.config_id)
 
 
-def rank_from_evidence(evidence, n_docs: int, question_id: str,
-                       config: PipelineConfig, config_id: str) -> TiedRun:
-    """Aggregate evidence scores, combine with df and rank (pure tail)."""
-    semantics = [
+def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
+                       config: PipelineConfig) -> list[SemanticScore]:
+    """Semantic score of each candidate under the configured aggregation."""
+    return [
         aggregate(ev, config.aggregation,
                   avgmax_denominator=config.avgmax_denominator, n_docs=n_docs)
         for ev in evidence
     ]
+
+
+def rank_from_evidence(evidence, n_docs: int, question_id: str,
+                       config: PipelineConfig, config_id: str) -> TiedRun:
+    """Aggregate evidence scores, combine with df and rank (pure tail)."""
+    semantics = aggregate_evidence(evidence, n_docs, config)
     dfs = [ev.entity.df for ev in evidence]
     ranking_config = RankingConfig(
         combine_mode=config.combine, alpha=config.alpha, beta=config.beta,
@@ -245,40 +235,46 @@ def rank_from_evidence(evidence, n_docs: int, question_id: str,
     return rank_answers(scored, question_id, ranking_config, config_id)
 
 
+def load_provider(config: PipelineConfig) -> Provider:
+    if config.embedding_provider == "word-avg":
+        return WordAverageProvider.from_file(config.vectors_path)
+    return CacheProvider(config.cache_path)
+
+
+def load_classifier(config: PipelineConfig, provider: Provider
+                    ) -> QuestionClassifier | EmbeddingClassifier:
+    """The trained SVM, or centroids trained in `provider`'s embedding space."""
+    if config.classifier == "svm":
+        return QuestionClassifier.load(config.model_path)
+    labeled = load_labeled_questions(config.labeled_path)
+    return train_embedding_classifier(
+        labeled, lambda text: provider.embed(preprocess_text(text)).values)
+
+
+def load_extractor(config: PipelineConfig
+                   ) -> GazetteerExtractor | AnnotationFileExtractor:
+    if config.ner_backend == "gazetteer":
+        return GazetteerExtractor.from_file(config.gazetteer_path)
+    return AnnotationFileExtractor(config.annotations_path)
+
+
+def load_type_map(config: PipelineConfig) -> AnswerTypeMap:
+    if config.type_map_path:
+        return load_answer_type_map(config.type_map_path)
+    return default_answer_type_map()
+
+
 def load_stages(config: PipelineConfig) -> tuple[LoadedStages, float]:
     """Instantiate models, providers and extractors; returns load seconds."""
     config.validate_paths()
     started = perf_counter()
-    provider: Provider
-    if config.embedding_provider == "word-avg":
-        provider = WordAverageProvider.from_file(config.vectors_path)
-    else:
-        provider = CacheProvider(config.cache_path)
-
-    svm = None
-    centroid = None
-    if config.classifier == "svm":
-        svm = QuestionClassifier.load(config.model_path)
-    else:
-        labeled = load_labeled_questions(config.labeled_path)
-        centroid = train_embedding_classifier(
-            labeled, lambda text: provider.embed(preprocess_text(text)).values)
-
-    if config.ner_backend == "gazetteer":
-        extractor = GazetteerExtractor.from_file(config.gazetteer_path)
-    else:
-        extractor = AnnotationFileExtractor(config.annotations_path)
-
-    type_map = (load_answer_type_map(config.type_map_path)
-                if config.type_map_path else default_answer_type_map())
+    provider = load_provider(config)
     stages = LoadedStages(
         config=config,
-        annotator=RuleBasedAnnotator(),
-        svm_classifier=svm,
-        embedding_classifier=centroid,
+        classifier=load_classifier(config, provider),
         provider=provider,
-        extractor=extractor,
-        type_map=type_map,
+        extractor=load_extractor(config),
+        type_map=load_type_map(config),
     )
     return stages, perf_counter() - started
 

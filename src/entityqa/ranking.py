@@ -9,7 +9,7 @@ combined scores share a rank; the run keeps the five best rank groups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -50,7 +50,6 @@ class ScoredCandidate:
     df: int
     df_norm: float
     combined: float
-    tie_rank: int | None = None
 
 
 @dataclass(frozen=True)
@@ -107,40 +106,31 @@ def score_candidates(semantics: Sequence[SemanticScore], dfs: Sequence[int],
     return out
 
 
+def group_by_score(surfaces: Sequence[str], combined: Sequence[float],
+                   digits: int
+                   ) -> tuple[tuple[frozenset[str], ...], tuple[float, ...]]:
+    """Tie groups of the top MAX_RANK_GROUPS scores, best first.
+
+    Scores are rounded to `digits` before grouping so that float
+    accumulation noise cannot split a genuine tie.
+    """
+    by_score: dict[float, set[str]] = {}
+    for surface, value in zip(surfaces, combined):
+        by_score.setdefault(round(value, digits), set()).add(surface)
+    ordered = sorted(by_score.items(), key=lambda kv: -kv[0])[:MAX_RANK_GROUPS]
+    return (tuple(frozenset(members) for _, members in ordered),
+            tuple(score for score, _ in ordered))
+
+
 def rank_answers(scored: Sequence[ScoredCandidate], question_id: str,
                  config: RankingConfig | None = None,
                  config_id: str = "") -> TiedRun:
-    """Group by combined score, order groups descending, keep the top 5.
-
-    Scores are rounded (default 9 digits) before grouping so that float
-    accumulation noise cannot split a genuine tie.
-    """
-    digits = (config or RankingConfig()).score_digits
-    by_score: dict[float, set[str]] = {}
-    for cand in scored:
-        key = round(cand.combined, digits)
-        by_score.setdefault(key, set()).add(cand.surface)
-    ordered = sorted(by_score.items(), key=lambda kv: -kv[0])[:MAX_RANK_GROUPS]
-    return TiedRun(
-        question_id=question_id,
-        groups=tuple(frozenset(members) for _, members in ordered),
-        scores=tuple(score for score, _ in ordered),
-        config_id=config_id,
-    )
-
-
-def tie_rank_of(run: TiedRun, surface: str) -> int | None:
-    """1-based group index of a surface in the run, if present."""
-    for i, group in enumerate(run.groups, start=1):
-        if surface in group:
-            return i
-    return None
-
-
-def assign_tie_ranks(scored: Sequence[ScoredCandidate],
-                     run: TiedRun) -> list[ScoredCandidate]:
-    """Copies of the candidates with tie_rank filled in from the run."""
-    return [replace(c, tie_rank=tie_rank_of(run, c.surface)) for c in scored]
+    """Group by combined score, order groups descending, keep the top 5."""
+    groups, scores = group_by_score(
+        [cand.surface for cand in scored], [cand.combined for cand in scored],
+        (config or RankingConfig()).score_digits)
+    return TiedRun(question_id=question_id, groups=groups, scores=scores,
+                   config_id=config_id)
 
 
 # ---------------------------------------------------------------------------

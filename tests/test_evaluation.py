@@ -285,6 +285,27 @@ def test_evaluate_run_means():
     assert report.question_ids == ("q1", "q2")
 
 
+def test_evaluate_run_matches_each_group_member_once(monkeypatch):
+    import entityqa.evaluation as evaluation
+
+    calls = []
+    real_match = evaluation.match_answer
+
+    def counting_match(candidate, judgment):
+        calls.append(candidate)
+        return real_match(candidate, judgment)
+
+    monkeypatch.setattr(evaluation, "match_answer", counting_match)
+    run1, judgment1 = _labeled_run([3, 2, 4], [0, 1, 2], qid="q1")
+    run2, judgment2 = _labeled_run([1, 5], [0, 0], qid="q2")
+    report = evaluate_run([run1, run2], {"q1": judgment1, "q2": judgment2})
+    members = [m for run in (run1, run2) for g in run.groups for m in g]
+    assert sorted(calls) == sorted(members)
+    assert report.series("tP@1") == (0.0, 0.0)
+    assert report.series("P@1") == (0.0, 0.0)
+    assert report.series("MRR") == (0.5, 0.0)
+
+
 def test_evaluate_run_rejects_duplicates_and_unjudged():
     run, judgment = _labeled_run([1], [1], qid="q1")
     with pytest.raises(DataError):
@@ -396,3 +417,49 @@ def test_write_report_csv_and_json(tmp_path):
     assert payload[0]["run_id"] == "sysA"
     assert payload[0]["means"]["MRR"] == pytest.approx(0.5)
     assert payload[0]["per_question"]["MRR"]["q1"] == pytest.approx(1.0)
+
+
+class _Unwritable:
+    """Raises as soon as a writer formats its value."""
+
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
+def _broken_report(run_id):
+    report = _report({"q1": 1.0}, run_id=run_id)
+    object.__setattr__(report, "values",
+                       {m: (_Unwritable(),) for m in METRICS})
+    return report
+
+
+@pytest.mark.parametrize("writer, good, bad", [
+    (write_report_csv,
+     lambda: [_report({"q1": 1.0}, "sysA")],
+     lambda: [_report({"q1": 1.0}, "sysA"), _broken_report("sysB")]),
+    (write_report_json,
+     lambda: [_report({"q1": 1.0}, "sysA")],
+     lambda: [_report({"q1": 1.0}, "sysA"), _report({"q1": 1.0}, object())]),
+    (write_diff_csv,
+     lambda: DiffTable("MRR", (("q1", 0.5),), 1, 0, 0),
+     lambda: DiffTable("MRR", (("q1", 0.5), ("q2", _Unwritable())), 1, 0, 0)),
+])
+def test_writers_leave_previous_file_on_failure(tmp_path, writer, good, bad):
+    path = tmp_path / "out"
+    writer(path, good())
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError)):
+        writer(path, bad())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_write_removes_temp_file_when_write_fails(tmp_path):
+    from entityqa.corpus import atomic_write_text
+
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "old\r\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "new" * 10_000 + "\ud800")
+    assert path.read_bytes() == b"old\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

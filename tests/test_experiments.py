@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from datagen import _TYPE_CYCLE, VOCAB_WORDS
 
 from entityqa.corpus import DocumentSet, load_documents, load_questions
 from entityqa.errors import DataError
-from entityqa.evaluation import Judgment, load_qrels
+from entityqa.evaluation import Judgment, evaluate_run, load_qrels
 from entityqa.experiments import (
     evaluate_run_files,
     run_ablation,
@@ -14,8 +17,9 @@ from entityqa.experiments import (
     write_latency_json,
     write_significance_json,
 )
-from entityqa.pipeline import PipelineConfig
-from entityqa.ranking import TiedRun, write_runs
+from entityqa.pipeline import (PipelineConfig, load_stages,
+                               rank_from_evidence, run_pipeline)
+from entityqa.ranking import ALPHA_BETA_GRID, TiedRun, write_runs
 
 
 def _inputs(fixture):
@@ -81,6 +85,99 @@ def test_ablation_writers(tmp_path, ablation_rows):
     assert len(lines) == 25
     payload = json.loads(json_path.read_text())
     assert payload[0]["classifier"] == ablation_rows[0].classifier
+
+
+def _dense_gazetteer(planted, path):
+    """The planted gazetteer plus every vocabulary word under one of the
+    four answer tags, so that each pool holds many candidates."""
+    extra = [f"{word}\t{_TYPE_CYCLE[k % len(_TYPE_CYCLE)][2]}\n"
+             for k, word in enumerate(VOCAB_WORDS)]
+    path.write_text(Path(planted.gazetteer_path).read_text(encoding="utf-8")
+                    + "".join(extra), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module", params=["planted", "dense"])
+def oracle_case(request, tmp_path_factory, planted, planted_config):
+    """(base config, judgments, ablation rows, per pair the loaded stages
+    and every question prepared).
+
+    "dense" uses the dense gazetteer and judges every third pool surface
+    (alphabetically, default pair) as gold, so that the metrics depend on
+    the whole ranking and not only on the planted answer reaching the top.
+    """
+    questions, docsets = _inputs(planted)
+    base = PipelineConfig(**planted_config)
+    judgments = load_qrels(planted.qrels_path)
+    if request.param == "dense":
+        base = replace(base, gazetteer_path=_dense_gazetteer(
+            planted, tmp_path_factory.mktemp("dense") / "gazetteer.tsv"))
+    pairs = {}
+    for classifier in ("svm", "external-embedding"):
+        for provider in ("word-avg", "cache"):
+            stages, _ = load_stages(replace(base, classifier=classifier,
+                                            embedding_provider=provider))
+            pairs[classifier, provider] = (
+                stages, {q.id: stages.prepare(q, docsets[q.id]) for q in questions})
+    if request.param == "dense":
+        for qid, item in pairs["svm", "word-avg"][1].items():
+            surfaces = sorted(c.canonical_surface for c in item[0].candidates)
+            assert len(surfaces) >= 4
+            judgments[qid] = Judgment(question_id=qid,
+                                      gold_answers=frozenset(surfaces[1::3]),
+                                      match_policy="exact")
+    rows = run_ablation(base, questions, docsets, judgments)
+    return base, judgments, rows, pairs
+
+
+def test_ablation_rows_match_full_pipeline_runs(oracle_case, planted):
+    """Every row equals its config run end to end, and additive rows carry
+    the first grid point (alpha-major) with the best mean tMRR."""
+    base, judgments, rows, pairs = oracle_case
+    questions, docsets = _inputs(planted)
+    for row in rows:
+        stages, prepared = pairs[row.classifier, row.embedding_provider]
+        config = replace(
+            base, classifier=row.classifier,
+            embedding_provider=row.embedding_provider,
+            aggregation=row.aggregation, combine=row.combine,
+            alpha=base.alpha if row.alpha is None else row.alpha,
+            beta=base.beta if row.beta is None else row.beta)
+        result = run_pipeline(config, questions, docsets,
+                              stages=replace(stages, config=config))
+        assert result.errors == ()
+        report = evaluate_run(result.runs, judgments)
+        assert report.means() == row.means
+        assert config.config_id == row.config_id
+        if row.combine != "additive":
+            continue
+
+        def mean_tmrr(alpha, beta):
+            variant = replace(config, alpha=alpha, beta=beta)
+            runs = []
+            for q in questions:
+                if prepared[q.id] is None:
+                    runs.append(TiedRun(question_id=q.id, groups=(), scores=()))
+                    continue
+                _pool, evidence, n_docs = prepared[q.id]
+                runs.append(rank_from_evidence(evidence, n_docs, q.id,
+                                               variant, ""))
+            return evaluate_run(runs, judgments).mean("tMRR")
+
+        sweep = [mean_tmrr(alpha, beta) for alpha, beta in ALPHA_BETA_GRID]
+        first_best = ALPHA_BETA_GRID[sweep.index(max(sweep))]
+        assert (row.alpha, row.beta) == first_best
+
+
+def test_ablation_csv_write_is_atomic(tmp_path, ablation_rows):
+    path = tmp_path / "ablation.csv"
+    write_ablation_csv(path, ablation_rows)
+    before = path.read_bytes()
+    broken = replace(ablation_rows[1], means={})
+    with pytest.raises(KeyError):
+        write_ablation_csv(path, [ablation_rows[0], broken])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ablation.csv"]
 
 
 def test_ablation_requires_full_coverage(planted, planted_config):

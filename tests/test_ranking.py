@@ -9,12 +9,10 @@ from entityqa.ranking import (
     MAX_RANK_GROUPS,
     RankingConfig,
     TiedRun,
-    assign_tie_ranks,
     combine,
     load_runs,
     rank_answers,
     score_candidates,
-    tie_rank_of,
     write_runs,
 )
 from entityqa.scoring import SemanticScore
@@ -86,10 +84,6 @@ def _rank(values: dict[str, float], dfs: dict[str, int] | None = None,
 def test_rank_grouping_example():
     run = _rank({"a": 0.9, "b": 0.9, "c": 0.5})
     assert run.groups == (frozenset({"a", "b"}), frozenset({"c"}))
-    assert tie_rank_of(run, "a") == 1
-    assert tie_rank_of(run, "b") == 1
-    assert tie_rank_of(run, "c") == 2
-    assert tie_rank_of(run, "zzz") is None
 
 
 def test_rank_keeps_five_groups():
@@ -120,15 +114,6 @@ def test_rank_empty_input_gives_empty_run():
     run = rank_answers([], "q1", RankingConfig())
     assert run.groups == ()
     assert run.scores == ()
-
-
-def test_assign_tie_ranks():
-    cfg = RankingConfig()
-    semantics = [_semantic("a", 0.9), _semantic("b", 0.9), _semantic("c", 0.5)]
-    scored = score_candidates(semantics, [10, 10, 10], 10, cfg)
-    run = rank_answers(scored, "q1", cfg)
-    ranked = assign_tie_ranks(scored, run)
-    assert [c.tie_rank for c in ranked] == [1, 1, 2]
 
 
 def test_multiplicative_scale_covariance():
