@@ -20,8 +20,7 @@ from .evaluation import (Judgment, MetricReport, SignificanceResult,
                          tie_aware_metrics)
 from .pipeline import (LoadedStages, PipelineConfig, PipelineResult,
                        load_config, load_stages, run_pipeline, write_run_file)
-from .qtype import (AnswerTypePrediction, QuestionClassifier, classify_question,
-                    map_answer_types, train_classifier)
+from .qtype import QuestionClassifier, map_answer_types, train_classifier
 from .ranking import (ALPHA_BETA_GRID, RankingConfig, ScoredCandidate, TiedRun,
                       combine, load_runs, rank_answers, write_runs)
 from .scoring import (CacheProvider, EmbeddingVector, EvidenceSet,
@@ -31,7 +30,7 @@ from .scoring import (CacheProvider, EmbeddingVector, EvidenceSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_BETA_GRID", "AnswerTypePrediction", "CacheProvider",
+    "ALPHA_BETA_GRID", "CacheProvider",
     "CandidateEntity", "CandidatePool", "Document", "DocumentSet",
     "EmbeddingVector", "EntityMention", "EvidenceSet", "GazetteerExtractor",
     "Judgment", "LoadedStages", "MetricReport", "ONTONOTES_TAGS",
@@ -39,7 +38,7 @@ __all__ = [
     "RankingConfig", "ScoredCandidate", "SemanticScore", "Sentence",
     "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
     "aggregate", "build_evidence", "build_pool", "canonicalize",
-    "classical_metrics", "classify_question", "collection_spec", "combine",
+    "classical_metrics", "collection_spec", "combine",
     "cosine", "evaluate_run", "filter_by_type", "load_config",
     "load_documents", "load_qrels", "load_questions", "load_runs",
     "load_stages", "map_answer_types", "match_answer", "paired_t_test",

@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Subcommands: run, ablate, evaluate, bench, sample-strata, train-qc.
-Exit codes: 0 success, 1 data error, 2 configuration error.
+Exit codes: 0 success, 1 data error, 2 configuration error. `run` also
+exits 1 when any question failed, after writing the run file and a
+sidecar that lists the failures.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import random
 import re
 import tempfile
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -79,7 +79,6 @@ class Document:
 class DocumentSet:
     question_id: str
     documents: tuple[Document, ...]
-    sample_seed: int | None = None
 
     def __post_init__(self):
         ids = [d.doc_id for d in self.documents]
@@ -236,14 +235,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ds in docsets:
-            for doc in ds.documents:
-                fh.write(json.dumps({
-                    "question_id": doc.question_id,
-                    "rank": doc.original_rank,
-                    "text": doc.text,
-                }, ensure_ascii=False) + "\n")
+    atomic_write_text(path, "".join(json.dumps({
+        "question_id": doc.question_id,
+        "rank": doc.original_rank,
+        "text": doc.text,
+    }, ensure_ascii=False) + "\n" for ds in docsets for doc in ds.documents))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +412,4 @@ def sample_strata(ranked_docs: Sequence[Document], spec: StrataSpec) -> Document
             )
         chosen.extend(rng.sample(band, count))
     chosen.sort(key=lambda d: d.original_rank)
-    return DocumentSet(
-        question_id=question_id,
-        documents=tuple(chosen),
-        sample_seed=spec.seed,
-    )
+    return DocumentSet(question_id=question_id, documents=tuple(chosen))

@@ -50,9 +50,6 @@ class CandidateEntity:
     df: int
     tags: tuple[tuple[str, int], ...]  # (tag, count) pairs, most common first
 
-    def tag_counts(self) -> Counter:
-        return Counter(dict(self.tags))
-
 
 @dataclass(frozen=True)
 class CandidatePool:

@@ -335,8 +335,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
                       label: str = "this-work") -> LatencyReport:
     """Wall-clock per-question time, averaged over warm iterations.
 
-    Stage loading happens once and is reported separately. Timing runs
-    single-worker regardless of the configured parallelism.
+    Stage loading happens once and is reported separately.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -345,7 +344,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     no_docs = sorted(q.id for q in questions if q.id not in docsets)
     if no_docs:
         raise DataError(f"questions without document sets: {no_docs}")
-    stages, load_seconds = load_stages(replace(config, workers=1))
+    stages, load_seconds = load_stages(config)
     totals = {q.id: 0.0 for q in questions}
     for _ in range(iterations):
         for question in questions:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import (DocumentSet, Question, atomic_write_text, preprocess_text,
                      segment_sentences)
@@ -26,7 +25,8 @@ from .qtype import (EmbeddingClassifier, QuestionClassifier, RuleBasedAnnotator,
                     load_labeled_questions, map_answer_types,
                     train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
-from .ranking import RankingConfig, TiedRun, rank_answers, score_candidates
+from .ranking import (RankingConfig, TiedRun, rank_answers, score_candidates,
+                      write_runs)
 from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,
                       SemanticScore, WordAverageProvider, aggregate,
                       build_evidence)
@@ -55,8 +55,6 @@ class PipelineConfig:
     group_surface_variants: bool = True
     df_any_tag: bool = False
     score_digits: int = 9
-    seed: int = 0
-    workers: int = 1
     source_set: str = "custom"
     # Data files. Empty string means "not provided".
     questions_path: str = ""
@@ -86,8 +84,6 @@ class PipelineConfig:
                 )
         if self.candidate_cap < 1:
             raise ConfigError("candidate_cap must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -288,7 +284,6 @@ class PipelineResult:
     runs: tuple[TiedRun, ...]
     errors: tuple[tuple[str, str], ...]  # (question_id, message)
     load_seconds: float
-    question_seconds: tuple[tuple[str, float], ...]
 
     @property
     def ok(self) -> bool:
@@ -297,62 +292,37 @@ class PipelineResult:
 
 def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
                  docsets: Mapping[str, DocumentSet],
-                 stages: LoadedStages | None = None,
-                 on_question: Callable[[str], None] | None = None) -> PipelineResult:
-    """Answer every question; per-question failures are recorded, not fatal."""
+                 stages: LoadedStages | None = None) -> PipelineResult:
+    """Answer every question in order; per-question failures are recorded,
+    not fatal. Progress is logged at INFO, one record per question."""
     load_seconds = 0.0
     if stages is None:
         stages, load_seconds = load_stages(config)
-
-    def solve(question: Question) -> tuple[TiedRun | None, str | None, float]:
-        started = perf_counter()
-        docset = docsets.get(question.id)
-        if docset is None:
-            return None, "no document set", perf_counter() - started
-        try:
-            run = stages.answer(question, docset)
-        except Exception as exc:  # recorded per question, surfaced in summary
-            log.exception("question %s failed", question.id)
-            return None, f"{type(exc).__name__}: {exc}", perf_counter() - started
-        return run, None, perf_counter() - started
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(solve, questions))
-    else:
-        outcomes = [solve(q) for q in questions]
-
     runs: list[TiedRun] = []
     errors: list[tuple[str, str]] = []
-    timings: list[tuple[str, float]] = []
-    for question, (run, error, seconds) in zip(questions, outcomes):
-        timings.append((question.id, seconds))
+    for n, question in enumerate(questions, start=1):
+        error = None
+        docset = docsets.get(question.id)
+        if docset is None:
+            error = "no document set"
+        else:
+            try:
+                runs.append(stages.answer(question, docset))
+            except Exception as exc:  # recorded per question, surfaced in summary
+                log.exception("question %s failed", question.id)
+                error = f"{type(exc).__name__}: {exc}"
         if error is not None:
             errors.append((question.id, error))
-        else:
-            runs.append(run)
-        if on_question is not None:
-            on_question(question.id)
-    return PipelineResult(
-        runs=tuple(runs),
-        errors=tuple(errors),
-        load_seconds=load_seconds,
-        question_seconds=tuple(timings),
-    )
+        log.info("question %d/%d %s: %s", n, len(questions), question.id,
+                 error or "answered")
+    return PipelineResult(runs=tuple(runs), errors=tuple(errors),
+                          load_seconds=load_seconds)
 
 
 def write_run_file(path: str | Path, result: PipelineResult,
                    config: PipelineConfig) -> None:
     """Run JSONL plus a .config.json sidecar with the effective config."""
-    lines = []
-    for run in result.runs:
-        lines.append(json.dumps({
-            "question_id": run.question_id,
-            "groups": [sorted(g) for g in run.groups],
-            "scores": list(run.scores),
-            "config_id": run.config_id,
-        }, ensure_ascii=False))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_runs(path, result.runs)
     sidecar = {
         "config_id": config.config_id,
         "config": json.loads(config.canonical_json()),

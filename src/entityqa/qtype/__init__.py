@@ -1,29 +1,25 @@
 """Question answer-type classification."""
 
-from .annotate import (Annotator, ExternalAnnotationAdapter,
-                       QuestionAnnotation, RuleBasedAnnotator)
-from .classifier import (AnswerTypePrediction, EmbeddingClassifier,
-                         LabeledQuestion, QuestionClassifier,
-                         classifier_accuracy, classify_question,
+from .annotate import QuestionAnnotation, RuleBasedAnnotator
+from .classifier import (EmbeddingClassifier, LabeledQuestion,
+                         QuestionClassifier, classifier_accuracy,
                          load_labeled_questions, majority_baseline,
                          split_labeled, train_classifier,
                          train_embedding_classifier)
-from .features import (NAMESPACES, FeatureSpace, extract_features,
-                       feature_templates)
+from .features import NAMESPACES, FeatureSpace, feature_templates
 from .linear import LinearModel, hinge_objective, train_one_vs_rest
 from .taxonomy import (AnswerTypeMap, Taxonomy, default_answer_type_map,
-                       default_taxonomy, load_answer_type_map, load_taxonomy,
+                       default_taxonomy, load_answer_type_map,
                        map_answer_types)
 
 __all__ = [
     "NAMESPACES",
-    "Annotator", "AnswerTypeMap", "AnswerTypePrediction",
-    "EmbeddingClassifier", "ExternalAnnotationAdapter", "FeatureSpace",
+    "AnswerTypeMap", "EmbeddingClassifier", "FeatureSpace",
     "LabeledQuestion", "LinearModel", "QuestionAnnotation",
     "QuestionClassifier", "RuleBasedAnnotator", "Taxonomy",
-    "classifier_accuracy", "classify_question", "default_answer_type_map",
-    "default_taxonomy", "extract_features", "feature_templates",
-    "hinge_objective", "load_answer_type_map", "load_labeled_questions",
-    "load_taxonomy", "majority_baseline", "map_answer_types", "split_labeled",
-    "train_classifier", "train_embedding_classifier", "train_one_vs_rest",
+    "classifier_accuracy", "default_answer_type_map", "default_taxonomy",
+    "feature_templates", "hinge_objective", "load_answer_type_map",
+    "load_labeled_questions", "majority_baseline", "map_answer_types",
+    "split_labeled", "train_classifier", "train_embedding_classifier",
+    "train_one_vs_rest",
 ]

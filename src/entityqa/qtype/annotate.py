@@ -2,21 +2,15 @@
 
 The classifier consumes token/lemma/POS layers plus a list of named
 entities found in the question. A rule-based annotator keeps the package
-self-contained and fully deterministic; richer annotations produced
-offline by an external toolkit can be swapped in via the adapter without
-touching the feature extractor.
+self-contained and fully deterministic.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Protocol
 
 from ..corpus import preprocess_text
-from ..errors import IngestionError, ParseError
 
 
 @dataclass(frozen=True)
@@ -30,10 +24,6 @@ class QuestionAnnotation:
     def __post_init__(self):
         if not (len(self.tokens) == len(self.lemmas) == len(self.pos_tags)):
             raise ValueError("token, lemma and POS layers must be aligned")
-
-
-class Annotator(Protocol):
-    def annotate(self, text: str) -> QuestionAnnotation: ...
 
 
 _TOKEN = re.compile(r"\w+(?:'\w+)?|[$%]")
@@ -181,43 +171,3 @@ class RuleBasedAnnotator:
             text=text, tokens=tokens, lemmas=lemmas,
             pos_tags=pos_tags, named_entities=tuple(entities),
         )
-
-
-class ExternalAnnotationAdapter:
-    """Serve precomputed annotations, keyed by the exact question text.
-
-    The JSONL file carries {"text", "tokens", "lemmas", "pos", "ne"}
-    records, where "ne" is a list of [surface, tag] pairs. Questions
-    without a record raise IngestionError rather than silently degrading
-    to a different annotation scheme mid-run.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = str(path)
-        self.by_text: dict[str, QuestionAnnotation] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                    ann = QuestionAnnotation(
-                        text=str(raw["text"]),
-                        tokens=tuple(raw["tokens"]),
-                        lemmas=tuple(raw["lemmas"]),
-                        pos_tags=tuple(raw["pos"]),
-                        named_entities=tuple(
-                            (str(s), str(t)) for s, t in raw["ne"]
-                        ),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(self.path, line_no, f"invalid annotation: {exc}") from exc
-                self.by_text[ann.text] = ann
-
-    def annotate(self, text: str) -> QuestionAnnotation:
-        ann = self.by_text.get(text)
-        if ann is None:
-            raise IngestionError(
-                f"{self.path}: no stored annotation for question {text!r}"
-            )
-        return ann

@@ -19,27 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import Question
-from ..entities import ONTONOTES_TAGS
 from ..errors import ParseError, TrainingError
-from .annotate import Annotator, QuestionAnnotation, RuleBasedAnnotator
+from .annotate import QuestionAnnotation, RuleBasedAnnotator
 from .features import FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
-from .taxonomy import AnswerTypeMap, Taxonomy, default_taxonomy, map_answer_types
-
-
-@dataclass(frozen=True)
-class AnswerTypePrediction:
-    coarse_label: str
-    fine_label: str
-    accepted_tags: frozenset[str]
-
-    def __post_init__(self):
-        if not self.accepted_tags:
-            raise ValueError("accepted_tags must be non-empty")
-        bad = self.accepted_tags - ONTONOTES_TAGS
-        if bad:
-            raise ValueError(f"accepted_tags contains unknown tags {sorted(bad)}")
+from .taxonomy import Taxonomy, default_taxonomy
 
 
 @dataclass(frozen=True)
@@ -163,14 +147,13 @@ class QuestionClassifier:
 
 
 def train_classifier(labeled: Sequence[LabeledQuestion], *,
-                     annotator: Annotator | None = None,
                      epochs: int = 10, learning_rate: float = 0.5,
                      l2: float = 1e-4, seed: int = 0) -> QuestionClassifier:
     """Train independent coarse and fine models over one feature space."""
     if not labeled:
         raise TrainingError("no training samples")
-    ann_tool = annotator or RuleBasedAnnotator()
-    annotations = [ann_tool.annotate(q.text) for q in labeled]
+    annotator = RuleBasedAnnotator()
+    annotations = [annotator.annotate(q.text) for q in labeled]
     space = FeatureSpace.build(annotations)
     actives = [space.extract(a) for a in annotations]
 
@@ -194,26 +177,15 @@ def train_classifier(labeled: Sequence[LabeledQuestion], *,
     )
 
 
-def classify_question(question: Question, annotator: Annotator,
-                      classifier: QuestionClassifier,
-                      type_map: AnswerTypeMap | None = None) -> AnswerTypePrediction:
-    """Predict the answer type of a question and attach its entity tags."""
-    coarse, fine = classifier.predict(annotator.annotate(question.text))
-    accepted = map_answer_types(coarse, fine, type_map)
-    return AnswerTypePrediction(coarse_label=coarse, fine_label=fine,
-                                accepted_tags=accepted)
-
-
 def classifier_accuracy(classifier: QuestionClassifier,
-                        labeled: Sequence[LabeledQuestion],
-                        annotator: Annotator | None = None) -> tuple[float, float]:
+                        labeled: Sequence[LabeledQuestion]) -> tuple[float, float]:
     """(coarse, fine) accuracy of a trained model on labeled questions."""
     if not labeled:
         raise ValueError("no evaluation samples")
-    ann_tool = annotator or RuleBasedAnnotator()
+    annotator = RuleBasedAnnotator()
     coarse_hits = fine_hits = 0
     for q in labeled:
-        coarse, fine = classifier.predict(ann_tool.annotate(q.text))
+        coarse, fine = classifier.predict(annotator.annotate(q.text))
         coarse_hits += coarse == q.coarse
         fine_hits += coarse == q.coarse and fine == q.fine
     return coarse_hits / len(labeled), fine_hits / len(labeled)

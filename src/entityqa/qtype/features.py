@@ -85,6 +85,3 @@ class FeatureSpace:
     def from_dict(cls, raw: dict) -> "FeatureSpace":
         return cls.from_vocab({ns: tuple(v) for ns, v in raw.items()})
 
-
-def extract_features(ann: QuestionAnnotation, space: FeatureSpace) -> list[int]:
-    return space.extract(ann)

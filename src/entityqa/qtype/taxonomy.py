@@ -54,12 +54,6 @@ def default_taxonomy() -> Taxonomy:
     return Taxonomy(coarse_to_fine={k: tuple(v) for k, v in raw.items()})
 
 
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return Taxonomy(coarse_to_fine={k: tuple(v) for k, v in raw.items()})
-
-
 def _freeze_map(raw: dict) -> AnswerTypeMap:
     coarse = {}
     for label, tags in raw.get("coarse", {}).items():

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import atomic_write_text
 from .errors import ParseError
 from .scoring import SemanticScore
 
@@ -138,14 +139,13 @@ def rank_answers(scored: Sequence[ScoredCandidate], question_id: str,
 # ---------------------------------------------------------------------------
 
 def write_runs(path: str | Path, runs: Sequence[TiedRun]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for run in runs:
-            fh.write(json.dumps({
-                "question_id": run.question_id,
-                "groups": [sorted(g) for g in run.groups],
-                "scores": list(run.scores),
-                "config_id": run.config_id,
-            }, ensure_ascii=False) + "\n")
+    """The one run-file serializer: a JSON line per run, written atomically."""
+    atomic_write_text(path, "".join(json.dumps({
+        "question_id": run.question_id,
+        "groups": [sorted(g) for g in run.groups],
+        "scores": list(run.scores),
+        "config_id": run.config_id,
+    }, ensure_ascii=False) + "\n" for run in runs))
 
 
 def load_runs(path: str | Path) -> list[TiedRun]:

@@ -14,11 +14,11 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import DocumentSet, Sentence
+from .corpus import DocumentSet, atomic_write_text
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -164,23 +164,20 @@ class CacheProvider:
 
 def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> int:
     """Embed texts with `provider` and persist them in cache format."""
-    written = 0
-    seen: set[str] = set()
-    with open(path, "w", encoding="utf-8") as fh:
-        for text in texts:
-            digest = text_sha256(text)
-            if digest in seen:
-                continue
-            seen.add(digest)
-            vec = provider.embed(text)
-            fh.write(json.dumps({
-                "sha256": digest,
-                "text": text,
-                "vector": [float(x) for x in vec.values],
-                "provider_id": vec.provider_id,
-            }, ensure_ascii=False) + "\n")
-            written += 1
-    return written
+    lines: dict[str, str] = {}
+    for text in texts:
+        digest = text_sha256(text)
+        if digest in lines:
+            continue
+        vec = provider.embed(text)
+        lines[digest] = json.dumps({
+            "sha256": digest,
+            "text": text,
+            "vector": [float(x) for x in vec.values],
+            "provider_id": vec.provider_id,
+        }, ensure_ascii=False) + "\n"
+    atomic_write_text(path, "".join(lines.values()))
+    return len(lines)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -202,12 +199,12 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 @dataclass(frozen=True)
 class EvidenceSet:
     entity: CandidateEntity
-    sentences: tuple[tuple[Sentence, str], ...]  # (sentence, doc_id)
+    sentence_keys: tuple[tuple[str, int], ...]  # (doc_id, sentence index)
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.sentences) != len(self.scores):
-            raise ValueError("scores must parallel sentences")
+        if len(self.sentence_keys) != len(self.scores):
+            raise ValueError("scores must parallel sentence_keys")
 
 
 @dataclass(frozen=True)
@@ -244,15 +241,11 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
             log.warning("candidate %r has no evidence sentences; excluded",
                         candidate.canonical_surface)
             continue
-        pairs = []
-        scores = []
         for key in keys:
             if key not in score_memo:
                 score_memo[key] = cosine(q_vec, provider.embed(sentences[key].text))
-            pairs.append((sentences[key], key[0]))
-            scores.append(score_memo[key])
-        out.append(EvidenceSet(entity=candidate, sentences=tuple(pairs),
-                               scores=tuple(scores)))
+        out.append(EvidenceSet(entity=candidate, sentence_keys=tuple(keys),
+                               scores=tuple(score_memo[key] for key in keys)))
     return out
 
 
@@ -276,7 +269,7 @@ def aggregate(evidence: EvidenceSet, mode: str,
         value = float(np.max(evidence.scores))
     elif mode == "avg_max":
         per_doc: dict[str, float] = {}
-        for (_sentence, doc_id), score in zip(evidence.sentences, evidence.scores):
+        for (doc_id, _index), score in zip(evidence.sentence_keys, evidence.scores):
             if doc_id not in per_doc or score > per_doc[doc_id]:
                 per_doc[doc_id] = score
         total = float(sum(per_doc.values()))

@@ -41,7 +41,6 @@ from entityqa.ranking import TiedRun
 from entityqa.scoring import aggregate
 from entityqa.entities import CandidateEntity, EntityMention
 from entityqa.scoring import EvidenceSet
-from entityqa.corpus import Sentence
 
 
 def _labeled_run(group_sizes, group_relevant, qid="q1"):
@@ -127,13 +126,12 @@ def test_criterion_04_aggregation_matches_brute_force():
             mentions=(EntityMention(surface="x", tag="PERSON", doc_id="d#1",
                                     sentence_index=0, start=0, end=1),),
             df=len(scores_by_doc), tags=(("PERSON", 1),))
-        pairs, values = [], []
+        keys, values = [], []
         for doc_id, scores in scores_by_doc.items():
             for i, s in enumerate(scores):
-                pairs.append((Sentence(doc_ref=doc_id, index=i, text="s."),
-                              doc_id))
+                keys.append((doc_id, i))
                 values.append(s)
-        return EvidenceSet(entity=entity, sentences=tuple(pairs),
+        return EvidenceSet(entity=entity, sentence_keys=tuple(keys),
                            scores=tuple(values))
 
     for _ in range(1000):

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -45,16 +46,41 @@ def test_run_set_overrides_change_config_id(tmp_path, config_file):
     assert id1 != id2
 
 
-def test_run_unknown_config_key_exits_2(tmp_path, config_file):
-    cfg = config_file({"not_an_option": True})
-    assert main(["run", "--config", str(cfg),
-                 "--out", str(tmp_path / "r.jsonl")]) == 2
+def test_run_unknown_config_key_exits_2(tmp_path, config_file, capsys):
+    # Old configs that still set `workers` or `seed` must fail loudly.
+    for key in ("not_an_option", "workers", "seed"):
+        cfg = config_file({key: 1})
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
 
 def test_run_missing_input_file_exits_2(tmp_path, config_file):
     cfg = config_file({"gazetteer_path": str(tmp_path / "missing.tsv")})
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "r.jsonl")]) == 2
+
+
+def test_run_question_without_documents_exits_1(tmp_path, config_file,
+                                                 planted_config):
+    # The run file and the sidecar are still written, but a run file that
+    # lacks a question must not look like a success.
+    lines = Path(planted_config["documents_path"]).read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    dropped = json.loads(lines[0])["question_id"]
+    documents = tmp_path / "documents.jsonl"
+    documents.write_text("".join(line for line in lines
+                                 if json.loads(line)["question_id"] != dropped),
+                         encoding="utf-8")
+    cfg = config_file({"documents_path": str(documents)})
+    out = tmp_path / "runs.jsonl"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    answered = [json.loads(line)["question_id"]
+                for line in out.read_text().splitlines()]
+    assert len(answered) == 11 and dropped not in answered
+    sidecar = json.loads((tmp_path / "runs.jsonl.config.json").read_text())
+    assert sidecar["errors"] == [{"question_id": dropped,
+                                  "error": "no document set"}]
 
 
 def test_run_malformed_questions_exits_1(tmp_path, config_file):

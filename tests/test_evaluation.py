@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 
 from oracles import classical_reference, enumerate_tie_metrics, mc_tie_metrics
 
+from entityqa.corpus import Document, DocumentSet, write_documents
 from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
     METRICS,
@@ -25,7 +28,8 @@ from entityqa.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from entityqa.ranking import TiedRun
+from entityqa.ranking import TiedRun, write_runs
+from entityqa.scoring import WordAverageProvider, write_cache
 
 
 def _judgment(*gold, policy="containment"):
@@ -433,6 +437,17 @@ def _broken_report(run_id):
     return report
 
 
+def _docset(qid, *texts):
+    return DocumentSet(question_id=qid, documents=tuple(
+        Document(question_id=qid, original_rank=rank, text=text)
+        for rank, text in enumerate(texts, start=1)))
+
+
+def _texts_then_fail():
+    yield "alpha"
+    raise RuntimeError("input ended early")
+
+
 @pytest.mark.parametrize("writer, good, bad", [
     (write_report_csv,
      lambda: [_report({"q1": 1.0}, "sysA")],
@@ -443,6 +458,19 @@ def _broken_report(run_id):
     (write_diff_csv,
      lambda: DiffTable("MRR", (("q1", 0.5),), 1, 0, 0),
      lambda: DiffTable("MRR", (("q1", 0.5), ("q2", _Unwritable())), 1, 0, 0)),
+    # The bad inputs below fail after a first line that differs from the
+    # good output, so a writer that streamed would leave that line behind.
+    (write_runs,
+     lambda: [TiedRun("q1", (frozenset({"a"}),), (0.5,))],
+     lambda: [TiedRun("q2", (frozenset({"b"}),), (0.5,)),
+              TiedRun("q3", (), (), config_id=object())]),
+    (write_documents,
+     lambda: [_docset("q1", "A.")],
+     lambda: [_docset("q2", "B.", object())]),
+    pytest.param(
+        partial(write_cache, provider=WordAverageProvider(
+            {"alpha": np.array([1.0, 0.0]), "beta": np.array([0.0, 1.0])})),
+        lambda: ["beta"], _texts_then_fail, id="write_cache"),
 ])
 def test_writers_leave_previous_file_on_failure(tmp_path, writer, good, bad):
     path = tmp_path / "out"

@@ -1,5 +1,8 @@
 import json
-from dataclasses import asdict, replace
+import logging
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,15 @@ def test_canonical_json_sorts_keys():
     cfg = PipelineConfig()
     parsed = json.loads(cfg.canonical_json())
     assert list(parsed) == sorted(parsed)
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    keys = [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_load_config_applies_overrides(tmp_path, planted_config):
@@ -137,16 +149,41 @@ def test_run_file_sidecar_records_config(tmp_path, planted, planted_config):
     assert first["config_id"] == cfg.config_id
 
 
-def test_run_pipeline_workers_preserve_order(planted, planted_config):
+def test_run_pipeline_runs_follow_question_order(planted, planted_config):
+    cfg = PipelineConfig(**planted_config)
+    stages, _ = load_stages(cfg)
     questions, docsets = _inputs(planted)
-    serial = run_pipeline(PipelineConfig(**planted_config),
-                          questions, docsets)
-    threaded = run_pipeline(
-        PipelineConfig(**dict(planted_config, workers=4)),
-        questions, docsets)
-    assert [r.question_id for r in serial.runs] == \
-        [r.question_id for r in threaded.runs]
-    assert [r.groups for r in serial.runs] == [r.groups for r in threaded.runs]
+    forward = run_pipeline(cfg, questions, docsets, stages=stages)
+    backward = run_pipeline(cfg, questions[::-1], docsets, stages=stages)
+    assert [r.question_id for r in forward.runs] == [q.id for q in questions]
+    assert [r.question_id for r in backward.runs] == \
+        [q.id for q in questions[::-1]]
+    assert [r.groups for r in backward.runs] == \
+        [r.groups for r in forward.runs][::-1]
+
+
+def test_run_pipeline_logs_progress_at_info_only(tmp_path, caplog, planted,
+                                                  planted_config):
+    cfg = PipelineConfig(**planted_config)
+    stages, _ = load_stages(cfg)
+    questions, docsets = _inputs(planted)
+    run_bytes = {}
+    # WARNING is the CLI's level without --verbose, INFO the level with it.
+    for level in (logging.WARNING, logging.INFO):
+        caplog.clear()
+        with caplog.at_level(level, logger="entityqa"):
+            result = run_pipeline(cfg, questions, docsets, stages=stages)
+        records = [r for r in caplog.records if r.name == "entityqa.pipeline"]
+        if level == logging.INFO:
+            assert [r.levelno for r in records] == [logging.INFO] * len(questions)
+            assert all(q.id in r.getMessage()
+                       for r, q in zip(records, questions))
+        else:
+            assert records == []
+        out = tmp_path / f"{logging.getLevelName(level)}.jsonl"
+        write_run_file(out, result, cfg)
+        run_bytes[level] = out.read_bytes()
+    assert run_bytes[logging.WARNING] == run_bytes[logging.INFO]
 
 
 def test_run_pipeline_missing_docset_recorded(planted, planted_config):

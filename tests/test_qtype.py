@@ -3,6 +3,7 @@ import pytest
 
 from entityqa.corpus import Question
 from entityqa.errors import TrainingError, UnmappedTypeError
+from entityqa.pipeline import PipelineConfig, load_stages
 from entityqa.qtype import (
     NAMESPACES,
     EmbeddingClassifier,
@@ -11,10 +12,8 @@ from entityqa.qtype import (
     QuestionClassifier,
     RuleBasedAnnotator,
     classifier_accuracy,
-    classify_question,
     default_answer_type_map,
     default_taxonomy,
-    extract_features,
     feature_templates,
     hinge_objective,
     load_labeled_questions,
@@ -50,7 +49,7 @@ def test_toy_question_feature_count():
     }
     space = FeatureSpace.build([ann])
     assert space.total_dim == 6
-    assert len(extract_features(ann, space)) == 6
+    assert len(space.extract(ann)) == 6
 
 
 def test_namespaces_fixed():
@@ -60,7 +59,7 @@ def test_namespaces_fixed():
 def test_oov_features_dropped():
     space = FeatureSpace.build([ANN.annotate("Who won?")])
     other = ANN.annotate("Where is the castle?")
-    active = extract_features(other, space)
+    active = space.extract(other)
     assert all(0 <= i < space.total_dim for i in active)
     # nothing from the unseen question except possibly shared templates
     shared = set(feature_templates(other)) & set(feature_templates(ANN.annotate("Who won?")))
@@ -70,7 +69,7 @@ def test_oov_features_dropped():
 def test_feature_indices_sorted_and_unique():
     ann = ANN.annotate("Who won the war that Napoleon won?")
     space = FeatureSpace.build([ann])
-    active = extract_features(ann, space)
+    active = space.extract(ann)
     assert list(active) == sorted(set(active))
 
 
@@ -261,19 +260,27 @@ def test_classifier_beats_majority(svm_classifier, svm_split):
     assert coarse_acc > majority_baseline(heldout)
 
 
-def test_classify_question_end_to_end(svm_classifier):
+@pytest.fixture(scope="module")
+def svm_stages(planted_config):
+    stages, _ = load_stages(PipelineConfig(**planted_config))
+    return stages
+
+
+def test_predict_types_then_map_end_to_end(svm_stages):
     q = Question(id="t1", text="Who founded the famous bridge in Ostenfell?",
                  gold_answers=("x",), source_set="custom")
-    pred = classify_question(q, ANN, svm_classifier)
-    assert pred.coarse_label == "HUMAN"
-    assert pred.accepted_tags == frozenset({"PERSON"})
+    coarse, fine = svm_stages.predict_types(q)
+    assert coarse == "HUMAN"
+    assert map_answer_types(coarse, fine, svm_stages.type_map) == \
+        frozenset({"PERSON"})
 
 
-def test_classify_question_unmapped_type_raises(svm_classifier):
+def test_predict_types_unmapped_type_raises(svm_stages):
     q = Question(id="t2", text="What does VRC stand for?",
                  gold_answers=("x",), source_set="custom")
+    coarse, fine = svm_stages.predict_types(q)
     with pytest.raises(UnmappedTypeError):
-        classify_question(q, ANN, svm_classifier)
+        map_answer_types(coarse, fine, svm_stages.type_map)
 
 
 def test_embedding_classifier_nearest_centroid():

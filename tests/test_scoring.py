@@ -6,7 +6,7 @@ import pytest
 
 from oracles import brute_force_aggregate
 
-from entityqa.corpus import Document, DocumentSet, Sentence, segment_sentences
+from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import CandidateEntity, EntityMention, GazetteerExtractor, build_pool
 from entityqa.errors import CacheMissError, ParseError
 from entityqa.scoring import (
@@ -176,18 +176,19 @@ def test_build_evidence_shapes_and_sharing():
     provider = _provider()
     evidence = {ev.entity.canonical_surface: ev
                 for ev in build_evidence(pool, docset, "alpha beta", provider)}
+    text = {(doc.doc_id, s.index): s.text
+            for doc in docset.documents for s in doc.sentences}
     ent0 = evidence["ent0ax"]
     ent1 = evidence["ent1bx"]
-    assert len(ent0.sentences) == 2   # two sentences in doc 1
-    assert len(ent1.sentences) == 2   # shared sentence + doc 2
-    shared_texts = {s.text for s, _ in ent0.sentences} & \
-        {s.text for s, _ in ent1.sentences}
-    assert shared_texts == {"Ent0ax and Ent1bx like beta."}
+    assert ent0.sentence_keys == (("q1#1", 0), ("q1#1", 1))  # both in doc 1
+    assert ent1.sentence_keys == (("q1#1", 1), ("q1#2", 0))  # shared + doc 2
+    shared = set(ent0.sentence_keys) & set(ent1.sentence_keys)
+    assert {text[key] for key in shared} == {"Ent0ax and Ent1bx like beta."}
     # the shared sentence scored identically for both candidates
-    shared = next(iter(shared_texts))
-    s0 = dict(zip([s.text for s, _ in ent0.sentences], ent0.scores))
-    s1 = dict(zip([s.text for s, _ in ent1.sentences], ent1.scores))
-    assert s0[shared] == s1[shared]
+    key = shared.pop()
+    s0 = dict(zip(ent0.sentence_keys, ent0.scores))
+    s1 = dict(zip(ent1.sentence_keys, ent1.scores))
+    assert s0[key] == s1[key]
 
 
 def test_build_evidence_scores_in_range():
@@ -207,14 +208,13 @@ def _ev(scores_by_doc: dict[str, list[float]]) -> EvidenceSet:
         mentions=(EntityMention(surface="x", tag="PERSON", doc_id="d#1",
                               sentence_index=0, start=0, end=1),),
         df=len(scores_by_doc), tags=(("PERSON", 1),))
-    pairs = []
+    keys = []
     values = []
     for doc_id, scores in scores_by_doc.items():
         for i, s in enumerate(scores):
-            pairs.append((Sentence(doc_ref=doc_id, index=i, text=f"s{i}."),
-                          doc_id))
+            keys.append((doc_id, i))
             values.append(s)
-    return EvidenceSet(entity=entity, sentences=tuple(pairs),
+    return EvidenceSet(entity=entity, sentence_keys=tuple(keys),
                        scores=tuple(values))
 
 
@@ -250,7 +250,7 @@ def test_aggregate_empty_evidence_rejected():
         EntityMention(surface="x", tag="PERSON", doc_id="d#1",
                       sentence_index=0, start=0, end=1),),
         df=1, tags=(("PERSON", 1),))
-    ev = EvidenceSet(entity=entity, sentences=(), scores=())
+    ev = EvidenceSet(entity=entity, sentence_keys=(), scores=())
     with pytest.raises(ValueError):
         aggregate(ev, "avg")
 
