@@ -221,12 +221,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The text is written as given, with no newline translation, so a CSV
     keeps its CRLF line terminators.
     """
+    _atomic_write(path, text, "w", encoding="utf-8", newline="")
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Binary counterpart of atomic_write_text."""
+    _atomic_write(path, data, "wb")
+
+
+def _atomic_write(path: str | Path, data: str | bytes, mode: str,
+                  **open_args) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode, **open_args) as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -334,7 +344,21 @@ def default_abbreviations() -> frozenset[str]:
 
 
 _BOUNDARY = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9\"'(])")
-_LAST_WORD = re.compile(r"([\w.]+)$")
+
+
+def _word_before(text: str, start: int, end: int) -> str:
+    r"""The run of word characters and periods that ends `text[start:end]`,
+    or that ends it but for one final newline; empty if there is none.
+
+    A character is in the run when `[\w.]` matches it: str.isalnum() is
+    exactly the alphanumeric part of `\w`.
+    """
+    if end > start and text[end - 1] == "\n":
+        end -= 1
+    begin = end
+    while begin > start and (text[begin - 1].isalnum() or text[begin - 1] in "._"):
+        begin -= 1
+    return text[begin:end]
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
@@ -353,8 +377,8 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     for match in _BOUNDARY.finditer(text):
         end = match.end(1)
         if "." in match.group(1):
-            before = _LAST_WORD.search(text, start, match.start(1))
-            if before and before.group(1).lower().rstrip(".") in abbreviations:
+            before = _word_before(text, start, match.start(1))
+            if before and before.lower().rstrip(".") in abbreviations:
                 continue
         pieces.append(text[start:end])
         start = match.end(2)
@@ -368,8 +392,9 @@ Segmenter = Callable[[str], list[str]]
 def segment_sentences(doc: Document, segmenter: Segmenter | None = None) -> Document:
     """Return a copy of the document with its sentences filled in."""
     segmenter = segmenter or split_sentences
+    doc_id = doc.doc_id
     sentences = tuple(
-        Sentence(doc_ref=doc.doc_id, index=i, text=s)
+        Sentence(doc_ref=doc_id, index=i, text=s)
         for i, s in enumerate(segmenter(doc.text))
     )
     return replace(doc, sentences=sentences)

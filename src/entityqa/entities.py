@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DocumentSet, canonicalize
+from .corpus import DocumentSet, atomic_write_text, canonicalize
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -160,51 +160,58 @@ class AnnotationFileExtractor:
 
     File format (JSONL): {"question_id", "doc_rank",
     "entities": [{"surface", "tag", "sent_idx", "start", "end"}, ...]}.
+    Records are indexed by question id at load, so `extract` reads only
+    the records of its own question.
     """
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        self.records: dict[tuple[str, int], list[dict]] = {}
+        # question id -> document rank -> entities, each level in the order
+        # of first appearance in the file.
+        self.records: dict[str, dict[int, list[dict]]] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
                     raw = json.loads(line)
-                    key = (str(raw["question_id"]), int(raw["doc_rank"]))
+                    qid, rank = str(raw["question_id"]), int(raw["doc_rank"])
                     ents = raw["entities"]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc
-                self.records.setdefault(key, []).extend(ents)
+                self.records.setdefault(qid, {}).setdefault(rank, []).extend(ents)
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
-        known = {(d.question_id, d.original_rank): d for d in docset.documents}
-        for key in self.records:
-            if key[0] == docset.question_id and key not in known:
+        qid = docset.question_id
+        known = {(d.question_id, d.original_rank) for d in docset.documents}
+        for rank in self.records.get(qid, {}):
+            if (qid, rank) not in known:
                 raise IngestionError(
                     f"{self.path}: annotations reference unknown document "
-                    f"{key[0]!r} rank {key[1]}"
+                    f"{qid!r} rank {rank}"
                 )
         mentions: list[EntityMention] = []
         for doc in docset.documents:
-            for ent in self.records.get((doc.question_id, doc.original_rank), []):
+            doc_id = doc.doc_id
+            by_rank = self.records.get(doc.question_id, {})
+            for ent in by_rank.get(doc.original_rank, []):
                 sent_idx = int(ent["sent_idx"])
                 if not (0 <= sent_idx < len(doc.sentences)):
                     raise IngestionError(
                         f"{self.path}: sentence index {sent_idx} out of range "
-                        f"for document {doc.doc_id}"
+                        f"for document {doc_id}"
                     )
                 sentence = doc.sentences[sent_idx]
                 start, end = int(ent["start"]), int(ent["end"])
                 if not (0 <= start < end <= len(sentence.text)):
                     raise IngestionError(
                         f"{self.path}: span [{start}, {end}) outside sentence "
-                        f"{sent_idx} of {doc.doc_id}"
+                        f"{sent_idx} of {doc_id}"
                     )
                 mentions.append(EntityMention(
                     surface=str(ent["surface"]),
                     tag=str(ent["tag"]),
-                    doc_id=doc.doc_id,
+                    doc_id=doc_id,
                     sentence_index=sent_idx,
                     start=start,
                     end=end,
@@ -218,17 +225,14 @@ def write_annotations(path: str | Path, docset: DocumentSet,
     by_doc: dict[str, list[EntityMention]] = {}
     for m in mentions:
         by_doc.setdefault(m.doc_id, []).append(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docset.documents:
-            ents = [{
-                "surface": m.surface, "tag": m.tag, "sent_idx": m.sentence_index,
-                "start": m.start, "end": m.end,
-            } for m in by_doc.get(doc.doc_id, [])]
-            fh.write(json.dumps({
-                "question_id": doc.question_id,
-                "doc_rank": doc.original_rank,
-                "entities": ents,
-            }, ensure_ascii=False) + "\n")
+    atomic_write_text(path, "".join(json.dumps({
+        "question_id": doc.question_id,
+        "doc_rank": doc.original_rank,
+        "entities": [{
+            "surface": m.surface, "tag": m.tag, "sent_idx": m.sentence_index,
+            "start": m.start, "end": m.end,
+        } for m in by_doc.get(doc.doc_id, [])],
+    }, ensure_ascii=False) + "\n" for doc in docset.documents))
 
 
 # ---------------------------------------------------------------------------

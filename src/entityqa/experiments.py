@@ -7,8 +7,9 @@ tMRR, so one grid evaluates 600 variants. Each piece of work runs once at
 the level it depends on:
 
 - per grid: each data file is read once, and the classifier/provider
-  pairs share what they can (one SVM, one centroid classifier per
-  provider, one extractor);
+  pairs share what they can (one SVM, one extractor, one parse and
+  preprocessing of the labeled questions, one centroid classifier per
+  provider);
 - per pair and question: `prepare` (typing, extraction, evidence
   scoring) and the gold match of every pool surface;
 - per pair, question and aggregation mode: one `aggregate` per candidate;
@@ -32,8 +33,8 @@ from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          run_metrics, write_csv)
 from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
                        PipelineConfig, aggregate_evidence, load_classifier,
-                       load_extractor, load_provider, load_stages,
-                       load_type_map)
+                       load_extractor, load_labeled_texts, load_provider,
+                       load_stages, load_type_map)
 from .ranking import (ALPHA_BETA_GRID, RankingConfig, combine, group_by_score,
                       load_runs)
 from .scoring import AGGREGATION_MODES, Provider
@@ -78,7 +79,8 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
     """Stages of every classifier/provider pair, each data file read once.
 
     The SVM reads only the question text, so both providers share it; a
-    centroid classifier is trained in its own provider's embedding space.
+    centroid classifier is trained in its own provider's embedding space,
+    from labeled questions parsed and preprocessed once for both.
     """
     pairs = [replace(base_config, classifier=classifier,
                      embedding_provider=provider)
@@ -87,6 +89,7 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
         pair.validate_paths()
     extractor = load_extractor(base_config)
     type_map = load_type_map(base_config)
+    labeled = load_labeled_texts(base_config)
     providers: dict[str, Provider] = {}
     classifiers: dict[tuple[str, str], object] = {}
     stages = []
@@ -97,7 +100,7 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
         key = (pair.classifier,
                "" if pair.classifier == "svm" else pair.embedding_provider)
         if key not in classifiers:
-            classifiers[key] = load_classifier(pair, provider)
+            classifiers[key] = load_classifier(pair, provider, labeled)
         stages.append(LoadedStages(config=pair, classifier=classifiers[key],
                                    provider=provider, extractor=extractor,
                                    type_map=type_map))

@@ -21,9 +21,9 @@ from .corpus import (DocumentSet, Question, atomic_write_text, preprocess_text,
 from .entities import (AnnotationFileExtractor, GazetteerExtractor, build_pool,
                        filter_by_type)
 from .errors import ConfigError, UnmappedTypeError
-from .qtype import (EmbeddingClassifier, QuestionClassifier, RuleBasedAnnotator,
-                    load_labeled_questions, map_answer_types,
-                    train_embedding_classifier)
+from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
+                    RuleBasedAnnotator, load_labeled_questions,
+                    map_answer_types, train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
 from .ranking import (RankingConfig, TiedRun, rank_answers, score_candidates,
                       write_runs)
@@ -169,11 +169,12 @@ class LoadedStages:
         return self.classifier.predict_vector(vector.values)
 
     def prepare(self, question: Question, docset: DocumentSet):
-        """Everything up to evidence scores (independent of agg/combine)."""
-        segmented = replace(
-            docset,
-            documents=tuple(segment_sentences(d) for d in docset.documents),
-        )
+        """Everything up to evidence scores (independent of agg/combine).
+
+        The answer type is predicted first, from the question alone, so a
+        question of a non-entity type returns before its documents are
+        segmented.
+        """
         try:
             coarse, fine = self.predict_types(question)
             accepted = map_answer_types(coarse, fine, self.type_map)
@@ -181,6 +182,10 @@ class LoadedStages:
             # Non-entity question types (definition/abbreviation style)
             # cannot be answered by entity ranking: empty run.
             return None
+        segmented = replace(
+            docset,
+            documents=tuple(segment_sentences(d) for d in docset.documents),
+        )
         all_mentions = self.extractor.extract(segmented)
         typed = filter_by_type(all_mentions, accepted)
         pool = build_pool(
@@ -237,14 +242,27 @@ def load_provider(config: PipelineConfig) -> Provider:
     return CacheProvider(config.cache_path)
 
 
-def load_classifier(config: PipelineConfig, provider: Provider
+LabeledTexts = tuple[list[LabeledQuestion], dict[str, str]]
+
+
+def load_labeled_texts(config: PipelineConfig) -> LabeledTexts:
+    """The labeled questions and the preprocessed form of each distinct
+    question text: the part of centroid training no provider changes."""
+    labeled = load_labeled_questions(config.labeled_path)
+    texts = dict.fromkeys(q.text for q in labeled)
+    return labeled, {text: preprocess_text(text) for text in texts}
+
+
+def load_classifier(config: PipelineConfig, provider: Provider,
+                    labeled: LabeledTexts | None = None
                     ) -> QuestionClassifier | EmbeddingClassifier:
-    """The trained SVM, or centroids trained in `provider`'s embedding space."""
+    """The trained SVM, or centroids trained in `provider`'s embedding space
+    (from `labeled` when given, else from the config's labeled file)."""
     if config.classifier == "svm":
         return QuestionClassifier.load(config.model_path)
-    labeled = load_labeled_questions(config.labeled_path)
+    questions, preprocessed = labeled or load_labeled_texts(config)
     return train_embedding_classifier(
-        labeled, lambda text: provider.embed(preprocess_text(text)).values)
+        questions, lambda text: provider.embed(preprocessed[text]).values)
 
 
 def load_extractor(config: PipelineConfig

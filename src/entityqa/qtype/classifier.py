@@ -11,6 +11,7 @@ a fine label per question):
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..corpus import atomic_write_bytes, atomic_write_text
 from ..errors import ParseError, TrainingError
 from .annotate import QuestionAnnotation, RuleBasedAnnotator
 from .features import FeatureSpace
@@ -99,22 +101,30 @@ class QuestionClassifier:
         return coarse, fine
 
     def save(self, path: str | Path) -> None:
+        """Write the weights to `path` (".npz" is appended if missing, as
+        np.savez does) and the rest to `path` + ".meta.json".
+
+        Both are serialised before either file is written, and each file
+        is replaced atomically, so a failure leaves the previous files.
+        """
         path = Path(path)
+        arrays = io.BytesIO()
         np.savez(
-            path,
+            arrays,
             coarse_weights=self.coarse_model.weights,
             coarse_bias=self.coarse_model.bias,
             fine_weights=self.fine_model.weights,
             fine_bias=self.fine_model.bias,
         )
-        meta = {
+        meta = json.dumps({
             "vocab": self.space.to_dict(),
             "coarse_classes": list(self.coarse_model.classes),
             "fine_classes": list(self.fine_model.classes),
             "hyperparams": self.hyperparams,
-        }
-        meta_path = path.with_suffix(path.suffix + ".meta.json")
-        meta_path.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+        }, sort_keys=True)
+        npz_path = path if str(path).endswith(".npz") else Path(f"{path}.npz")
+        atomic_write_bytes(npz_path, arrays.getvalue())
+        atomic_write_text(path.with_suffix(path.suffix + ".meta.json"), meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "QuestionClassifier":

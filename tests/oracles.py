@@ -5,7 +5,9 @@ directly on linear arrangements of tie groups: the Monte-Carlo oracle
 samples uniformly random within-group shuffles; the enumeration oracle
 sums over all within-group relevance placements with exact weights. The
 gazetteer oracle is the plain longest-match scan that probes every span
-length at every token, over an NFD accent fold with no shortcuts.
+length at every token, over an NFD accent fold with no shortcuts. The
+sentence-splitter oracle finds the word before each terminator with a
+forward regex search over the whole sentence so far.
 """
 
 from __future__ import annotations
@@ -203,3 +205,29 @@ def reference_gazetteer_scan(text: str, lexicon: dict[str, str]
         else:
             i += 1
     return found
+
+
+_BOUNDARY = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9\"'(])")
+_LAST_WORD = re.compile(r"([\w.]+)$")
+
+
+def reference_split_sentences(text: str, abbreviations: frozenset[str]) -> list[str]:
+    """Rule-based sentence split: break after terminators followed by
+    whitespace and an upper-case, digit, quote or parenthesis start,
+    unless a period follows a word in `abbreviations`. The word before a
+    terminator is `[\\w.]+` anchored by `$` to the terminator, searched
+    forward from the sentence start."""
+    if not text.strip():
+        return []
+    pieces: list[str] = []
+    start = 0
+    for match in _BOUNDARY.finditer(text):
+        end = match.end(1)
+        if "." in match.group(1):
+            before = _LAST_WORD.search(text, start, match.start(1))
+            if before and before.group(1).lower().rstrip(".") in abbreviations:
+                continue
+        pieces.append(text[start:end])
+        start = match.end(2)
+    pieces.append(text[start:])
+    return [p.strip() for p in pieces if p.strip()]

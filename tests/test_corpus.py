@@ -11,6 +11,7 @@ from entityqa.corpus import (
     StrataSpec,
     canonicalize,
     collection_spec,
+    default_abbreviations,
     derive_question_seed,
     fold_accents,
     load_documents,
@@ -24,7 +25,8 @@ from entityqa.corpus import (
 )
 from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
 
-from oracles import reference_canonicalize, reference_fold_accents
+from oracles import (reference_canonicalize, reference_fold_accents,
+                     reference_split_sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,60 @@ def test_split_preserves_characters_in_order():
     text = "One ran. Two ran? Mr. Three ran!"
     parts = split_sentences(text)
     assert "".join("".join(p.split()) for p in parts) == "".join(text.split())
+
+
+# Words before a terminator: abbreviations with inner periods, non-ASCII
+# letters, digits and numerals (é, ٣, ², ⅷ), underscores, runs of periods.
+_SPLIT_WORDS = ("U.S", "u.s", "e.g", "E.G", "i.e", "Dr", "mr", "No", "etc",
+                "ph.d", "Ph.D.", "café", "é", "٣", "x²", "ⅷ", "Ⅷ", "snake_case",
+                "_", "a_b.c", "3.14", "word", "Zoë", "naïve", "..", "x", "")
+_SPLIT_GAPS = (" ", "  ", "\n", " \n", "\n\n", "\t", "")
+_SPLIT_TERMINATORS = (".", "!", "?", "...", "?!", ".!", ". .", "")
+_SPLIT_STARTS = ("Next", "next", "3 more", '"Quoted"', "(Aside)", "'tis",
+                 "É", "_x", ". Dot", "U.S")
+
+
+def _random_split_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        parts.append(rng.choice(_SPLIT_STARTS))
+        for _ in range(rng.randint(0, 3)):
+            parts.append(rng.choice(_SPLIT_GAPS) or " ")
+            parts.append(rng.choice(_SPLIT_WORDS))
+        # A gap may fall between the last word and its terminator.
+        parts.append(rng.choice(("", "", "", "\n", " ")))
+        parts.append(rng.choice(_SPLIT_TERMINATORS))
+        parts.append(rng.choice(_SPLIT_GAPS))
+    return "".join(parts)
+
+
+def test_split_sentences_matches_reference_on_random_texts():
+    rng = random.Random(5)
+    # The default list, and one whose entries hold non-ASCII word
+    # characters and underscores, so those words are looked up too.
+    abbreviation_sets = (default_abbreviations(),
+                         frozenset({"é", "٣", "x²", "ⅷ", "snake_case", "a_b.c",
+                                    "café", "zoë", "_", "3.14", ""}))
+    for _ in range(4000):
+        text = _random_split_text(rng)
+        for abbreviations in abbreviation_sets:
+            assert split_sentences(text, abbreviations) == \
+                reference_split_sentences(text, abbreviations), repr(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # "$" of the old word search also matched before a final newline.
+    ("U.S\n. Next", ["U.S\n. Next"]),
+    ("U.S \n. Next", ["U.S \n.", "Next"]),
+    ("U.S\n\n. Next", ["U.S\n\n.", "Next"]),
+    ("See e.g. Paris. Then", ["See e.g. Paris.", "Then"]),
+    ("Café. Next", ["Café.", "Next"]),
+    (". Next", [".", "Next"]),
+    ("\n. Next", [".", "Next"]),
+])
+def test_split_sentences_word_before_terminator(text, expected):
+    assert split_sentences(text) == expected
+    assert reference_split_sentences(text, default_abbreviations()) == expected
 
 
 def test_segment_sentences_indexes():

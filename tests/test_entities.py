@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -136,6 +137,26 @@ def test_annotation_file_unknown_doc_ok_when_unused(tmp_path):
     path = tmp_path / "ann.jsonl"
     path.write_text('{"question_id": "zz", "doc_rank": 1, "entities": []}\n')
     assert AnnotationFileExtractor(path).extract(docset) == []
+
+
+def test_annotation_file_unknown_doc_raises_for_its_question_only(tmp_path):
+    # q1's annotations name two unknown documents, rank 5 before rank 3 in
+    # the file; q2's and q3's name only documents they have.
+    records = [("q1", 1, [{"surface": "Webb", "tag": "PERSON", "sent_idx": 0,
+                           "start": 0, "end": 4}]),
+               ("q2", 1, [{"surface": "Paris", "tag": "GPE", "sent_idx": 0,
+                           "start": 0, "end": 5}]),
+               ("q1", 5, []), ("q3", 2, []), ("q1", 3, []), ("q1", 5, [])]
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(
+        json.dumps({"question_id": qid, "doc_rank": rank, "entities": ents}) + "\n"
+        for qid, rank, ents in records))
+    ext = AnnotationFileExtractor(path)
+    with pytest.raises(IngestionError, match=r"unknown document 'q1' rank 5$"):
+        ext.extract(_docset(["Webb won.", "Nobody."], qid="q1"))
+    assert [(m.surface, m.doc_id) for m in ext.extract(
+        _docset(["Paris is nice."], qid="q2"))] == [("Paris", "q2#1")]
+    assert ext.extract(_docset(["One.", "Two."], qid="q3")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from oracles import classical_reference, enumerate_tie_metrics, mc_tie_metrics
 
 from entityqa.corpus import Document, DocumentSet, write_documents
+from entityqa.entities import EntityMention, write_annotations
 from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
     METRICS,
@@ -28,6 +30,7 @@ from entityqa.evaluation import (
     write_report_csv,
     write_report_json,
 )
+from entityqa.qtype import LabeledQuestion, train_classifier
 from entityqa.ranking import TiedRun, write_runs
 from entityqa.scoring import WordAverageProvider, write_cache
 
@@ -448,6 +451,38 @@ def _texts_then_fail():
     raise RuntimeError("input ended early")
 
 
+class _Unarrayable:
+    """Raises when numpy converts it to an array."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("cannot convert")
+
+
+def _classifier(broken=False):
+    clf = train_classifier([LabeledQuestion("HUM", "ind", "Who wrote Hamlet?"),
+                            LabeledQuestion("LOC", "city", "Where is Paris?")],
+                           epochs=1)
+    if broken:
+        # The last array numpy writes cannot be converted.
+        clf = replace(clf, fine_model=replace(clf.fine_model,
+                                              bias=_Unarrayable()))
+    return clf
+
+
+def _save(path, classifier):
+    classifier.save(path)
+
+
+def _write_annotations(path, docset_and_mentions):
+    write_annotations(path, *docset_and_mentions)
+
+
+def _annotated(qid, text, surface):
+    docset = _docset(qid, text, text)
+    return docset, [EntityMention(surface, "PERSON", f"{qid}#{rank}", 0, 0, 1)
+                    for rank in (1, 2)]
+
+
 @pytest.mark.parametrize("writer, good, bad", [
     (write_report_csv,
      lambda: [_report({"q1": 1.0}, "sysA")],
@@ -471,15 +506,21 @@ def _texts_then_fail():
         partial(write_cache, provider=WordAverageProvider(
             {"alpha": np.array([1.0, 0.0]), "beta": np.array([0.0, 1.0])})),
         lambda: ["beta"], _texts_then_fail, id="write_cache"),
+    pytest.param(_write_annotations, lambda: _annotated("q1", "A.", "A"),
+                 lambda: _annotated("q2", "B.", object()), id="write_annotations"),
+    # Writes out.npz and out.meta.json.
+    pytest.param(_save, _classifier, lambda: _classifier(broken=True),
+                 id="QuestionClassifier.save"),
 ])
 def test_writers_leave_previous_file_on_failure(tmp_path, writer, good, bad):
     path = tmp_path / "out"
     writer(path, good())
-    before = path.read_bytes()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "out" in before or "out.npz" in before
+    assert not [name for name in before if name.endswith(".tmp")]
     with pytest.raises((RuntimeError, TypeError)):
         writer(path, bad())
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_atomic_write_removes_temp_file_when_write_fails(tmp_path):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from entityqa.corpus import DocumentSet, load_documents, load_questions
+from entityqa import pipeline
+from entityqa.corpus import (DocumentSet, Question, load_documents,
+                             load_questions, segment_sentences)
 from entityqa.errors import ConfigError
 from entityqa.evaluation import load_qrels, evaluate_run
 from entityqa.pipeline import (
@@ -79,6 +81,21 @@ def test_readme_config_table_lists_every_field():
     keys = [key for line in section.splitlines() if line.startswith("| `")
             for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
     assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys, planted,
+                                     planted_config):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.json").write_text(json.dumps(planted_config),
+                                          encoding="utf-8")
+    (tmp_path / "qrels.jsonl").write_bytes(Path(planted.qrels_path).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    # Every planted gold answer ranks alone at the top.
+    assert float(capsys.readouterr().out) == 1.0
 
 
 def test_load_config_applies_overrides(tmp_path, planted_config):
@@ -195,6 +212,26 @@ def test_run_pipeline_missing_docset_recorded(planted, planted_config):
     assert len(result.runs) == len(questions) - 1
     assert result.errors[0][0] == questions[0].id
     assert "document" in result.errors[0][1]
+
+
+def test_prepare_skips_segmentation_for_unmapped_type(monkeypatch, planted,
+                                                      planted_config):
+    stages, _ = load_stages(PipelineConfig(**planted_config))
+    questions, docsets = _inputs(planted)
+    segmented = []
+
+    def counting_segment(doc):
+        segmented.append(doc.doc_id)
+        return segment_sentences(doc)
+
+    monkeypatch.setattr(pipeline, "segment_sentences", counting_segment)
+    abbreviation = Question(id=questions[0].id, text="What does VRC stand for?",
+                            gold_answers=("anything",))
+    assert stages.prepare(abbreviation, docsets[abbreviation.id]) is None
+    assert segmented == []
+    # The same documents are segmented for an entity question.
+    assert stages.prepare(questions[0], docsets[questions[0].id]) is not None
+    assert segmented == [d.doc_id for d in docsets[questions[0].id].documents]
 
 
 def test_unmapped_question_type_yields_empty_run(tmp_path, planted,
