@@ -7,7 +7,7 @@ document frequency, and emit a tie-grouped top-5 answer list. The
 evaluation half scores such runs with classical and tie-aware metrics.
 """
 
-from .corpus import (DocumentSet, Document, Question, Sentence, StrataSpec,
+from .corpus import (DocumentSet, Document, Question, StrataSpec,
                      canonicalize, collection_spec, load_documents,
                      load_questions, preprocess_text, sample_strata,
                      segment_sentences, split_sentences)
@@ -23,23 +23,22 @@ from .pipeline import (LoadedStages, PipelineConfig, PipelineResult,
 from .qtype import QuestionClassifier, map_answer_types, train_classifier
 from .ranking import (ALPHA_BETA_GRID, RankingConfig, ScoredCandidate, TiedRun,
                       combine, load_runs, rank_answers, write_runs)
-from .scoring import (CacheProvider, EmbeddingVector, EvidenceSet,
-                      SemanticScore, WordAverageProvider, aggregate,
-                      build_evidence, cosine)
+from .scoring import (CacheProvider, EvidenceSet, SemanticScore,
+                      WordAverageProvider, aggregate, build_evidence)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_BETA_GRID", "CacheProvider",
     "CandidateEntity", "CandidatePool", "Document", "DocumentSet",
-    "EmbeddingVector", "EntityMention", "EvidenceSet", "GazetteerExtractor",
+    "EntityMention", "EvidenceSet", "GazetteerExtractor",
     "Judgment", "LoadedStages", "MetricReport", "ONTONOTES_TAGS",
     "PipelineConfig", "PipelineResult", "Question", "QuestionClassifier",
-    "RankingConfig", "ScoredCandidate", "SemanticScore", "Sentence",
+    "RankingConfig", "ScoredCandidate", "SemanticScore",
     "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
     "aggregate", "build_evidence", "build_pool", "canonicalize",
     "classical_metrics", "collection_spec", "combine",
-    "cosine", "evaluate_run", "filter_by_type", "load_config",
+    "evaluate_run", "filter_by_type", "load_config",
     "load_documents", "load_qrels", "load_questions", "load_runs",
     "load_stages", "map_answer_types", "match_answer", "paired_t_test",
     "per_query_diff", "preprocess_text", "rank_answers", "run_pipeline",

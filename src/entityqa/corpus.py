@@ -15,7 +15,7 @@ import random
 import re
 import tempfile
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -53,18 +53,11 @@ class Question:
 
 
 @dataclass(frozen=True)
-class Sentence:
-    doc_ref: str
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Document:
     question_id: str
     original_rank: int
     text: str
-    sentences: tuple[Sentence, ...] = ()
+    sentences: tuple[str, ...] = ()  # in order: a sentence's index is its position
 
     def __post_init__(self):
         if self.original_rank < 1:
@@ -260,8 +253,8 @@ def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:
 _APOSTROPHES = re.compile("[‘’‚‛]")
 
 _contraction_cache: dict[str, str] | None = None
-# Compiled pattern and lower-cased table for the default contractions.
-_default_rules: tuple[re.Pattern, dict[str, str]] | None = None
+# Contraction rules for the default table, built on first use.
+_default_rules: tuple[re.Pattern, dict[str, str], bool] | None = None
 
 
 def default_contractions() -> Mapping[str, str]:
@@ -282,11 +275,17 @@ def fold_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
 
 
-def _contraction_rules(table: Mapping[str, str]) -> tuple[re.Pattern, dict[str, str]]:
+def _contraction_rules(table: Mapping[str, str]
+                       ) -> tuple[re.Pattern, dict[str, str], bool]:
+    """The table's pattern, its lower-cased lookup, and whether every key
+    contains an apostrophe (then text without one has nothing to expand:
+    no other character matches ' under re.IGNORECASE)."""
     # Longest keys first so can't've wins over can't.
     keys = sorted(table, key=len, reverse=True)
     pattern = r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b"
-    return re.compile(pattern, re.IGNORECASE), {k.lower(): v for k, v in table.items()}
+    return (re.compile(pattern, re.IGNORECASE),
+            {k.lower(): v for k, v in table.items()},
+            all("'" in k for k in keys))
 
 
 def preprocess_text(raw: str, contraction_table: Mapping[str, str] | None = None) -> str:
@@ -296,9 +295,11 @@ def preprocess_text(raw: str, contraction_table: Mapping[str, str] | None = None
     if contraction_table is None:
         if _default_rules is None:
             _default_rules = _contraction_rules(default_contractions())
-        pattern, lowered = _default_rules
+        pattern, lowered, keys_need_apostrophe = _default_rules
     else:
-        pattern, lowered = _contraction_rules(contraction_table)
+        pattern, lowered, keys_need_apostrophe = _contraction_rules(contraction_table)
+    if keys_need_apostrophe and "'" not in text:
+        return text
 
     def expand(match: re.Match) -> str:
         found = match.group(0)
@@ -392,12 +393,8 @@ Segmenter = Callable[[str], list[str]]
 def segment_sentences(doc: Document, segmenter: Segmenter | None = None) -> Document:
     """Return a copy of the document with its sentences filled in."""
     segmenter = segmenter or split_sentences
-    doc_id = doc.doc_id
-    sentences = tuple(
-        Sentence(doc_ref=doc_id, index=i, text=s)
-        for i, s in enumerate(segmenter(doc.text))
-    )
-    return replace(doc, sentences=sentences)
+    return Document(doc.question_id, doc.original_rank, doc.text,
+                    tuple(segmenter(doc.text)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,8 @@ class GazetteerExtractor:
         canonical: dict[str, str] = {}
         for doc in docset.documents:
             doc_id = doc.doc_id
-            for sentence in doc.sentences:
-                mentions.extend(self._scan(sentence.text, doc_id,
-                                           sentence.index, canonical))
+            for index, sentence in enumerate(doc.sentences):
+                mentions.extend(self._scan(sentence, doc_id, index, canonical))
         return mentions
 
     def _scan(self, text: str, doc_id: str, sent_idx: int,
@@ -201,9 +200,8 @@ class AnnotationFileExtractor:
                         f"{self.path}: sentence index {sent_idx} out of range "
                         f"for document {doc_id}"
                     )
-                sentence = doc.sentences[sent_idx]
                 start, end = int(ent["start"]), int(ent["end"])
-                if not (0 <= start < end <= len(sentence.text)):
+                if not (0 <= start < end <= len(doc.sentences[sent_idx])):
                     raise IngestionError(
                         f"{self.path}: span [{start}, {end}) outside sentence "
                         f"{sent_idx} of {doc_id}"

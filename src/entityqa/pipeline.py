@@ -121,8 +121,11 @@ class PipelineConfig:
         for key, value in self.required_paths().items():
             if not value:
                 raise ConfigError(f"{key} is required by this configuration")
-            if not Path(value).is_file():
-                raise ConfigError(f"{key}: no such file: {value}")
+            files = (QuestionClassifier.files(value) if key == "model_path"
+                     else (Path(value),))
+            for path in files:
+                if not path.is_file():
+                    raise ConfigError(f"{key}: no such file: {path}")
         if self.type_map_path and not Path(self.type_map_path).is_file():
             raise ConfigError(f"type_map_path: no such file: {self.type_map_path}")
 
@@ -165,8 +168,8 @@ class LoadedStages:
         if self.config.classifier == "svm":
             ann = self.annotator.annotate(question.text)
             return self.classifier.predict(ann)
-        vector = self.provider.embed(preprocess_text(question.text))
-        return self.classifier.predict_vector(vector.values)
+        return self.classifier.predict_vector(
+            self.provider.embed(preprocess_text(question.text)))
 
     def prepare(self, question: Question, docset: DocumentSet):
         """Everything up to evidence scores (independent of agg/combine).
@@ -262,7 +265,7 @@ def load_classifier(config: PipelineConfig, provider: Provider,
         return QuestionClassifier.load(config.model_path)
     questions, preprocessed = labeled or load_labeled_texts(config)
     return train_embedding_classifier(
-        questions, lambda text: provider.embed(preprocessed[text]).values)
+        questions, lambda text: provider.embed(preprocessed[text]))
 
 
 def load_extractor(config: PipelineConfig

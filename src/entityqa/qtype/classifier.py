@@ -100,14 +100,20 @@ class QuestionClassifier:
         fine = qualified.split(":", 1)[1] if ":" in qualified else qualified
         return coarse, fine
 
+    @staticmethod
+    def files(path: str | Path) -> tuple[Path, Path]:
+        """The (weights, metadata) files of the model saved as `path`:
+        `path` itself when it ends in ".npz", else `path` + ".npz"; and
+        that name + ".meta.json"."""
+        npz_path = Path(path if str(path).endswith(".npz") else f"{path}.npz")
+        return npz_path, Path(f"{npz_path}.meta.json")
+
     def save(self, path: str | Path) -> None:
-        """Write the weights to `path` (".npz" is appended if missing, as
-        np.savez does) and the rest to `path` + ".meta.json".
+        """Write the model to its `files(path)`; `load(path)` reads it back.
 
         Both are serialised before either file is written, and each file
         is replaced atomically, so a failure leaves the previous files.
         """
-        path = Path(path)
         arrays = io.BytesIO()
         np.savez(
             arrays,
@@ -122,17 +128,15 @@ class QuestionClassifier:
             "fine_classes": list(self.fine_model.classes),
             "hyperparams": self.hyperparams,
         }, sort_keys=True)
-        npz_path = path if str(path).endswith(".npz") else Path(f"{path}.npz")
+        npz_path, meta_path = self.files(path)
         atomic_write_bytes(npz_path, arrays.getvalue())
-        atomic_write_text(path.with_suffix(path.suffix + ".meta.json"), meta)
+        atomic_write_text(meta_path, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "QuestionClassifier":
-        path = Path(path)
-        arrays = np.load(path)
-        meta = json.loads(
-            path.with_suffix(path.suffix + ".meta.json").read_text(encoding="utf-8")
-        )
+        npz_path, meta_path = cls.files(path)
+        arrays = np.load(npz_path)
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         hyper = meta.get("hyperparams", {})
         recorded = tuple(
             (k, float(v)) for k, v in sorted(hyper.items())

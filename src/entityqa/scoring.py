@@ -27,27 +27,14 @@ log = logging.getLogger(__name__)
 AGGREGATION_MODES = ("avg", "avg_max", "max")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray
-    provider_id: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("embedding must be a non-empty 1-d vector")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-
 class Provider(Protocol):
+    """Maps a text to a 1-d float vector of length `dim`; every vector of
+    one provider lives in one embedding space."""
+
     provider_id: str
     dim: int
 
-    def embed(self, text: str) -> EmbeddingVector: ...
+    def embed(self, text: str) -> np.ndarray: ...
 
 
 _TOKEN = re.compile(r"\w+(?:'\w+)?")
@@ -64,11 +51,14 @@ class WordAverageProvider:
     def __init__(self, vectors: dict[str, np.ndarray], provider_id: str = "word-avg"):
         if not vectors:
             raise EmptyInputError("empty word-vector table")
-        dims = {v.size for v in vectors.values()}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent vector dimensions {sorted(dims)}")
         self.vectors = {k.lower(): np.asarray(v, dtype=float) for k, v in vectors.items()}
-        self.dim = dims.pop()
+        shapes = {v.shape for v in self.vectors.values()}
+        if len(shapes) != 1:
+            raise ValueError(f"inconsistent vector dimensions {sorted(shapes)}")
+        shape = shapes.pop()
+        if len(shape) != 1 or shape[0] == 0:
+            raise ValueError(f"word vectors must be non-empty and 1-d, got shape {shape}")
+        self.dim = shape[0]
         self.provider_id = provider_id
 
     @classmethod
@@ -96,17 +86,15 @@ class WordAverageProvider:
             raise EmptyInputError(f"{path}: no vectors")
         return cls(vectors, provider_id=provider_id)
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         rows = [
             self.vectors[tok]
             for tok in (m.group(0).lower() for m in _TOKEN.finditer(text))
             if tok in self.vectors
         ]
         if rows:
-            mean = np.mean(rows, axis=0)
-        else:
-            mean = np.zeros(self.dim)
-        return EmbeddingVector(values=mean, provider_id=self.provider_id)
+            return np.mean(rows, axis=0)
+        return np.zeros(self.dim)
 
 
 def text_sha256(text: str) -> str:
@@ -138,6 +126,8 @@ class CacheProvider:
                     provider_ids.add(str(raw["provider_id"]))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc
+                if vec.size == 0:
+                    raise ParseError(self.path, line_no, "empty vector")
                 if "text" in raw and text_sha256(str(raw["text"])) != digest:
                     raise ParseError(self.path, line_no, "sha256 does not match text")
                 dims.add(vec.size)
@@ -152,14 +142,14 @@ class CacheProvider:
         self.provider_id = provider_ids.pop()
         self.dim = dims.pop()
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         digest = text_sha256(text)
         vec = self.entries.get(digest)
         if vec is None:
             raise CacheMissError(
                 f"{self.path}: no cached embedding for sha256 {digest}"
             )
-        return EmbeddingVector(values=vec, provider_id=self.provider_id)
+        return vec
 
 
 def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> int:
@@ -169,31 +159,14 @@ def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> i
         digest = text_sha256(text)
         if digest in lines:
             continue
-        vec = provider.embed(text)
         lines[digest] = json.dumps({
             "sha256": digest,
             "text": text,
-            "vector": [float(x) for x in vec.values],
-            "provider_id": vec.provider_id,
+            "vector": [float(x) for x in provider.embed(text)],
+            "provider_id": provider.provider_id,
         }, ensure_ascii=False) + "\n"
     atomic_write_text(path, "".join(lines.values()))
     return len(lines)
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity; 0 when either vector has zero norm."""
-    if a.provider_id != b.provider_id:
-        raise ValueError(
-            f"provider mismatch: {a.provider_id!r} vs {b.provider_id!r}"
-        )
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    value = float(np.dot(a.values, b.values) / (na * nb))
-    return max(-1.0, min(1.0, value))
 
 
 @dataclass(frozen=True)
@@ -225,13 +198,13 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
     """Collect and score each candidate's evidence sentences.
 
     Each distinct sentence is embedded and scored once, then shared across
-    all candidates mentioned in it.
+    all candidates mentioned in it. A sentence's score is its cosine
+    similarity to the question, clamped to [-1, 1], and 0 when either
+    vector has zero norm.
     """
-    sentences = {
-        (doc.doc_id, s.index): s
-        for doc in docset.documents for s in doc.sentences
-    }
+    sentences = {doc.doc_id: doc.sentences for doc in docset.documents}
     q_vec = provider.embed(question_text)
+    q_norm = float(np.linalg.norm(q_vec))
     score_memo: dict[tuple[str, int], float] = {}
 
     out: list[EvidenceSet] = []
@@ -243,7 +216,14 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
             continue
         for key in keys:
             if key not in score_memo:
-                score_memo[key] = cosine(q_vec, provider.embed(sentences[key].text))
+                doc_id, index = key
+                vec = provider.embed(sentences[doc_id][index])
+                norm = float(np.linalg.norm(vec))
+                if q_norm == 0.0 or norm == 0.0:
+                    score_memo[key] = 0.0
+                else:
+                    value = float(np.dot(q_vec, vec) / (q_norm * norm))
+                    score_memo[key] = max(-1.0, min(1.0, value))
         out.append(EvidenceSet(entity=candidate, sentence_keys=tuple(keys),
                                scores=tuple(score_memo[key] for key in keys)))
     return out

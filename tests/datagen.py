@@ -402,7 +402,7 @@ def generate_planted_fixture(root: str | Path, seed: int = 23,
         doc = segment_sentences(Document(
             question_id=record["question_id"], original_rank=record["rank"],
             text=record["text"]))
-        texts.extend(s.text for s in doc.sentences)
+        texts.extend(doc.sentences)
     texts.extend(preprocess_text(q.text) for q in questions)
     for extra in labeled_texts or ():
         texts.append(preprocess_text(extra))

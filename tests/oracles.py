@@ -7,7 +7,9 @@ sums over all within-group relevance placements with exact weights. The
 gazetteer oracle is the plain longest-match scan that probes every span
 length at every token, over an NFD accent fold with no shortcuts. The
 sentence-splitter oracle finds the word before each terminator with a
-forward regex search over the whole sentence so far.
+forward regex search over the whole sentence so far. The cosine oracle
+checks both vectors and recomputes both norms on every call. The
+preprocessing oracle always runs the contraction regex.
 """
 
 from __future__ import annotations
@@ -231,3 +233,39 @@ def reference_split_sentences(text: str, abbreviations: frozenset[str]) -> list[
         start = match.end(2)
     pieces.append(text[start:])
     return [p.strip() for p in pieces if p.strip()]
+
+
+def reference_cosine(a, b) -> float:
+    """Cosine similarity of two non-empty 1-d vectors of one dimension,
+    clamped to [-1, 1]; 0 when either vector has zero norm."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.size == 0 or b.ndim != 1 or b.size == 0:
+        raise ValueError("embedding must be a non-empty 1-d vector")
+    if a.size != b.size:
+        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    value = float(np.dot(a, b) / (na * nb))
+    return max(-1.0, min(1.0, value))
+
+
+def reference_preprocess_text(raw: str, table: dict[str, str]) -> str:
+    """Curly apostrophes to ', accent fold, then expand every contraction
+    of `table` (case-insensitive, whole words, longest key first, first
+    letter's case kept)."""
+    text = reference_fold_accents(_APOSTROPHES.sub("'", raw))
+    keys = sorted(table, key=len, reverse=True)
+    pattern = re.compile(r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b",
+                         re.IGNORECASE)
+    lowered = {k.lower(): v for k, v in table.items()}
+
+    def expand(match: re.Match) -> str:
+        expansion = lowered[match.group(0).lower()]
+        if match.group(0)[0].isupper():
+            return expansion[0].upper() + expansion[1:]
+        return expansion
+
+    return pattern.sub(expand, text)

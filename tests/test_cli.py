@@ -294,6 +294,18 @@ def test_train_qc_saves_model_and_reports_accuracy(tmp_path, capsys):
     assert hp["heldout_fraction"] == pytest.approx(0.1)
 
 
+def test_train_qc_model_without_suffix_runs(tmp_path, config_file):
+    labeled = tmp_path / "labeled.txt"
+    generate_labeled_file(labeled, n=400, seed=3)
+    model_out = tmp_path / "m"
+    assert main(["train-qc", "--labeled", str(labeled),
+                 "--model-out", str(model_out), "--epochs", "2"]) == 0
+    cfg = config_file({"model_path": str(model_out)})
+    out = tmp_path / "runs.jsonl"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 12
+
+
 def test_train_qc_bad_labels_exit_1(tmp_path):
     labeled = tmp_path / "labeled.txt"
     labeled.write_text("BOGUS:nope\tWhat?\n")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from entityqa.corpus import (
     canonicalize,
     collection_spec,
     default_abbreviations,
+    default_contractions,
     derive_question_seed,
     fold_accents,
     load_documents,
@@ -26,7 +28,7 @@ from entityqa.corpus import (
 from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
 
 from oracles import (reference_canonicalize, reference_fold_accents,
-                     reference_split_sentences)
+                     reference_preprocess_text, reference_split_sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,34 @@ def test_preprocess_never_emits_accents():
     decomposed = unicodedata.normalize("NFD", out)
     assert not any(unicodedata.category(c) == "Mn" for c in decomposed)
     assert out == "aeiou N C"
+
+
+def test_only_the_apostrophe_matches_it_ignoring_case():
+    # preprocess_text skips the contraction regex on text without ' when
+    # every key has one; that is exact only if nothing else matches '.
+    every_char = "".join(map(chr, range(0x110000)))
+    assert re.compile("'", re.IGNORECASE).findall(every_char) == ["'"]
+    assert all("'" in key for key in default_contractions())
+
+
+@pytest.mark.parametrize("table", [
+    None,
+    {"y'all": "you all", "ain't": "is not", "o'clock": "of the clock"},
+    {"y'all": "you all", "gonna": "going to"},
+], ids=["default", "caller-all-apostrophe", "caller-key-without-apostrophe"])
+def test_preprocess_matches_regex_path_on_random_strings(table):
+    reference_table = dict(default_contractions() if table is None else table)
+    rng = random.Random(17)
+    words = [w for key in reference_table for w in (key, key.upper(), key.title(),
+                                                    key.replace("'", ""))]
+    words += ["the", "Beyoncé", "ñandú", "x", "\u2019s", "\u2018", "Gonna", "42"]
+    for _ in range(2000):
+        parts = [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        text = rng.choice((" ", "  ", ", ", "\t")).join(parts)
+        if rng.random() < 0.5:
+            text = text.replace("'", "").replace("\u2019", "").replace("\u2018", "")
+        assert preprocess_text(text, table) == \
+            reference_preprocess_text(text, reference_table)
 
 
 def test_canonicalize():
@@ -160,9 +190,10 @@ def test_split_sentences_word_before_terminator(text, expected):
 def test_segment_sentences_indexes():
     doc = Document(question_id="q1", original_rank=1, text="A ran. B ran.")
     seg = segment_sentences(doc)
-    assert [s.index for s in seg.sentences] == [0, 1]
-    assert [s.text for s in seg.sentences] == ["A ran.", "B ran."]
-    assert all(s.doc_ref == doc.doc_id for s in seg.sentences)
+    assert seg.sentences == ("A ran.", "B ran.")
+    assert (seg.question_id, seg.original_rank, seg.text) == (
+        doc.question_id, doc.original_rank, doc.text)
+    assert doc.sentences == ()
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,10 @@ def _noisy_sentence(rng, lexicon):
 def _assert_scan_matches_reference(docset, lexicon):
     got = [(m.doc_id, m.sentence_index, m.surface, m.tag, m.start, m.end)
            for m in GazetteerExtractor(lexicon).extract(docset)]
-    want = [(doc.doc_id, sentence.index) + found
+    want = [(doc.doc_id, index) + found
             for doc in docset.documents
-            for sentence in doc.sentences
-            for found in reference_gazetteer_scan(sentence.text, lexicon)]
+            for index, sentence in enumerate(doc.sentences)
+            for found in reference_gazetteer_scan(sentence, lexicon)]
     assert got == want
 
 

@@ -508,7 +508,7 @@ def _annotated(qid, text, surface):
         lambda: ["beta"], _texts_then_fail, id="write_cache"),
     pytest.param(_write_annotations, lambda: _annotated("q1", "A.", "A"),
                  lambda: _annotated("q2", "B.", object()), id="write_annotations"),
-    # Writes out.npz and out.meta.json.
+    # Writes out.npz and out.npz.meta.json.
     pytest.param(_save, _classifier, lambda: _classifier(broken=True),
                  id="QuestionClassifier.save"),
 ])

@@ -254,6 +254,20 @@ def test_classifier_roundtrip_and_predictions(tmp_path, svm_classifier,
         assert again.predict(ann) == svm_classifier.predict(ann)
 
 
+@pytest.mark.parametrize("name", ["model", "model.npz"])
+def test_classifier_save_load_same_path(tmp_path, svm_classifier, svm_split,
+                                        name):
+    svm_classifier.save(tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.npz", "model.npz.meta.json"]
+    _, heldout = svm_split
+    anns = [ANN.annotate(lq.text) for lq in heldout[:20]]
+    want = [svm_classifier.predict(ann) for ann in anns]
+    for path in (tmp_path / name, tmp_path / "model.npz"):
+        again = QuestionClassifier.load(path)
+        assert [again.predict(ann) for ann in anns] == want
+
+
 def test_classifier_beats_majority(svm_classifier, svm_split):
     _, heldout = svm_split
     coarse_acc, _ = classifier_accuracy(svm_classifier, heldout)

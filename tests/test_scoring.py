@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_force_aggregate
+from oracles import brute_force_aggregate, reference_cosine
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import CandidateEntity, EntityMention, GazetteerExtractor, build_pool
@@ -12,12 +12,10 @@ from entityqa.errors import CacheMissError, ParseError
 from entityqa.scoring import (
     AGGREGATION_MODES,
     CacheProvider,
-    EmbeddingVector,
     EvidenceSet,
     WordAverageProvider,
     aggregate,
     build_evidence,
-    cosine,
     text_sha256,
     write_cache,
 )
@@ -41,24 +39,24 @@ def _provider(vectors=None, provider_id="word-avg"):
 def test_word_average_is_mean_of_known_tokens():
     p = _provider()
     vec = p.embed("alpha beta")
-    assert np.allclose(vec.values, [0.5, 0.5])
+    assert np.allclose(vec, [0.5, 0.5])
 
 
 def test_word_average_ignores_oov():
     p = _provider()
     vec = p.embed("alpha unknowntoken")
-    assert np.allclose(vec.values, [1.0, 0.0])
+    assert np.allclose(vec, [1.0, 0.0])
 
 
 def test_word_average_all_oov_is_zero_vector():
     p = _provider()
     vec = p.embed("nothing matches here")
-    assert np.allclose(vec.values, [0.0, 0.0])
+    assert np.allclose(vec, [0.0, 0.0])
 
 
 def test_word_average_case_insensitive():
     p = _provider()
-    assert np.allclose(p.embed("ALPHA").values, p.embed("alpha").values)
+    assert np.allclose(p.embed("ALPHA"), p.embed("alpha"))
 
 
 def test_provider_from_file(tmp_path):
@@ -66,7 +64,7 @@ def test_provider_from_file(tmp_path):
     path.write_text("alpha 1.0 0.0\nbeta 0.0 1.0\n")
     p = WordAverageProvider.from_file(path)
     assert p.dim == 2
-    assert np.allclose(p.embed("alpha beta").values, [0.5, 0.5])
+    assert np.allclose(p.embed("alpha beta"), [0.5, 0.5])
 
 
 def test_provider_from_file_rejects_ragged_rows(tmp_path):
@@ -90,8 +88,7 @@ def test_cache_roundtrip_bit_for_bit(tmp_path):
     cache = CacheProvider(path)
     assert cache.provider_id == "enc-1"
     for text in texts:
-        original = p.embed(text).values
-        assert np.array_equal(cache.embed(text).values, original)
+        assert np.array_equal(cache.embed(text), p.embed(text))
 
 
 def test_cache_miss_names_hash(tmp_path):
@@ -115,6 +112,41 @@ def test_cache_rejects_hash_mismatch(tmp_path):
         CacheProvider(path)
 
 
+def _cache_file(path, records):
+    """A cache file of (text, vector, provider_id) records."""
+    import json
+    path.write_text("".join(json.dumps({
+        "sha256": text_sha256(text), "text": text, "vector": vector,
+        "provider_id": provider_id}) + "\n" for text, vector, provider_id in records))
+    return path
+
+
+def test_cache_rejects_empty_vector_with_line_number(tmp_path):
+    path = _cache_file(tmp_path / "cache.jsonl",
+                       [("alpha", [1.0, 0.0], "x"), ("beta", [], "x")])
+    with pytest.raises(ParseError) as err:
+        CacheProvider(path)
+    assert f"{path}:2: empty vector" in str(err.value)
+
+
+def test_cache_rejects_mixed_provider_ids(tmp_path):
+    path = _cache_file(tmp_path / "cache.jsonl",
+                       [("alpha", [1.0, 0.0], "enc-1"), ("beta", [1.0, 0.0], "enc-2")])
+    with pytest.raises(ParseError) as err:
+        CacheProvider(path)
+    assert "mixed provider_ids" in str(err.value)
+
+
+@pytest.mark.parametrize("vectors", [
+    {"alpha": np.array([])},
+    {"alpha": np.zeros((2, 2))},
+    {"alpha": np.array([1.0, 0.0]), "beta": np.array([1.0])},
+])
+def test_word_average_rejects_empty_2d_or_ragged_vectors(vectors):
+    with pytest.raises(ValueError):
+        WordAverageProvider(vectors)
+
+
 def test_text_sha256_is_stable():
     assert text_sha256("abc") == text_sha256("abc")
     assert text_sha256("abc") != text_sha256("abd")
@@ -122,37 +154,27 @@ def test_text_sha256_is_stable():
 
 
 # ---------------------------------------------------------------------------
-# cosine
+# cosine (the reference that build_evidence is checked against)
 # ---------------------------------------------------------------------------
 
-def _vec(values, provider_id="word-avg"):
-    return EmbeddingVector(values=np.asarray(values, dtype=float),
-                           provider_id=provider_id)
-
-
 def test_cosine_identity_and_orthogonal():
-    assert cosine(_vec([1, 0]), _vec([2, 0])) == pytest.approx(1.0)
-    assert cosine(_vec([1, 0]), _vec([0, 3])) == pytest.approx(0.0)
-    assert cosine(_vec([1, 0]), _vec([-1, 0])) == pytest.approx(-1.0)
+    assert reference_cosine([1, 0], [2, 0]) == pytest.approx(1.0)
+    assert reference_cosine([1, 0], [0, 3]) == pytest.approx(0.0)
+    assert reference_cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
 
 
 def test_cosine_zero_norm_is_zero():
-    assert cosine(_vec([0, 0]), _vec([1, 0])) == 0.0
-
-
-def test_cosine_provider_mismatch():
-    with pytest.raises(ValueError):
-        cosine(_vec([1, 0], "a"), _vec([1, 0], "b"))
+    assert reference_cosine([0, 0], [1, 0]) == 0.0
 
 
 def test_cosine_dim_mismatch():
     with pytest.raises(ValueError):
-        cosine(_vec([1, 0]), _vec([1, 0, 0]))
+        reference_cosine([1, 0], [1, 0, 0])
 
 
 def test_cosine_clamped():
-    v = _vec([1e-160, 1e-160])
-    assert -1.0 <= cosine(v, v) <= 1.0
+    v = [1e-160, 1e-160]
+    assert -1.0 <= reference_cosine(v, v) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +198,8 @@ def test_build_evidence_shapes_and_sharing():
     provider = _provider()
     evidence = {ev.entity.canonical_surface: ev
                 for ev in build_evidence(pool, docset, "alpha beta", provider)}
-    text = {(doc.doc_id, s.index): s.text
-            for doc in docset.documents for s in doc.sentences}
+    text = {(doc.doc_id, i): s
+            for doc in docset.documents for i, s in enumerate(doc.sentences)}
     ent0 = evidence["ent0ax"]
     ent1 = evidence["ent1bx"]
     assert ent0.sentence_keys == (("q1#1", 0), ("q1#1", 1))  # both in doc 1
@@ -196,6 +218,74 @@ def test_build_evidence_scores_in_range():
     evidence = build_evidence(pool, docset, "alpha beta", _provider())
     for ev in evidence:
         assert all(-1.0 <= s <= 1.0 for s in ev.scores)
+
+
+def _random_evidence_case(rng: random.Random):
+    """A docset whose sentences mix gazetteer entities with vocabulary
+    words (one of them the zero vector, one so small that its products
+    are subnormal) and out-of-vocabulary words, a question, and the
+    provider."""
+    dim = 3
+    vectors = {f"w{i}": np.array([rng.uniform(-1, 1) for _ in range(dim)])
+               for i in range(8)}
+    vectors["wzero"] = np.zeros(dim)
+    vectors["wtiny"] = np.full(dim, 1e-160)
+    words = list(vectors) + ["oov", "nowhere"]
+    entities = [f"Ent{i}x" for i in range(4)]
+
+    def sentence():
+        pick = rng.choice((words, words, ["wtiny", "oov"]))
+        parts = [rng.choice(entities)]
+        parts += [rng.choice(pick) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(parts)
+        return " ".join(parts) + "."
+
+    texts = [" ".join(sentence() for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 4))]
+    docs = tuple(segment_sentences(Document(question_id="q1",
+                                            original_rank=i + 1, text=t))
+                 for i, t in enumerate(texts))
+    docset = DocumentSet(question_id="q1", documents=docs)
+    pool = build_pool(GazetteerExtractor({e: "PERSON" for e in entities})
+                      .extract(docset), docset)
+    pick = rng.choice((words, words, ["wtiny"]))
+    question = " ".join(rng.choice(pick) for _ in range(rng.randint(1, 3)))
+    return docset, pool, question, WordAverageProvider(vectors)
+
+
+def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
+    rng = random.Random(41)
+    seen = {"zero": 0, "tiny": 0, "other": 0}
+    for case in range(60):
+        docset, pool, question, word_avg = _random_evidence_case(rng)
+        texts = [s for doc in docset.documents for s in doc.sentences]
+        cache_path = tmp_path / f"cache{case}.jsonl"
+        write_cache(cache_path, texts + [question], word_avg)
+        sentence = {(doc.doc_id, i): s for doc in docset.documents
+                    for i, s in enumerate(doc.sentences)}
+        for provider in (word_avg, CacheProvider(cache_path)):
+            q_vec = provider.embed(question)
+            for ev in build_evidence(pool, docset, question, provider):
+                for key, score in zip(ev.sentence_keys, ev.scores):
+                    s_vec = provider.embed(sentence[key])
+                    assert score == reference_cosine(q_vec, s_vec)
+                    if not (q_vec.any() and s_vec.any()):
+                        seen["zero"] += 1
+                    elif max(abs(q_vec).max(), abs(s_vec).max()) < 1e-100:
+                        seen["tiny"] += 1
+                    else:
+                        seen["other"] += 1
+    assert all(seen.values()), seen
+
+
+def test_build_evidence_cache_miss_names_hash(tmp_path):
+    docset, pool = _evidence_fixture()
+    texts = [s for doc in docset.documents for s in doc.sentences]
+    path = tmp_path / "cache.jsonl"
+    write_cache(path, ["alpha beta"] + texts[1:], _provider())
+    with pytest.raises(CacheMissError) as err:
+        build_evidence(pool, docset, "alpha beta", CacheProvider(path))
+    assert text_sha256(texts[0]) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
