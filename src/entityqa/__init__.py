@@ -21,10 +21,10 @@ from .evaluation import (Judgment, MetricReport, SignificanceResult,
 from .pipeline import (LoadedStages, PipelineConfig, PipelineResult,
                        load_config, load_stages, run_pipeline, write_run_file)
 from .qtype import QuestionClassifier, map_answer_types, train_classifier
-from .ranking import (ALPHA_BETA_GRID, RankingConfig, ScoredCandidate, TiedRun,
-                      combine, load_runs, rank_answers, write_runs)
-from .scoring import (CacheProvider, EvidenceSet, SemanticScore,
-                      WordAverageProvider, aggregate, build_evidence)
+from .ranking import (ALPHA_BETA_GRID, RankingConfig, TiedRun, combine,
+                      load_runs, rank_answers, write_runs)
+from .scoring import (CacheProvider, EvidenceSet, WordAverageProvider,
+                      aggregate, build_evidence)
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,7 @@ __all__ = [
     "EntityMention", "EvidenceSet", "GazetteerExtractor",
     "Judgment", "LoadedStages", "MetricReport", "ONTONOTES_TAGS",
     "PipelineConfig", "PipelineResult", "Question", "QuestionClassifier",
-    "RankingConfig", "ScoredCandidate", "SemanticScore",
-    "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
+    "RankingConfig", "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
     "aggregate", "build_evidence", "build_pool", "canonicalize",
     "classical_metrics", "collection_spec", "combine",
     "evaluate_run", "filter_by_type", "load_config",

@@ -13,8 +13,8 @@ the level it depends on:
 - per pair and question: `prepare` (typing, extraction, evidence
   scoring) and the gold match of every pool surface;
 - per pair, question and aggregation mode: one `aggregate` per candidate;
-- per variant: only combine, rounding and tie grouping, then the metrics
-  from the groups' (size, relevant) counts;
+- per variant: only `rank_answers` (combine, rounding, tie grouping),
+  then the metrics from the groups' (size, relevant) counts;
 - per emitted row: the config_id.
 """
 
@@ -35,8 +35,7 @@ from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
                        PipelineConfig, aggregate_evidence, load_classifier,
                        load_extractor, load_labeled_texts, load_provider,
                        load_stages, load_type_map)
-from .ranking import (ALPHA_BETA_GRID, RankingConfig, combine, group_by_score,
-                      load_runs)
+from .ranking import ALPHA_BETA_GRID, RankingConfig, load_runs, rank_answers
 from .scoring import AGGREGATION_MODES, Provider
 
 COMBINE_ORDER = ("multiplicative", "additive")
@@ -145,9 +144,8 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
         for aggregation in AGGREGATION_MODES:
             mode_config = replace(stages.config, aggregation=aggregation)
             candidates = {
-                qid: replace(pool, semantic=tuple(
-                    s.value for s in aggregate_evidence(
-                        evidence_of[qid], pool.n_docs, mode_config)))
+                qid: replace(pool, semantic=tuple(aggregate_evidence(
+                    evidence_of[qid], pool.n_docs, mode_config)))
                 for qid, pool in pools.items()
             }
             for combine_mode in COMBINE_ORDER:
@@ -167,25 +165,22 @@ def _evaluate_variant(ranking: RankingConfig, questions: Sequence[Question],
         if cands is None:
             rows.append(run_metrics((), frozenset(), tmrr_mode))
             continue
-        combined = [combine(value, df, cands.n_docs, ranking)
-                    for value, df in zip(cands.semantic, cands.dfs)]
-        groups, _scores = group_by_score(cands.surfaces, combined,
-                                         ranking.score_digits)
-        rows.append(run_metrics(groups, cands.relevant, tmrr_mode))
+        run = rank_answers(question.id, cands.surfaces, cands.semantic,
+                           cands.dfs, cands.n_docs, ranking)
+        rows.append(run_metrics(run.groups, cands.relevant, tmrr_mode))
     return MetricReport.from_rows("", [q.id for q in questions], rows)
 
 
 def _ablation_cell(mode_config: PipelineConfig, questions: Sequence[Question],
                    candidates: Mapping[str, _Candidates],
                    combine_mode: str, tmrr_mode: str) -> AblationRow:
-    digits = mode_config.score_digits
     if combine_mode == "multiplicative":
-        report = _evaluate_variant(
-            RankingConfig(combine_mode=combine_mode, score_digits=digits),
-            questions, candidates, tmrr_mode)
         alpha = beta = None
         variant = replace(mode_config, combine=combine_mode)
+        report = _evaluate_variant(variant.ranking, questions, candidates,
+                                   tmrr_mode)
     else:
+        digits = mode_config.score_digits
         best: tuple[float, float, float, MetricReport] | None = None
         for grid_alpha, grid_beta in ALPHA_BETA_GRID:
             grid_report = _evaluate_variant(

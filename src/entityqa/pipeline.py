@@ -25,18 +25,16 @@ from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
                     RuleBasedAnnotator, load_labeled_questions,
                     map_answer_types, train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
-from .ranking import (RankingConfig, TiedRun, rank_answers, score_candidates,
+from .ranking import (COMBINE_MODES, RankingConfig, TiedRun, rank_answers,
                       write_runs)
 from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,
-                      SemanticScore, WordAverageProvider, aggregate,
-                      build_evidence)
+                      WordAverageProvider, aggregate, build_evidence)
 
 log = logging.getLogger(__name__)
 
 CLASSIFIER_KINDS = ("svm", "external-embedding")
 NER_BACKENDS = ("annotations", "gazetteer")
 PROVIDER_KINDS = ("word-avg", "cache")
-COMBINE_KINDS = ("additive", "multiplicative")
 AVGMAX_DENOMINATORS = ("containing_docs", "all_docs")
 
 
@@ -73,7 +71,7 @@ class PipelineConfig:
             ("ner_backend", NER_BACKENDS),
             ("embedding_provider", PROVIDER_KINDS),
             ("aggregation", AGGREGATION_MODES),
-            ("combine", COMBINE_KINDS),
+            ("combine", COMBINE_MODES),
             ("avgmax_denominator", AVGMAX_DENOMINATORS),
         )
         for field_name, allowed in checks:
@@ -84,6 +82,14 @@ class PipelineConfig:
                 )
         if self.candidate_cap < 1:
             raise ConfigError("candidate_cap must be >= 1")
+        try:
+            ranking = RankingConfig(
+                combine_mode=self.combine, alpha=self.alpha, beta=self.beta,
+                score_digits=self.score_digits)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # Derived, not a field: it stays out of canonical_json and config_id.
+        object.__setattr__(self, "ranking", ranking)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -214,7 +220,7 @@ class LoadedStages:
 
 
 def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
-                       config: PipelineConfig) -> list[SemanticScore]:
+                       config: PipelineConfig) -> list[float]:
     """Semantic score of each candidate under the configured aggregation."""
     return [
         aggregate(ev, config.aggregation,
@@ -226,17 +232,10 @@ def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
 def rank_from_evidence(evidence, n_docs: int, question_id: str,
                        config: PipelineConfig, config_id: str) -> TiedRun:
     """Aggregate evidence scores, combine with df and rank (pure tail)."""
-    semantics = aggregate_evidence(evidence, n_docs, config)
-    dfs = [ev.entity.df for ev in evidence]
-    ranking_config = RankingConfig(
-        combine_mode=config.combine, alpha=config.alpha, beta=config.beta,
-        score_digits=config.score_digits,
-    )
-    if not semantics:
-        return TiedRun(question_id=question_id, groups=(), scores=(),
-                       config_id=config_id)
-    scored = score_candidates(semantics, dfs, n_docs, ranking_config)
-    return rank_answers(scored, question_id, ranking_config, config_id)
+    return rank_answers(
+        question_id, [ev.entity.canonical_surface for ev in evidence],
+        aggregate_evidence(evidence, n_docs, config),
+        [ev.entity.df for ev in evidence], n_docs, config.ranking, config_id)
 
 
 def load_provider(config: PipelineConfig) -> Provider:

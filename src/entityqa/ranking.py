@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .corpus import atomic_write_text
 from .errors import ParseError
-from .scoring import SemanticScore
 
 COMBINE_MODES = ("additive", "multiplicative")
 
@@ -40,17 +39,8 @@ class RankingConfig:
         if self.combine_mode == "additive":
             if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
                 raise ValueError("alpha and beta must lie in (0, 1]")
-        if self.score_digits < 1:
-            raise ValueError("score_digits must be positive")
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    surface: str
-    semantic: SemanticScore
-    df: int
-    df_norm: float
-    combined: float
+        if not isinstance(self.score_digits, int) or self.score_digits < 1:
+            raise ValueError("score_digits must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -91,46 +81,23 @@ def combine(semantic: float, df: int, n_docs: int, config: RankingConfig) -> flo
     return semantic * df_norm
 
 
-def score_candidates(semantics: Sequence[SemanticScore], dfs: Sequence[int],
-                     n_docs: int, config: RankingConfig) -> list[ScoredCandidate]:
-    if len(semantics) != len(dfs):
-        raise ValueError("one df per semantic score required")
-    out = []
-    for sem, df in zip(semantics, dfs):
-        out.append(ScoredCandidate(
-            surface=sem.entity.canonical_surface,
-            semantic=sem,
-            df=df,
-            df_norm=df / n_docs,
-            combined=combine(sem.value, df, n_docs, config),
-        ))
-    return out
+def rank_answers(question_id: str, surfaces: Sequence[str],
+                 semantic: Sequence[float], dfs: Sequence[int], n_docs: int,
+                 config: RankingConfig, config_id: str = "") -> TiedRun:
+    """Combine each candidate's semantic score with its df, group equal
+    combined scores and keep the MAX_RANK_GROUPS best groups, best first.
 
-
-def group_by_score(surfaces: Sequence[str], combined: Sequence[float],
-                   digits: int
-                   ) -> tuple[tuple[frozenset[str], ...], tuple[float, ...]]:
-    """Tie groups of the top MAX_RANK_GROUPS scores, best first.
-
-    Scores are rounded to `digits` before grouping so that float
-    accumulation noise cannot split a genuine tie.
+    Scores are rounded to `config.score_digits` before grouping so that
+    float accumulation noise cannot split a genuine tie.
     """
     by_score: dict[float, set[str]] = {}
-    for surface, value in zip(surfaces, combined):
-        by_score.setdefault(round(value, digits), set()).add(surface)
+    for surface, value, df in zip(surfaces, semantic, dfs, strict=True):
+        combined = round(combine(value, df, n_docs, config), config.score_digits)
+        by_score.setdefault(combined, set()).add(surface)
     ordered = sorted(by_score.items(), key=lambda kv: -kv[0])[:MAX_RANK_GROUPS]
-    return (tuple(frozenset(members) for _, members in ordered),
-            tuple(score for score, _ in ordered))
-
-
-def rank_answers(scored: Sequence[ScoredCandidate], question_id: str,
-                 config: RankingConfig | None = None,
-                 config_id: str = "") -> TiedRun:
-    """Group by combined score, order groups descending, keep the top 5."""
-    groups, scores = group_by_score(
-        [cand.surface for cand in scored], [cand.combined for cand in scored],
-        (config or RankingConfig()).score_digits)
-    return TiedRun(question_id=question_id, groups=groups, scores=scores,
+    return TiedRun(question_id=question_id,
+                   groups=tuple(frozenset(members) for _, members in ordered),
+                   scores=tuple(score for score, _ in ordered),
                    config_id=config_id)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,17 @@ class Provider(Protocol):
 
 
 _TOKEN = re.compile(r"\w+(?:'\w+)?")
+
+
+def _all_finite(values: list[float]) -> bool:
+    """No NaN or infinity among `values`.
+
+    A NaN cosine would pass the [-1, 1] clamp as 1.0, the best score, so
+    the loaders reject such vectors. A NaN or an infinity makes the sum
+    non-finite; finite components overflow the sum only past about 1e308,
+    so only then are they checked one by one.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 class WordAverageProvider:
@@ -73,9 +85,12 @@ class WordAverageProvider:
                         continue
                     raise ParseError(str(path), line_no, "expected 'token v1 ... vd'")
                 try:
-                    vec = np.array([float(x) for x in parts[1:]], dtype=float)
+                    values = [float(x) for x in parts[1:]]
                 except ValueError as exc:
                     raise ParseError(str(path), line_no, f"bad float: {exc}") from exc
+                if not _all_finite(values):
+                    raise ParseError(str(path), line_no, "non-finite component")
+                vec = np.array(values, dtype=float)
                 if dim is None:
                     dim = vec.size
                 elif vec.size != dim:
@@ -122,12 +137,15 @@ class CacheProvider:
                 try:
                     raw = json.loads(line)
                     digest = str(raw["sha256"])
-                    vec = np.array([float(x) for x in raw["vector"]], dtype=float)
+                    values = [float(x) for x in raw["vector"]]
                     provider_ids.add(str(raw["provider_id"]))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc
-                if vec.size == 0:
+                if not values:
                     raise ParseError(self.path, line_no, "empty vector")
+                if not _all_finite(values):
+                    raise ParseError(self.path, line_no, "non-finite component")
+                vec = np.array(values, dtype=float)
                 if "text" in raw and text_sha256(str(raw["text"])) != digest:
                     raise ParseError(self.path, line_no, "sha256 does not match text")
                 dims.add(vec.size)
@@ -180,19 +198,6 @@ class EvidenceSet:
             raise ValueError("scores must parallel sentence_keys")
 
 
-@dataclass(frozen=True)
-class SemanticScore:
-    entity: CandidateEntity
-    mode: str
-    value: float
-
-    def __post_init__(self):
-        if self.mode not in AGGREGATION_MODES:
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
-        if not (-1.0 <= self.value <= 1.0):
-            raise ValueError(f"semantic score {self.value} outside [-1, 1]")
-
-
 def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
                    provider: Provider) -> list[EvidenceSet]:
     """Collect and score each candidate's evidence sentences.
@@ -231,8 +236,8 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
 
 def aggregate(evidence: EvidenceSet, mode: str,
               avgmax_denominator: str = "containing_docs",
-              n_docs: int | None = None) -> SemanticScore:
-    """Fold per-sentence similarities into one semantic score.
+              n_docs: int | None = None) -> float:
+    """Fold per-sentence similarities into one semantic score in [-1, 1].
 
     avg averages over all evidence sentences; max takes the single best;
     avg_max takes the best sentence per document, then averages — by
@@ -264,5 +269,4 @@ def aggregate(evidence: EvidenceSet, mode: str,
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
     # Guard against float drift at the interval ends.
-    value = max(-1.0, min(1.0, value))
-    return SemanticScore(entity=evidence.entity, mode=mode, value=value)
+    return max(-1.0, min(1.0, value))

@@ -9,7 +9,9 @@ length at every token, over an NFD accent fold with no shortcuts. The
 sentence-splitter oracle finds the word before each terminator with a
 forward regex search over the whole sentence so far. The cosine oracle
 checks both vectors and recomputes both norms on every call. The
-preprocessing oracle always runs the contraction regex.
+preprocessing oracle always runs the contraction regex. The ranking
+oracle is the old per-candidate tail: aggregate and range-check one
+semantic score, combine it with df, round and group, one step at a time.
 """
 
 from __future__ import annotations
@@ -269,3 +271,56 @@ def reference_preprocess_text(raw: str, table: dict[str, str]) -> str:
         return expansion
 
     return pattern.sub(expand, text)
+
+
+def reference_rank(candidates: list[tuple[str, list[tuple[str, float]], int]],
+                   n_docs: int, aggregation: str, denominator: str,
+                   combine: str, alpha: float, beta: float, digits: int,
+                   max_groups: int = 5
+                   ) -> tuple[tuple[frozenset[str], ...], tuple[float, ...]]:
+    """Tie groups and their scores, best first, for candidates given as
+    (surface, [(doc_id, sentence score), ...] in sentence order, df).
+
+    Each semantic score is aggregated with the package's own float
+    operations (np.mean, np.max, a left-to-right sum of per-document
+    maxima), clamped to [-1, 1] and range-checked; combined with
+    df / n_docs; rounded to `digits`; and equal rounded scores share a
+    group.
+    """
+    scored = []
+    for surface, evidence, df in candidates:
+        scores = [score for _doc_id, score in evidence]
+        assert scores
+        if aggregation == "avg":
+            semantic = float(np.mean(scores))
+        elif aggregation == "max":
+            semantic = float(np.max(scores))
+        else:
+            assert aggregation == "avg_max"
+            best: dict[str, float] = {}
+            for doc_id, score in evidence:
+                if doc_id not in best or score > best[doc_id]:
+                    best[doc_id] = score
+            total = float(sum(best.values()))
+            if denominator == "containing_docs":
+                semantic = total / len(best)
+            else:
+                assert denominator == "all_docs"
+                semantic = total / n_docs
+        semantic = max(-1.0, min(1.0, semantic))
+        assert -1.0 <= semantic <= 1.0
+        assert 0 <= df <= n_docs
+        df_norm = df / n_docs
+        if combine == "additive":
+            assert 0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0
+            combined = alpha * semantic + beta * df_norm
+        else:
+            assert combine == "multiplicative"
+            combined = semantic * df_norm
+        scored.append((surface, round(combined, digits)))
+    groups: dict[float, set[str]] = {}
+    for surface, score in scored:
+        groups.setdefault(score, set()).add(surface)
+    best_scores = sorted(groups, reverse=True)[:max_groups]
+    return (tuple(frozenset(groups[score]) for score in best_scores),
+            tuple(best_scores))

@@ -142,7 +142,7 @@ def test_criterion_04_aggregation_matches_brute_force():
         ev = evidence(scores_by_doc)
         results = {}
         for mode in ("avg", "avg_max", "max"):
-            got = aggregate(ev, mode).value
+            got = aggregate(ev, mode)
             want = brute_force_aggregate(scores_by_doc, mode)
             assert math.isclose(got, want, abs_tol=1e-12)
             results[mode] = got

@@ -98,6 +98,26 @@ def test_bad_set_syntax_exits_2(tmp_path, config_file):
                  "--set", "no-equals-sign"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("overrides, reason", [
+    (["combine=additive", "alpha=0"], "alpha and beta must lie in (0, 1]"),
+    (["score_digits=0"], "score_digits must be a positive integer"),
+    (["score_digits=1.5"], "score_digits must be a positive integer"),
+])
+def test_bad_ranking_rules_exit_2_before_any_question(
+        tmp_path, planted, config_file, capsys, command, overrides, reason):
+    out = tmp_path / "out"
+    args = ([command, "--config", str(config_file()), "--out", str(out)]
+            if command == "run" else
+            [command, "--config", str(config_file()),
+             "--qrels", planted.qrels_path, "--out-prefix", str(out)])
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    assert f"config error: {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

@@ -1,23 +1,30 @@
 import json
 import logging
+import random
 import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+from oracles import reference_rank
+
 from entityqa import pipeline
 from entityqa.corpus import (DocumentSet, Question, load_documents,
                              load_questions, segment_sentences)
+from entityqa.entities import CandidateEntity, EntityMention
 from entityqa.errors import ConfigError
 from entityqa.evaluation import load_qrels, evaluate_run
 from entityqa.pipeline import (
     PipelineConfig,
     load_config,
     load_stages,
+    rank_from_evidence,
     run_pipeline,
     write_run_file,
 )
+from entityqa.ranking import ALPHA_BETA_GRID
+from entityqa.scoring import AGGREGATION_MODES, EvidenceSet
 
 
 def _inputs(fixture):
@@ -48,6 +55,24 @@ def test_config_rejects_unknown_enum():
         PipelineConfig(aggregation="median")
     with pytest.raises(ConfigError):
         PipelineConfig(combine="geometric")
+
+
+def test_config_rejects_bad_ranking_rules():
+    # The ranking rules are checked when the config is built, not per
+    # question, and the check adds no field.
+    with pytest.raises(ConfigError, match="alpha and beta"):
+        PipelineConfig(combine="additive", alpha=0.0)
+    with pytest.raises(ConfigError, match="alpha and beta"):
+        PipelineConfig(combine="additive", beta=1.5)
+    for digits in (0, 1.5):
+        with pytest.raises(ConfigError, match="score_digits"):
+            PipelineConfig(score_digits=digits)
+    cfg = PipelineConfig(combine="additive", alpha=0.3, beta=0.7, score_digits=4)
+    assert (cfg.ranking.combine_mode, cfg.ranking.alpha, cfg.ranking.beta,
+            cfg.ranking.score_digits) == ("additive", 0.3, 0.7, 4)
+    assert PipelineConfig().config_id == "e8e1aed37abd"
+    assert len(fields(PipelineConfig)) == 22
+    assert "ranking" not in asdict(PipelineConfig())
 
 
 def test_config_id_is_stable_and_canonical():
@@ -297,3 +322,57 @@ def test_aggregation_modes_change_scores_not_winner(planted, planted_config):
         result = run_pipeline(cfg, questions, docsets)
         for run in result.runs:
             assert gold[run.question_id] in run.groups[0]
+
+
+def _random_evidence(rng: random.Random, n_docs: int
+                     ) -> tuple[list[EvidenceSet], list]:
+    """Candidates with few distinct sentence scores and dfs, so that ties
+    are common, as EvidenceSets and as reference_rank's plain tuples."""
+    levels = [-1.0, -0.5, 0.0, 0.1, 0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0]
+    evidence, plain = [], []
+    for i in range(rng.randint(0, 30)):
+        surface = f"entity {i}"
+        docs = rng.sample(range(n_docs), rng.randint(1, n_docs))
+        keys = sorted((f"d{d}", s) for d in docs
+                      for s in rng.sample(range(6), rng.randint(1, 3)))
+        scores = tuple(rng.choice(levels) if rng.random() < 0.7
+                       else rng.uniform(-1, 1) for _ in keys)
+        df = rng.randint(0, n_docs)
+        entity = CandidateEntity(
+            canonical_surface=surface,
+            mentions=tuple(EntityMention(surface=surface, tag="PERSON",
+                                         doc_id=doc_id, sentence_index=index,
+                                         start=0, end=1)
+                           for doc_id, index in keys),
+            df=df, tags=(("PERSON", df),))
+        evidence.append(EvidenceSet(entity=entity, sentence_keys=tuple(keys),
+                                    scores=scores))
+        plain.append((surface, [(doc_id, score) for (doc_id, _), score
+                                in zip(keys, scores)], df))
+    return evidence, plain
+
+
+def test_rank_from_evidence_matches_reference_rank():
+    """The float tail gives the old per-candidate tail's groups and scores,
+    exactly, under every aggregation, denominator and combine mode."""
+    rng = random.Random(2024)
+    grid = rng.sample(ALPHA_BETA_GRID, 8) + [(0.1, 0.1), (0.7, 0.7)]
+    for trial in range(600):
+        n_docs = rng.randint(1, 10)
+        evidence, plain = _random_evidence(rng, n_docs)
+        aggregation = AGGREGATION_MODES[trial % 3]
+        denominator = ("containing_docs", "all_docs")[trial // 3 % 2]
+        combine = ("multiplicative", "additive")[trial // 6 % 2]
+        alpha, beta = grid[trial % len(grid)]
+        digits = rng.choice([1, 3, 9])
+        config = PipelineConfig(aggregation=aggregation,
+                                avgmax_denominator=denominator,
+                                combine=combine, alpha=alpha, beta=beta,
+                                score_digits=digits)
+        run = rank_from_evidence(evidence, n_docs, "q", config, "cid")
+        groups, scores = reference_rank(plain, n_docs, aggregation,
+                                        denominator, combine, alpha, beta,
+                                        digits)
+        assert run.groups == groups
+        assert run.scores == scores
+        assert (run.question_id, run.config_id) == ("q", "cid")

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from entityqa.entities import CandidateEntity, EntityMention
 from entityqa.errors import ParseError
 from entityqa.ranking import (
     ALPHA_BETA_GRID,
@@ -12,19 +11,8 @@ from entityqa.ranking import (
     combine,
     load_runs,
     rank_answers,
-    score_candidates,
     write_runs,
 )
-from entityqa.scoring import SemanticScore
-
-
-def _semantic(surface: str, value: float) -> SemanticScore:
-    entity = CandidateEntity(
-        canonical_surface=surface,
-        mentions=(EntityMention(surface=surface, tag="PERSON", doc_id="q#1",
-                                sentence_index=0, start=0, end=1),),
-        df=1, tags=(("PERSON", 1),))
-    return SemanticScore(entity=entity, mode="max", value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +62,9 @@ def test_grid_has_49_points():
 
 def _rank(values: dict[str, float], dfs: dict[str, int] | None = None,
           n_docs: int = 10, cfg: RankingConfig | None = None) -> TiedRun:
-    cfg = cfg or RankingConfig()
-    semantics = [_semantic(s, v) for s, v in values.items()]
     df_list = [dfs[s] if dfs else n_docs for s in values]
-    scored = score_candidates(semantics, df_list, n_docs, cfg)
-    return rank_answers(scored, "q1", cfg)
+    return rank_answers("q1", list(values), list(values.values()), df_list,
+                        n_docs, cfg or RankingConfig())
 
 
 def test_rank_grouping_example():
@@ -111,9 +97,14 @@ def test_rank_rounds_before_grouping():
 
 
 def test_rank_empty_input_gives_empty_run():
-    run = rank_answers([], "q1", RankingConfig())
-    assert run.groups == ()
-    assert run.scores == ()
+    run = rank_answers("q1", [], [], [], 10, RankingConfig(), "abc123")
+    assert run == TiedRun(question_id="q1", groups=(), scores=(),
+                          config_id="abc123")
+
+
+def test_rank_rejects_unparallel_inputs():
+    with pytest.raises(ValueError):
+        rank_answers("q1", ["a", "b"], [0.5], [1, 1], 10, RankingConfig())
 
 
 def test_multiplicative_scale_covariance():

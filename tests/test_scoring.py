@@ -75,6 +75,22 @@ def test_provider_from_file_rejects_ragged_rows(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_provider_from_file_rejects_non_finite_component(tmp_path, bad):
+    # A NaN cosine would clamp to 1.0, the best evidence score.
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"alpha 1.0 0.0\nbeta 0.0 {bad}\n")
+    with pytest.raises(ParseError) as err:
+        WordAverageProvider.from_file(path)
+    assert f"{path}:2: non-finite component" in str(err.value)
+
+
+def test_provider_from_file_accepts_components_whose_sum_overflows(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("alpha 1e308 1e308\n")
+    assert WordAverageProvider.from_file(path).vectors["alpha"][0] == 1e308
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -127,6 +143,22 @@ def test_cache_rejects_empty_vector_with_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         CacheProvider(path)
     assert f"{path}:2: empty vector" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "nan"])
+def test_cache_rejects_non_finite_component_with_line_number(tmp_path, bad):
+    # NaN and -Infinity are JSON constants to the parser; a string "nan"
+    # passes float().
+    path = _cache_file(tmp_path / "cache.jsonl",
+                       [("alpha", [1.0, 0.0], "x"), ("beta", [bad, 1.0], "x")])
+    with pytest.raises(ParseError) as err:
+        CacheProvider(path)
+    assert f"{path}:2: non-finite component" in str(err.value)
+
+
+def test_cache_accepts_components_whose_sum_overflows(tmp_path):
+    path = _cache_file(tmp_path / "cache.jsonl", [("alpha", [1e308, 1e308], "x")])
+    assert CacheProvider(path).embed("alpha")[0] == 1e308
 
 
 def test_cache_rejects_mixed_provider_ids(tmp_path):
@@ -311,26 +343,26 @@ def _ev(scores_by_doc: dict[str, list[float]]) -> EvidenceSet:
 def test_aggregate_singleton_all_modes_coincide():
     ev = _ev({"d1": [0.7]})
     for mode in AGGREGATION_MODES:
-        assert aggregate(ev, mode).value == pytest.approx(0.7)
+        assert aggregate(ev, mode) == pytest.approx(0.7)
 
 
 def test_aggregate_worked_example():
     ev = _ev({"d1": [0.2, 0.8], "d2": [0.4]})
-    assert aggregate(ev, "max").value == pytest.approx(0.8)
-    assert aggregate(ev, "avg_max").value == pytest.approx(0.6)
-    assert aggregate(ev, "avg").value == pytest.approx(1.4 / 3)
+    assert aggregate(ev, "max") == pytest.approx(0.8)
+    assert aggregate(ev, "avg_max") == pytest.approx(0.6)
+    assert aggregate(ev, "avg") == pytest.approx(1.4 / 3)
 
 
 def test_aggregate_all_equal():
     ev = _ev({"d1": [0.3, 0.3], "d2": [0.3]})
     for mode in AGGREGATION_MODES:
-        assert aggregate(ev, mode).value == pytest.approx(0.3)
+        assert aggregate(ev, mode) == pytest.approx(0.3)
 
 
 def test_aggregate_all_docs_denominator():
     ev = _ev({"d1": [0.2, 0.8], "d2": [0.4]})
     got = aggregate(ev, "avg_max", avgmax_denominator="all_docs", n_docs=10)
-    assert got.value == pytest.approx(1.2 / 10)
+    assert got == pytest.approx(1.2 / 10)
     with pytest.raises(ValueError):
         aggregate(ev, "avg_max", avgmax_denominator="all_docs")
 
@@ -356,11 +388,11 @@ def test_aggregate_matches_brute_force_randomized():
         }
         ev = _ev(scores_by_doc)
         for mode in AGGREGATION_MODES:
-            got = aggregate(ev, mode).value
+            got = aggregate(ev, mode)
             want = brute_force_aggregate(scores_by_doc, mode)
             assert math.isclose(got, want, abs_tol=1e-12)
-        allv = aggregate(ev, "avg").value
-        mx = aggregate(ev, "max").value
-        am = aggregate(ev, "avg_max").value
+        allv = aggregate(ev, "avg")
+        mx = aggregate(ev, "max")
+        am = aggregate(ev, "avg_max")
         assert allv <= mx + 1e-12
         assert am <= mx + 1e-12
