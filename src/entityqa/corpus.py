@@ -3,7 +3,9 @@
 Covers the front end of the pipeline: loading question and document files,
 normalising raw text (accent folding, contraction expansion), splitting
 documents into sentences, and building per-question document sets by
-stratified sampling over retrieval ranks.
+stratified sampling over retrieval ranks. It also holds the one reader
+and the one atomic writer of each file format the package uses: JSON,
+JSON lines and plain text.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInputError, ParseError, UnderfullBandError
 
@@ -120,8 +122,7 @@ def collection_spec(name: str, sample_size: int = 10, seed: int = 0) -> StrataSp
 
 def load_strata_spec(path: str | Path) -> StrataSpec:
     """Read a strata spec file: {"name", "x1", "x2", "x3", "size", "seed"}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         return StrataSpec(
             name=raw["name"],
@@ -139,15 +140,32 @@ def load_strata_spec(path: str | Path) -> StrataSpec:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def _iter_jsonl(path: str | Path):
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object is a ParseError naming it."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield line_no, json.loads(line)
+                raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(raw, dict):
+                raise ParseError(str(path), line_no, "expected a JSON object")
+            yield line_no, raw
+
+
+def read_json(path: str | Path) -> dict:
+    """Read a file holding one JSON object; a syntax error or another kind
+    of value is a ParseError naming the file and line."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(str(path), 1, "expected a JSON object")
+    return raw
 
 
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
@@ -160,8 +178,8 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
     """
     questions: list[Question] = []
     seen: dict[str, int] = {}
-    for line_no, raw in _iter_jsonl(path):
-        if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
+    for line_no, raw in read_jsonl(path):
+        if "id" not in raw or "text" not in raw:
             raise ParseError(str(path), line_no, "record must have 'id' and 'text'")
         qid = str(raw["id"])
         if qid in seen:
@@ -193,7 +211,7 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
     Returns per-question lists ordered by original retrieval rank.
     """
     by_question: dict[str, list[Document]] = {}
-    for line_no, raw in _iter_jsonl(path):
+    for line_no, raw in read_jsonl(path):
         try:
             doc = Document(
                 question_id=str(raw["question_id"]),
@@ -237,12 +255,23 @@ def _atomic_write(path: str | Path, data: str | bytes, mode: str,
         raise
 
 
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """One JSON line per record, non-ASCII kept as is. The whole text is
+    built first, so a record that fails to serialise leaves the old file."""
+    atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n"
+                                    for record in records))
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Indented JSON with sorted keys and a final newline, written atomically."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:
-    atomic_write_text(path, "".join(json.dumps({
-        "question_id": doc.question_id,
-        "rank": doc.original_rank,
-        "text": doc.text,
-    }, ensure_ascii=False) + "\n" for ds in docsets for doc in ds.documents))
+    write_jsonl(path, ({"question_id": doc.question_id,
+                        "rank": doc.original_rank,
+                        "text": doc.text}
+                       for ds in docsets for doc in ds.documents))
 
 
 # ---------------------------------------------------------------------------

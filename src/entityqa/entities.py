@@ -8,14 +8,13 @@ extractor used as a self-contained baseline and in tests.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DocumentSet, atomic_write_text, canonicalize
+from .corpus import DocumentSet, canonicalize, read_jsonl, write_jsonl
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -168,17 +167,13 @@ class AnnotationFileExtractor:
         # question id -> document rank -> entities, each level in the order
         # of first appearance in the file.
         self.records: dict[str, dict[int, list[dict]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                    qid, rank = str(raw["question_id"]), int(raw["doc_rank"])
-                    ents = raw["entities"]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc
-                self.records.setdefault(qid, {}).setdefault(rank, []).extend(ents)
+        for line_no, raw in read_jsonl(path):
+            try:
+                qid, rank = str(raw["question_id"]), int(raw["doc_rank"])
+                ents = raw["entities"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc
+            self.records.setdefault(qid, {}).setdefault(rank, []).extend(ents)
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
         qid = docset.question_id
@@ -223,14 +218,14 @@ def write_annotations(path: str | Path, docset: DocumentSet,
     by_doc: dict[str, list[EntityMention]] = {}
     for m in mentions:
         by_doc.setdefault(m.doc_id, []).append(m)
-    atomic_write_text(path, "".join(json.dumps({
+    write_jsonl(path, ({
         "question_id": doc.question_id,
         "doc_rank": doc.original_rank,
         "entities": [{
             "surface": m.surface, "tag": m.tag, "sent_idx": m.sentence_index,
             "start": m.start, "end": m.end,
         } for m in by_doc.get(doc.doc_id, [])],
-    }, ensure_ascii=False) + "\n" for doc in docset.documents))
+    } for doc in docset.documents))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .corpus import atomic_write_text, canonicalize
+from .corpus import atomic_write_text, canonicalize, read_jsonl, write_json
 from .errors import DataError, ParseError
 from .ranking import TiedRun
 
@@ -54,24 +53,20 @@ def load_qrels(path: str | Path,
                match_policy: str = "containment") -> dict[str, Judgment]:
     """Read {"question_id", "gold_answers"} JSONL into Judgment objects."""
     out: dict[str, Judgment] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                qid = str(raw["question_id"])
-                golds = [str(g) for g in raw["gold_answers"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(str(path), line_no, f"invalid qrels record: {exc}") from exc
-            if qid in out:
-                raise ParseError(str(path), line_no, f"duplicate question id {qid!r}")
-            try:
-                out[qid] = Judgment(question_id=qid,
-                                    gold_answers=frozenset(golds),
-                                    match_policy=match_policy)
-            except ValueError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
+    for line_no, raw in read_jsonl(path):
+        try:
+            qid = str(raw["question_id"])
+            golds = [str(g) for g in raw["gold_answers"]]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(str(path), line_no, f"invalid qrels record: {exc}") from exc
+        if qid in out:
+            raise ParseError(str(path), line_no, f"duplicate question id {qid!r}")
+        try:
+            out[qid] = Judgment(question_id=qid,
+                                gold_answers=frozenset(golds),
+                                match_policy=match_policy)
+        except ValueError as exc:
+            raise ParseError(str(path), line_no, str(exc)) from exc
     if not out:
         raise ParseError(str(path), 0, "no judgments")
     return out
@@ -350,10 +345,25 @@ def paired_t_test(a: Sequence[float], b: Sequence[float],
     )
 
 
+def _aligned(report_a: MetricReport, report_b: MetricReport) -> MetricReport:
+    """report_b with its questions in report_a's order; the two reports
+    must cover the same questions."""
+    if report_a.question_ids == report_b.question_ids:
+        return report_b
+    if sorted(report_a.question_ids) != sorted(report_b.question_ids):
+        raise DataError(f"runs {report_a.run_id!r} and {report_b.run_id!r} "
+                        f"cover different questions")
+    order = {qid: k for k, qid in enumerate(report_b.question_ids)}
+    return MetricReport(
+        run_id=report_b.run_id, question_ids=report_a.question_ids,
+        values={metric: tuple(series[order[qid]] for qid in report_a.question_ids)
+                for metric, series in report_b.values.items()})
+
+
 def compare_reports(report_a: MetricReport, report_b: MetricReport,
                     metrics: Sequence[str] = METRICS) -> list[SignificanceResult]:
-    if report_a.question_ids != report_b.question_ids:
-        raise DataError("reports cover different question sets")
+    """Paired t-tests of a against b, question by question."""
+    report_b = _aligned(report_a, report_b)
     return [
         paired_t_test(report_a.series(m), report_b.series(m), metric=m)
         for m in metrics
@@ -372,8 +382,7 @@ class DiffTable:
 def per_query_diff(report_a: MetricReport, report_b: MetricReport,
                    metric: str) -> DiffTable:
     """Signed per-question differences a - b, sorted for bar plots."""
-    if report_a.question_ids != report_b.question_ids:
-        raise DataError("reports cover different question sets")
+    report_b = _aligned(report_a, report_b)
     diffs = [
         (qid, va - vb)
         for qid, va, vb in zip(report_a.question_ids,
@@ -412,7 +421,7 @@ def write_report_csv(path: str | Path, reports: Sequence[MetricReport]) -> None:
 
 
 def write_report_json(path: str | Path, reports: Sequence[MetricReport]) -> None:
-    payload = [
+    write_json(path, [
         {
             "run_id": report.run_id,
             "means": report.means(),
@@ -422,5 +431,4 @@ def write_report_json(path: str | Path, reports: Sequence[MetricReport]) -> None
             },
         }
         for report in reports
-    ]
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    ])

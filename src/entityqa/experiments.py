@@ -20,13 +20,12 @@ the level it depends on:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from .corpus import DocumentSet, Question, atomic_write_text
+from .corpus import DocumentSet, Question, read_json, write_json
 from .errors import DataError
 from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
@@ -216,20 +215,7 @@ def write_ablation_csv(path: str | Path, rows: Sequence[AblationRow]) -> None:
 
 
 def write_ablation_json(path: str | Path, rows: Sequence[AblationRow]) -> None:
-    payload = [
-        {
-            "classifier": row.classifier,
-            "embedding_provider": row.embedding_provider,
-            "aggregation": row.aggregation,
-            "combine": row.combine,
-            "alpha": row.alpha,
-            "beta": row.beta,
-            "config_id": row.config_id,
-            "means": row.means,
-        }
-        for row in rows
-    ]
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, [asdict(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -258,47 +244,15 @@ def evaluate_run_files(run_paths: Sequence[str | Path],
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             a, b = reports[i], reports[j]
-            if sorted(a.question_ids) != sorted(b.question_ids):
-                raise DataError(
-                    f"runs {a.run_id!r} and {b.run_id!r} cover different questions"
-                )
-            b_aligned = b
-            if a.question_ids != b.question_ids:
-                order = {qid: k for k, qid in enumerate(b.question_ids)}
-                b_aligned = MetricReport(
-                    run_id=b.run_id,
-                    question_ids=a.question_ids,
-                    values={
-                        m: tuple(b.series(m)[order[qid]] for qid in a.question_ids)
-                        for m in METRICS
-                    },
-                )
-            significance.append((a.run_id, b.run_id,
-                                 compare_reports(a, b_aligned)))
+            significance.append((a.run_id, b.run_id, compare_reports(a, b)))
     return reports, significance
 
 
 def write_significance_json(path: str | Path,
                             results: Sequence[tuple[str, str,
                                                     list[SignificanceResult]]]) -> None:
-    payload = [
-        {
-            "run_a": a,
-            "run_b": b,
-            "tests": [
-                {
-                    "metric": r.metric,
-                    "mean_difference": r.mean_difference,
-                    "t_statistic": r.t_statistic,
-                    "p_value": r.p_value,
-                    "significant": r.significant,
-                }
-                for r in tests
-            ],
-        }
-        for a, b, tests in results
-    ]
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, [{"run_a": a, "run_b": b, "tests": [asdict(r) for r in tests]}
+                      for a, b, tests in results])
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +268,6 @@ class LatencyReport:
     mean_seconds: dict[str, float]  # per source set, plus "overall"
     low_confidence: bool
     speedup: dict[str, float] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "iterations": self.iterations,
-            "n_questions": self.n_questions,
-            "load_seconds": self.load_seconds,
-            "mean_seconds": self.mean_seconds,
-            "low_confidence": self.low_confidence,
-            "speedup": self.speedup,
-        }
 
 
 def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
@@ -361,9 +304,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
 
     speedup = None
     if comparison_path is not None:
-        with open(comparison_path, encoding="utf-8") as fh:
-            other = json.load(fh)
-        other_means = other.get("mean_seconds", {})
+        other_means = read_json(comparison_path).get("mean_seconds", {})
         speedup = {
             key: other_means[key] / ours
             for key, ours in mean_seconds.items()
@@ -381,5 +322,4 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
 
 
 def write_latency_json(path: str | Path, report: LatencyReport) -> None:
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2,
-                                       sort_keys=True) + "\n")
+    write_json(path, asdict(report))

@@ -16,11 +16,11 @@ from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from .corpus import (DocumentSet, Question, atomic_write_text, preprocess_text,
-                     segment_sentences)
+from .corpus import (DocumentSet, Question, preprocess_text, read_json,
+                     segment_sentences, write_json)
 from .entities import (AnnotationFileExtractor, GazetteerExtractor, build_pool,
                        filter_by_type)
-from .errors import ConfigError, UnmappedTypeError
+from .errors import ConfigError, ParseError, UnmappedTypeError
 from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
                     RuleBasedAnnotator, load_labeled_questions,
                     map_answer_types, train_embedding_classifier)
@@ -140,12 +140,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None
                 ) -> PipelineConfig:
     """Read a JSON config file, applying CLI overrides on top."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raw = read_json(path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     raw.update(overrides or {})
     known = set(PipelineConfig.__dataclass_fields__)
     unknown = set(raw) - known
@@ -343,11 +340,9 @@ def write_run_file(path: str | Path, result: PipelineResult,
                    config: PipelineConfig) -> None:
     """Run JSONL plus a .config.json sidecar with the effective config."""
     write_runs(path, result.runs)
-    sidecar = {
+    write_json(str(path) + ".config.json", {
         "config_id": config.config_id,
-        "config": json.loads(config.canonical_json()),
+        "config": asdict(config),
         "errors": [{"question_id": qid, "error": msg}
                    for qid, msg in result.errors],
-    }
-    atomic_write_text(str(path) + ".config.json",
-                      json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    })

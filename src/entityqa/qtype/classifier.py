@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import atomic_write_bytes, atomic_write_text
+from ..corpus import atomic_write_bytes, atomic_write_text, read_json
 from ..errors import ParseError, TrainingError
 from .annotate import QuestionAnnotation, RuleBasedAnnotator
 from .features import FeatureSpace
@@ -136,7 +136,7 @@ class QuestionClassifier:
     def load(cls, path: str | Path) -> "QuestionClassifier":
         npz_path, meta_path = cls.files(path)
         arrays = np.load(npz_path)
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = read_json(meta_path)
         hyper = meta.get("hyperparams", {})
         recorded = tuple(
             (k, float(v)) for k, v in sorted(hyper.items())

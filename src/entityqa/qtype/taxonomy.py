@@ -13,8 +13,9 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from ..corpus import read_json
 from ..entities import ONTONOTES_TAGS
-from ..errors import UnmappedTypeError
+from ..errors import ParseError, UnmappedTypeError
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,14 @@ def _freeze_map(raw: dict) -> AnswerTypeMap:
         tagset = frozenset(tags)
         bad = tagset - ONTONOTES_TAGS
         if bad:
-            raise ValueError(f"answer-type map for {label!r} lists unknown tags {sorted(bad)}")
+            raise ValueError(f"coarse {label!r} lists unknown tags {sorted(bad)}")
         coarse[label] = tagset
     fine = {}
     for label, tags in raw.get("fine", {}).items():
         tagset = frozenset(tags)
         bad = tagset - ONTONOTES_TAGS
         if bad:
-            raise ValueError(f"answer-type map for fine {label!r} lists unknown tags {sorted(bad)}")
+            raise ValueError(f"fine {label!r} lists unknown tags {sorted(bad)}")
         fine[label] = tagset
     return AnswerTypeMap(coarse=coarse, fine=fine)
 
@@ -78,8 +79,12 @@ def default_answer_type_map() -> AnswerTypeMap:
 
 
 def load_answer_type_map(path: str | Path) -> AnswerTypeMap:
-    with open(path, encoding="utf-8") as fh:
-        return _freeze_map(json.load(fh))
+    """Read a type-map file: {"coarse": {LABEL: [TAGS]}, "fine": {...}}."""
+    raw = read_json(path)
+    try:
+        return _freeze_map(raw)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(str(path), 1, f"invalid answer-type map: {exc}") from exc
 
 
 def map_answer_types(coarse: str, fine: str | None = None,

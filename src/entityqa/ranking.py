@@ -8,12 +8,11 @@ combined scores share a rank; the run keeps the five best rank groups.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import atomic_write_text
+from .corpus import read_jsonl, write_jsonl
 from .errors import ParseError
 
 COMBINE_MODES = ("additive", "multiplicative")
@@ -107,29 +106,22 @@ def rank_answers(question_id: str, surfaces: Sequence[str],
 
 def write_runs(path: str | Path, runs: Sequence[TiedRun]) -> None:
     """The one run-file serializer: a JSON line per run, written atomically."""
-    atomic_write_text(path, "".join(json.dumps({
-        "question_id": run.question_id,
-        "groups": [sorted(g) for g in run.groups],
-        "scores": list(run.scores),
-        "config_id": run.config_id,
-    }, ensure_ascii=False) + "\n" for run in runs))
+    write_jsonl(path, ({"question_id": run.question_id,
+                        "groups": [sorted(g) for g in run.groups],
+                        "scores": list(run.scores),
+                        "config_id": run.config_id} for run in runs))
 
 
 def load_runs(path: str | Path) -> list[TiedRun]:
     runs: list[TiedRun] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                run = TiedRun(
-                    question_id=str(raw["question_id"]),
-                    groups=tuple(frozenset(map(str, g)) for g in raw["groups"]),
-                    scores=tuple(float(s) for s in raw["scores"]),
-                    config_id=str(raw.get("config_id", "")),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(path), line_no, f"invalid run record: {exc}") from exc
-            runs.append(run)
+    for line_no, raw in read_jsonl(path):
+        try:
+            runs.append(TiedRun(
+                question_id=str(raw["question_id"]),
+                groups=tuple(frozenset(map(str, g)) for g in raw["groups"]),
+                scores=tuple(float(s) for s in raw["scores"]),
+                config_id=str(raw.get("config_id", "")),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(str(path), line_no, f"invalid run record: {exc}") from exc
     return runs

@@ -9,7 +9,6 @@ question embedding and those sentence embeddings.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import re
@@ -19,7 +18,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import DocumentSet, atomic_write_text
+from .corpus import DocumentSet, read_jsonl, write_jsonl
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -130,26 +129,22 @@ class CacheProvider:
         self.entries: dict[str, np.ndarray] = {}
         provider_ids: set[str] = set()
         dims: set[int] = set()
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                    digest = str(raw["sha256"])
-                    values = [float(x) for x in raw["vector"]]
-                    provider_ids.add(str(raw["provider_id"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc
-                if not values:
-                    raise ParseError(self.path, line_no, "empty vector")
-                if not _all_finite(values):
-                    raise ParseError(self.path, line_no, "non-finite component")
-                vec = np.array(values, dtype=float)
-                if "text" in raw and text_sha256(str(raw["text"])) != digest:
-                    raise ParseError(self.path, line_no, "sha256 does not match text")
-                dims.add(vec.size)
-                self.entries[digest] = vec
+        for line_no, raw in read_jsonl(path):
+            try:
+                digest = str(raw["sha256"])
+                values = [float(x) for x in raw["vector"]]
+                provider_ids.add(str(raw["provider_id"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc
+            if not values:
+                raise ParseError(self.path, line_no, "empty vector")
+            if not _all_finite(values):
+                raise ParseError(self.path, line_no, "non-finite component")
+            vec = np.array(values, dtype=float)
+            if "text" in raw and text_sha256(str(raw["text"])) != digest:
+                raise ParseError(self.path, line_no, "sha256 does not match text")
+            dims.add(vec.size)
+            self.entries[digest] = vec
         if not self.entries:
             raise EmptyInputError(f"{path}: empty embedding cache")
         if len(provider_ids) != 1:
@@ -172,19 +167,18 @@ class CacheProvider:
 
 def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> int:
     """Embed texts with `provider` and persist them in cache format."""
-    lines: dict[str, str] = {}
+    records: dict[str, dict] = {}
     for text in texts:
         digest = text_sha256(text)
-        if digest in lines:
-            continue
-        lines[digest] = json.dumps({
-            "sha256": digest,
-            "text": text,
-            "vector": [float(x) for x in provider.embed(text)],
-            "provider_id": provider.provider_id,
-        }, ensure_ascii=False) + "\n"
-    atomic_write_text(path, "".join(lines.values()))
-    return len(lines)
+        if digest not in records:
+            records[digest] = {
+                "sha256": digest,
+                "text": text,
+                "vector": [float(x) for x in provider.embed(text)],
+                "provider_id": provider.provider_id,
+            }
+    write_jsonl(path, records.values())
+    return len(records)
 
 
 @dataclass(frozen=True)

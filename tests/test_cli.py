@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,18 @@ def test_run_unknown_config_key_exits_2(tmp_path, config_file, capsys):
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "r.jsonl")]) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"aggregation": "avg",\n', ":2: invalid JSON: "),
+    ('["aggregation", "avg"]', ":1: expected a JSON object"),
+])
+def test_run_malformed_config_exits_2(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}{reason}")
 
 
 def test_run_missing_input_file_exits_2(tmp_path, config_file):
@@ -158,6 +171,28 @@ def test_evaluate_two_runs_significance_and_diff(tmp_path, planted,
     diff_rows = list(csv.reader((tmp_path / "cmp.diff.csv").open()))
     assert diff_rows[0] == ["question_id", "diff_tMRR"]
     assert len(diff_rows) == 13
+
+
+def test_evaluate_diff_metric_on_reordered_run(tmp_path, planted, config_file,
+                                               run_file):
+    # Centroids on the cache provider leave most questions unanswered, so
+    # the diff against the default run is not all zeros.
+    cfg = config_file({"classifier": "external-embedding",
+                       "embedding_provider": "cache"}, name="centroids.json")
+    other = tmp_path / "other.jsonl"
+    assert main(["run", "--config", str(cfg), "--out", str(other)]) == 0
+    reversed_other = tmp_path / "reversed.jsonl"
+    reversed_other.write_text(
+        "".join(reversed(other.read_text().splitlines(keepends=True))))
+    for b, prefix in ((other, "in-order"), (reversed_other, "reversed")):
+        assert main(["evaluate", str(run_file), str(b),
+                     "--qrels", planted.qrels_path,
+                     "--out-prefix", str(tmp_path / prefix),
+                     "--diff-metric", "tMRR"]) == 0
+    in_order = (tmp_path / "in-order.diff.csv").read_bytes()
+    assert in_order == (tmp_path / "reversed.diff.csv").read_bytes()
+    assert any(float(row[1]) != 0.0 for row in
+               list(csv.reader((tmp_path / "in-order.diff.csv").open()))[1:])
 
 
 def test_evaluate_diff_metric_requires_two_runs(tmp_path, planted, run_file):
@@ -291,6 +326,49 @@ def test_sample_strata_underfull_exits_1(tmp_path):
     assert main(["sample-strata", "--documents", str(path),
                  "--spec", "Strata-3",
                  "--out", str(tmp_path / "out.jsonl")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON-object inputs
+# ---------------------------------------------------------------------------
+
+# case -> (name of the malformed file, its text)
+_MALFORMED = {
+    "type-map-invalid-json": ("type_map.json", '{"coarse": {'),
+    "type-map-list": ("type_map.json", '[["HUMAN", "PERSON"]]'),
+    "type-map-unknown-tag": ("type_map.json", '{"coarse": {"HUMAN": ["BOGUS"]}}'),
+    "strata-spec-invalid-json": ("spec.json", '{"name": "mine", "x1": 60,,}'),
+    "bench-comparison-invalid-json": ("other.json", '{"mean_seconds": '),
+    "model-meta-invalid-json": ("model.npz.meta.json", '{"vocab": '),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_json_object_input_is_a_data_error(
+        tmp_path, config_file, planted_config, ranked_documents_file, capsys,
+        case):
+    name, text = _MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = str(tmp_path / "out")
+    if case.startswith("type-map"):
+        argv = ["run", "--config", str(config_file({"type_map_path": str(bad)})),
+                "--out", out]
+    elif case.startswith("strata-spec"):
+        argv = ["sample-strata", "--documents", str(ranked_documents_file),
+                "--spec", str(bad), "--out", out]
+    elif case.startswith("bench"):
+        argv = ["bench", "--config", str(config_file()), "--out", out,
+                "--iterations", "1", "--comparison", str(bad)]
+    else:
+        model = tmp_path / "model.npz"
+        shutil.copy(planted_config["model_path"], model)
+        argv = ["run", "--config", str(config_file({"model_path": str(model)})),
+                "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

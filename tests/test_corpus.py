@@ -20,10 +20,14 @@ from entityqa.corpus import (
     load_questions,
     load_strata_spec,
     preprocess_text,
+    read_json,
+    read_jsonl,
     sample_strata,
     segment_sentences,
     split_sentences,
     write_documents,
+    write_json,
+    write_jsonl,
 )
 from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
 
@@ -238,6 +242,26 @@ def test_load_questions_malformed_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_questions(path)
     assert ":2:" in str(err.value)
+
+
+def test_read_jsonl_skips_blank_lines_and_rejects_non_objects(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n[3]\n')
+    records = read_jsonl(path)
+    assert next(records) == (1, {"a": 1})
+    assert next(records) == (4, {"b": 2})
+    with pytest.raises(ParseError, match=r"records\.jsonl:5: expected a JSON object"):
+        next(records)
+
+
+def test_json_writers_formats(tmp_path):
+    lines, doc = tmp_path / "out.jsonl", tmp_path / "out.json"
+    write_jsonl(lines, [{"b": "café", "a": 1}, {}])
+    assert lines.read_bytes() == '{"b": "café", "a": 1}\n{}\n'.encode("utf-8")
+    write_json(doc, {"b": "café", "a": [1]})
+    assert doc.read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": "caf\\u00e9"\n}\n'
+    assert read_json(doc) == {"a": [1], "b": "café"}
+    assert list(read_jsonl(lines)) == [(1, {"b": "café", "a": 1}), (2, {})]
 
 
 def test_load_documents_sorted_by_rank(tmp_path):

@@ -18,6 +18,7 @@ from entityqa.evaluation import (
     DiffTable,
     Judgment,
     MetricReport,
+    SignificanceResult,
     classical_metrics,
     compare_reports,
     evaluate_run,
@@ -30,6 +31,10 @@ from entityqa.evaluation import (
     write_report_csv,
     write_report_json,
 )
+from entityqa.experiments import (AblationRow, LatencyReport,
+                                  write_ablation_json, write_latency_json,
+                                  write_significance_json)
+from entityqa.pipeline import PipelineConfig, PipelineResult, write_run_file
 from entityqa.qtype import LabeledQuestion, train_classifier
 from entityqa.ranking import TiedRun, write_runs
 from entityqa.scoring import WordAverageProvider, write_cache
@@ -477,6 +482,31 @@ def _write_annotations(path, docset_and_mentions):
     write_annotations(path, *docset_and_mentions)
 
 
+def _ablation_row(config_id):
+    return AblationRow("svm", "word-avg", "max", "multiplicative", None, None,
+                       config_id, {m: 0.5 for m in METRICS})
+
+
+def _significance(run_b):
+    return [("sysA", run_b, [SignificanceResult("MRR", 0.5, 2.0, 0.1, False)])]
+
+
+def _latency(label):
+    return LatencyReport(label, 2, 12, 0.25, {"overall": 0.01}, False, None)
+
+
+def _write_run_file(path, result):
+    write_run_file(path, result, PipelineConfig())
+
+
+def _pipeline_result(error=None):
+    """The bad result has the good one's run lines, so only its sidecar,
+    written second, can fail."""
+    return PipelineResult(runs=(TiedRun("q1", (frozenset({"a"}),), (0.5,)),),
+                          errors=(("q2", error),) if error is not None else (),
+                          load_seconds=0.0)
+
+
 def _annotated(qid, text, surface):
     docset = _docset(qid, text, text)
     return docset, [EntityMention(surface, "PERSON", f"{qid}#{rank}", 0, 0, 1)
@@ -511,6 +541,16 @@ def _annotated(qid, text, surface):
     # Writes out.npz and out.npz.meta.json.
     pytest.param(_save, _classifier, lambda: _classifier(broken=True),
                  id="QuestionClassifier.save"),
+    (write_ablation_json,
+     lambda: [_ablation_row("abc")],
+     lambda: [_ablation_row("def"), _ablation_row(object())]),
+    (write_significance_json,
+     lambda: _significance("sysB"),
+     lambda: _significance("sysC") + _significance(object())),
+    (write_latency_json, lambda: _latency("mine"), lambda: _latency(object())),
+    # Writes out and out.config.json.
+    pytest.param(_write_run_file, _pipeline_result,
+                 lambda: _pipeline_result(error=object()), id="write_run_file"),
 ])
 def test_writers_leave_previous_file_on_failure(tmp_path, writer, good, bad):
     path = tmp_path / "out"
