@@ -340,17 +340,24 @@ def preprocess_text(raw: str, contraction_table: Mapping[str, str] | None = None
     return pattern.sub(expand, text)
 
 
-_WS = re.compile(r"\s+")
-_OUTER_PUNCT = "\"'`.,;:!?()[]{}<>-_/\\|~*&^%$#@+="
+_OUTER_PUNCT = "\"'`.,;:!?()[]{}<>-_/\\|~*&^%$#@+= "
 
 
 def canonicalize(surface: str) -> str:
-    """Canonical form shared by entity identity and gold-answer matching:
+    r"""Canonical form shared by entity identity and gold-answer matching:
     lowercase, accent-folded, whitespace-collapsed, outer punctuation
-    stripped. Idempotent."""
-    folded = fold_accents(_APOSTROPHES.sub("'", surface)).lower()
-    collapsed = _WS.sub(" ", folded).strip()
-    return collapsed.strip(_OUTER_PUNCT + " ")
+    stripped. Idempotent.
+
+    The result is its tokens joined by single spaces, with no whitespace
+    at either end: str.split() splits on exactly the characters that
+    `\s` matches, and the final strip set holds the space.
+    """
+    if surface.isascii():
+        # The curly apostrophes are not ASCII, and the fold leaves ASCII as it is.
+        folded = surface.lower()
+    else:
+        folded = fold_accents(_APOSTROPHES.sub("'", surface)).lower()
+    return " ".join(folded.split()).strip(_OUTER_PUNCT)
 
 
 # ---------------------------------------------------------------------------

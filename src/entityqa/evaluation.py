@@ -47,6 +47,9 @@ class Judgment:
             raise ValueError(f"gold answer empty after normalization "
                              f"for {self.question_id!r}")
         object.__setattr__(self, "gold_answers", normalized)
+        # Derived, not a field: the space-padded forms of the containment test.
+        object.__setattr__(self, "padded_golds",
+                           tuple(f" {g} " for g in normalized))
 
 
 def load_qrels(path: str | Path,
@@ -72,28 +75,25 @@ def load_qrels(path: str | Path,
     return out
 
 
-def _contains_tokens(haystack: str, needle: str) -> bool:
-    hay = haystack.split()
-    ndl = needle.split()
-    if not ndl or len(ndl) > len(hay):
-        return False
-    return any(hay[i:i + len(ndl)] == ndl for i in range(len(hay) - len(ndl) + 1))
-
-
 def match_answer(candidate: str, judgment: Judgment) -> bool:
     """Does a candidate surface match any gold answer under the policy?
 
     exact: canonical equality. containment: equality, or either side's
-    token sequence occurring contiguously inside the other's.
+    token sequence occurring contiguously inside the other's. Canonical
+    forms are tokens joined by single spaces, so the tokens of one occur
+    contiguously in the other's exactly when the one, padded with a
+    space at each end, is a substring of the other, padded alike.
     """
     cand = canonicalize(candidate)
     if not cand:
         return False
-    for gold in judgment.gold_answers:
-        if cand == gold:
-            return True
-        if judgment.match_policy == "containment" and (
-                _contains_tokens(cand, gold) or _contains_tokens(gold, cand)):
+    if cand in judgment.gold_answers:
+        return True
+    if judgment.match_policy != "containment":
+        return False
+    padded = f" {cand} "
+    for gold in judgment.padded_golds:
+        if gold in padded or padded in gold:
             return True
     return False
 

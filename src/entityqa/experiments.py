@@ -26,7 +26,7 @@ from time import perf_counter
 from typing import Mapping, Sequence
 
 from .corpus import DocumentSet, Question, read_json, write_json
-from .errors import DataError
+from .errors import DataError, ParseError
 from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
                          run_metrics, write_csv)
@@ -270,13 +270,25 @@ class LatencyReport:
     speedup: dict[str, float] | None
 
 
+def _comparison_means(path: str | Path) -> dict[str, float]:
+    """The "mean_seconds" object of an earlier latency report; one that is
+    not an object of numbers is a ParseError naming the file."""
+    means = read_json(path).get("mean_seconds", {})
+    if not isinstance(means, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in means.values()):
+        raise ParseError(str(path), 1, '"mean_seconds" must be an object of numbers')
+    return means
+
+
 def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
                       docsets: Mapping[str, DocumentSet], iterations: int = 5,
                       comparison_path: str | Path | None = None,
                       label: str = "this-work") -> LatencyReport:
     """Wall-clock per-question time, averaged over warm iterations.
 
-    Stage loading happens once and is reported separately.
+    Stage loading happens once and is reported separately. The comparison
+    file is read and checked before any stage is loaded.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -285,6 +297,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     no_docs = sorted(q.id for q in questions if q.id not in docsets)
     if no_docs:
         raise DataError(f"questions without document sets: {no_docs}")
+    other_means = None if comparison_path is None else _comparison_means(comparison_path)
     stages, load_seconds = load_stages(config)
     totals = {q.id: 0.0 for q in questions}
     for _ in range(iterations):
@@ -303,8 +316,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     mean_seconds["overall"] = sum(per_question.values()) / len(per_question)
 
     speedup = None
-    if comparison_path is not None:
-        other_means = read_json(comparison_path).get("mean_seconds", {})
+    if other_means is not None:
         speedup = {
             key: other_means[key] / ours
             for key, ours in mean_seconds.items()

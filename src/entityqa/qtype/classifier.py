@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -86,6 +87,10 @@ def split_labeled(labeled: Sequence[LabeledQuestion], train_fraction: float = 0.
     return order[:cut], order[cut:]
 
 
+# The arrays of a saved model's .npz file.
+_ARRAY_NAMES = ("coarse_weights", "coarse_bias", "fine_weights", "fine_bias")
+
+
 @dataclass(frozen=True)
 class QuestionClassifier:
     space: FeatureSpace
@@ -134,24 +139,37 @@ class QuestionClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "QuestionClassifier":
+        """Read the model saved as `path`; a file that cannot be read back
+        into one is a ParseError naming it."""
         npz_path, meta_path = cls.files(path)
-        arrays = np.load(npz_path)
+        try:
+            with np.load(npz_path) as npz:
+                arrays = {name: npz[name] for name in _ARRAY_NAMES}
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+                AttributeError, TypeError) as exc:  # the last two: not an .npz archive
+            raise ParseError(str(npz_path), 0, f"invalid model arrays: {exc}") from exc
         meta = read_json(meta_path)
-        hyper = meta.get("hyperparams", {})
-        recorded = tuple(
-            (k, float(v)) for k, v in sorted(hyper.items())
-            if isinstance(v, (int, float))
-        )
+        try:
+            hyper = meta.get("hyperparams", {})
+            recorded = tuple(
+                (k, float(v)) for k, v in sorted(hyper.items())
+                if isinstance(v, (int, float))
+            )
+            space = FeatureSpace.from_dict(meta["vocab"])
+            coarse_classes = tuple(meta["coarse_classes"])
+            fine_classes = tuple(meta["fine_classes"])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ParseError(str(meta_path), 1, f"invalid model metadata: {exc!r}") from exc
         return cls(
-            space=FeatureSpace.from_dict(meta["vocab"]),
+            space=space,
             coarse_model=LinearModel(
-                classes=tuple(meta["coarse_classes"]),
+                classes=coarse_classes,
                 weights=arrays["coarse_weights"],
                 bias=arrays["coarse_bias"],
                 hyperparams=recorded,
             ),
             fine_model=LinearModel(
-                classes=tuple(meta["fine_classes"]),
+                classes=fine_classes,
                 weights=arrays["fine_weights"],
                 bias=arrays["fine_bias"],
                 hyperparams=recorded,

@@ -12,6 +12,8 @@ checks both vectors and recomputes both norms on every call. The
 preprocessing oracle always runs the contraction regex. The ranking
 oracle is the old per-candidate tail: aggregate and range-check one
 semantic score, combine it with df, round and group, one step at a time.
+The answer-matching oracle splits both canonical forms into token lists
+and compares slices.
 """
 
 from __future__ import annotations
@@ -169,6 +171,31 @@ def reference_canonicalize(surface: str) -> str:
     """Lowercase, accent-fold, collapse whitespace, strip outer punctuation."""
     folded = reference_fold_accents(_APOSTROPHES.sub("'", surface)).lower()
     return _WS.sub(" ", folded).strip().strip(_OUTER_PUNCT + " ")
+
+
+def _contains_tokens(haystack: str, needle: str) -> bool:
+    hay = haystack.split()
+    ndl = needle.split()
+    if not ndl or len(ndl) > len(hay):
+        return False
+    return any(hay[i:i + len(ndl)] == ndl for i in range(len(hay) - len(ndl) + 1))
+
+
+def reference_match_answer(candidate: str, gold_answers, match_policy: str) -> bool:
+    """Canonical equality with any gold answer; under "containment" also
+    either side's token list occurring as a contiguous run of the other's,
+    found by comparing token slices at every offset."""
+    golds = {reference_canonicalize(g) for g in gold_answers}
+    cand = reference_canonicalize(candidate)
+    if not cand:
+        return False
+    for gold in golds:
+        if cand == gold:
+            return True
+        if match_policy == "containment" and (
+                _contains_tokens(cand, gold) or _contains_tokens(gold, cand)):
+            return True
+    return False
 
 
 _WORD = re.compile(r"\w+(?:'\w+)?")

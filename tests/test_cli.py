@@ -3,6 +3,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from datagen import generate_labeled_file
@@ -369,6 +370,69 @@ def test_malformed_json_object_input_is_a_data_error(
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {bad}:")
     assert "Traceback" not in err
+
+
+def _broken_model(model: Path, saved: str, case: str) -> Path:
+    """A copy of the model saved as `saved` at `model`, broken as `case`
+    says; returns the broken file."""
+    npz, meta = QuestionClassifier.files(saved)
+    meta_path = QuestionClassifier.files(model)[1]
+    shutil.copy(npz, model)
+    shutil.copy(meta, meta_path)
+    if case == "meta-empty-object":
+        meta_path.write_text("{}")
+        return meta_path
+    if case == "meta-without-fine-classes":
+        raw = json.loads(meta.read_text())
+        del raw["fine_classes"]
+        meta_path.write_text(json.dumps(raw))
+        return meta_path
+    if case == "npz-garbage":
+        model.write_bytes(b"\x00not an npz archive\xff" * 8)
+        return model
+    with np.load(npz) as arrays:
+        kept = {name: arrays[name] for name in arrays.files if name != "fine_bias"}
+    np.savez(model, **kept)
+    return model
+
+
+@pytest.mark.parametrize("case", ["meta-empty-object", "meta-without-fine-classes",
+                                  "npz-garbage", "npz-without-fine-bias"])
+def test_broken_model_file_is_a_data_error(tmp_path, config_file, planted_config,
+                                           capsys, case):
+    model = tmp_path / "model.npz"
+    bad = _broken_model(model, planted_config["model_path"], case)
+    argv = ["run", "--config", str(config_file()), "--set", f"model_path={model}",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"mean_seconds": {"overall": "fast"}}',
+    '{"mean_seconds": {"overall": 0.01, "CQ-W": null}}',
+    '{"mean_seconds": {"overall": true}}',
+    '{"mean_seconds": [0.01]}',
+], ids=["string", "null", "bool", "list"])
+def test_bench_bad_comparison_fails_before_any_timing(
+        tmp_path, config_file, capsys, monkeypatch, text):
+    import entityqa.experiments as experiments
+
+    def no_stages(_config):
+        raise AssertionError("stages loaded before the comparison was checked")
+
+    monkeypatch.setattr(experiments, "load_stages", no_stages)
+    bad = tmp_path / "other.json"
+    bad.write_text(text)
+    argv = ["bench", "--config", str(config_file()), "--out", str(tmp_path / "out"),
+            "--iterations", "1", "--comparison", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,32 @@ def test_canonicalize():
                  "O\u2019Neil", "x\u0327 y", "\u00c5ngstr\u00f6m"):
         assert fold_accents(text) == reference_fold_accents(text)
         assert canonicalize(text) == reference_canonicalize(text)
+    # Random strings over ASCII (the fast path) and mixed alphabets: curly
+    # and straight apostrophes, precomposed and combining accents, ASCII
+    # and Unicode whitespace, and outer punctuation.
+    ascii_alphabet = "aZq09 _-'\".,;:!?()\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+    mixed_alphabet = ascii_alphabet + ("\u2018\u2019\u201a\u201b\u00e9\u0301\u0308"
+                                       "\u00c5\u0130\u00df\u00a0\u0085\u2003\u2009"
+                                       "\u3000\u2028\u00ab\u00bb")
+    rng = random.Random(23)
+    for _ in range(4000):
+        alphabet = rng.choice((ascii_alphabet, mixed_alphabet))
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+        canonical = canonicalize(text)
+        assert canonical == reference_canonicalize(text)
+        assert canonical == " ".join(canonical.split())
+        assert canonicalize(canonical) == canonical
+
+
+def test_regex_and_str_split_whitespace_are_one_set():
+    # canonicalize collapses whitespace with str.split(), its reference with
+    # the regex \s+, and match_answer relies on canonical forms holding no
+    # whitespace but single spaces: all of this rests on one whitespace set.
+    every_char = "".join(map(chr, range(0x110000)))
+    regex = set(re.findall(r"\s", every_char))
+    assert regex == {ch for ch in every_char if ch.isspace()}
+    assert regex == {ch for ch in every_char if len(f"a{ch}b".split()) == 2}
+    assert all(re.fullmatch(r"\s", ch) for ch in regex)
 
 
 # ---------------------------------------------------------------------------

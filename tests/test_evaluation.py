@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import classical_reference, enumerate_tie_metrics, mc_tie_metrics
+from oracles import (classical_reference, enumerate_tie_metrics, mc_tie_metrics,
+                     reference_match_answer)
 
 from entityqa.corpus import Document, DocumentSet, write_documents
 from entityqa.entities import EntityMention, write_annotations
@@ -113,6 +114,54 @@ def test_match_containment_is_token_level():
 def test_match_negative():
     j = _judgment("burkina faso")
     assert not match_answer("attack", j)
+
+
+def test_judgment_padded_forms_are_not_fields():
+    j = _judgment("Ancient  Rome", "Zoë")
+    assert asdict(j) == {"question_id": "q1", "match_policy": "containment",
+                         "gold_answers": frozenset({"ancient rome", "zoe"})}
+    assert j == _judgment("ancient rome", "Zoe")
+    assert hash(j) == hash(_judgment("ancient rome", "Zoe"))
+    assert sorted(j.padded_golds) == [" ancient rome ", " zoe "]
+
+
+# Each token comes in spellings that canonicalise alike: case, curly and
+# straight apostrophes, precomposed and combining accents.
+_TOKEN_SPELLINGS = (
+    ("rome", "Rome", "ROME"), ("romeo", "Romeo"), ("chrome",),
+    ("o'neil", "O\u2019Neil", "o\u2018neil"),
+    ("beyonce", "Beyonc\u00e9", "Beyonce\u0301"), ("zoe", "Zo\u00eb", "Zoe\u0308"),
+    ("new",), ("york", "York"), ("ancient",), ("the", "The"), ("a",),
+)
+_SEPARATORS = (" ", "  ", "\t", "\x1c", "\u00a0", "\u3000", " \n ")
+_OUTER = ("", "", "", '"', "(", ")", "-", "...", "'", "?!", "\u2019")
+
+
+def _random_surface(rng: random.Random, max_tokens: int) -> str:
+    tokens = [rng.choice(rng.choice(_TOKEN_SPELLINGS))
+              for _ in range(rng.randint(1, max_tokens))]
+    if len(tokens) > 1 and rng.random() < 0.2:
+        tokens.insert(rng.randrange(len(tokens)), rng.choice(tokens))  # repeat
+    if rng.random() < 0.1:
+        i = rng.randrange(len(tokens))
+        tokens[i] += rng.choice((",", "-", "."))  # punctuation inside
+    text = "".join(tok + rng.choice(_SEPARATORS) for tok in tokens[:-1]) + tokens[-1]
+    return rng.choice(_OUTER) + rng.choice(("", " ")) + text + rng.choice(_OUTER)
+
+
+@pytest.mark.parametrize("policy", ["exact", "containment"])
+def test_match_answer_equals_reference_randomized(policy):
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        golds = [_random_surface(rng, 3) for _ in range(rng.randint(1, 3))]
+        judgment = _judgment(*golds, policy=policy)
+        for candidate in [_random_surface(rng, 4), rng.choice(golds),
+                          rng.choice(("", " ", "--", "\t()"))]:
+            expected = reference_match_answer(candidate, golds, policy)
+            assert match_answer(candidate, judgment) is expected, (candidate, golds)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 1000
 
 
 def test_load_qrels(tmp_path):
