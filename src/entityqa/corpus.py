@@ -208,9 +208,11 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
 def load_documents(path: str | Path) -> dict[str, list[Document]]:
     """Load ranked documents from JSONL ({"question_id", "rank", "text"}).
 
-    Returns per-question lists ordered by original retrieval rank.
+    Returns per-question lists ordered by original retrieval rank. A
+    second record of one question and rank is rejected with its line.
     """
     by_question: dict[str, list[Document]] = {}
+    seen: dict[tuple[str, int], int] = {}
     for line_no, raw in read_jsonl(path):
         try:
             doc = Document(
@@ -220,6 +222,12 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(str(path), line_no, f"invalid document record: {exc}") from exc
+        key = (doc.question_id, doc.original_rank)
+        if key in seen:
+            raise ParseError(str(path), line_no,
+                             f"duplicate document: question {doc.question_id!r} rank "
+                             f"{doc.original_rank} (first seen on line {seen[key]})")
+        seen[key] = line_no
         by_question.setdefault(doc.question_id, []).append(doc)
     for docs in by_question.values():
         docs.sort(key=lambda d: d.original_rank)
@@ -380,47 +388,42 @@ def default_abbreviations() -> frozenset[str]:
     return _abbrev_cache
 
 
-_BOUNDARY = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9\"'(])")
-
-
-def _word_before(text: str, start: int, end: int) -> str:
-    r"""The run of word characters and periods that ends `text[start:end]`,
-    or that ends it but for one final newline; empty if there is none.
-
-    A character is in the run when `[\w.]` matches it: str.isalnum() is
-    exactly the alphanumeric part of `\w`.
-    """
-    if end > start and text[end - 1] == "\n":
-        end -= 1
-    begin = end
-    while begin > start and (text[begin - 1].isalnum() or text[begin - 1] in "._"):
-        begin -= 1
-    return text[begin:end]
+# `[.!?][.!?]*` matches what `[.!?]+` does, but `re` only skips ahead to
+# a pattern's first character in C when the pattern opens with a bare
+# character class, not with a repeat.
+_BOUNDARY = re.compile(r"([.!?][.!?]*)(\s+)(?=[A-Z0-9\"'(])")
+_RUN = re.compile(r"[\w.]*")
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
-    """Deterministic rule-based sentence splitter.
+    r"""Deterministic rule-based sentence splitter.
 
     Splits after sentence-final punctuation followed by whitespace and an
-    upper-case (or digit) start, except when the final token before a period
-    is a known abbreviation. Text without terminators is one sentence.
+    upper-case, digit, quote or parenthesis start, except when the final
+    token before a period is a known abbreviation. Text without terminators
+    is one sentence; sentences are stripped and empty ones dropped.
+
+    That token is the `[\w.]*` run which ends at the terminator, or one
+    newline before it; it is matched forward in the reversed text.
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
-    if not text.strip():
-        return []
     pieces: list[str] = []
     start = 0
+    n, rev = len(text), ""
     for match in _BOUNDARY.finditer(text):
-        end = match.end(1)
         if "." in match.group(1):
-            before = _word_before(text, start, match.start(1))
+            stop = match.start(1)
+            if stop > start and text[stop - 1] == "\n":
+                stop -= 1
+            rev = rev or text[::-1]
+            before = text[n - _RUN.match(rev, n - stop, n - start).end():stop]
             if before and before.lower().rstrip(".") in abbreviations:
                 continue
-        pieces.append(text[start:end])
+        pieces.append(text[start:match.end(1)])
         start = match.end(2)
     pieces.append(text[start:])
-    return [p.strip() for p in pieces if p.strip()]
+    return [piece for piece in map(str.strip, pieces) if piece]
 
 
 Segmenter = Callable[[str], list[str]]

@@ -203,7 +203,8 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
     """
     sentences = {doc.doc_id: doc.sentences for doc in docset.documents}
     q_vec = provider.embed(question_text)
-    q_norm = float(np.linalg.norm(q_vec))
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for a real 1-d array.
+    q_norm = math.sqrt(q_vec.dot(q_vec))
     score_memo: dict[tuple[str, int], float] = {}
 
     out: list[EvidenceSet] = []
@@ -217,7 +218,7 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
             if key not in score_memo:
                 doc_id, index = key
                 vec = provider.embed(sentences[doc_id][index])
-                norm = float(np.linalg.norm(vec))
+                norm = math.sqrt(vec.dot(vec))
                 if q_norm == 0.0 or norm == 0.0:
                     score_memo[key] = 0.0
                 else:

@@ -105,6 +105,19 @@ def test_run_malformed_questions_exits_1(tmp_path, config_file):
                  "--out", str(tmp_path / "r.jsonl")]) == 1
 
 
+def test_run_duplicate_document_is_a_data_error(tmp_path, config_file, capsys):
+    bad = tmp_path / "documents.jsonl"
+    record = json.dumps({"question_id": "q1", "rank": 1, "text": "Paris is big."})
+    bad.write_text(record + "\n" + record + "\n", encoding="utf-8")
+    cfg = config_file({"documents_path": str(bad)})
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:2:")
+    assert "'q1'" in err and "first seen on line 1" in err
+    assert "Traceback" not in err
+
+
 def test_bad_set_syntax_exits_2(tmp_path, config_file):
     cfg = config_file()
     assert main(["run", "--config", str(cfg),

@@ -202,6 +202,53 @@ def test_split_sentences_matches_reference_on_random_texts():
                 reference_split_sentences(text, abbreviations), repr(text)
 
 
+# Whitespace that `\s` matches besides space, tab and newline: no-break,
+# line separator, ideographic space, NEL, file separator, vertical tab,
+# form feed and CRLF.
+_UNICODE_GAPS = ("\u00a0", "\u2028", "\u3000", "\u0085", "\x1c", "\v", "\f",
+                 "\r\n", " \u00a0", "\r\n\r\n", "\u2028\n")
+
+
+def _long_split_text(rng: random.Random) -> str:
+    """30-60 sentences, as long as a benchmark document, that may open with
+    a terminator and whose gaps mix ASCII and Unicode whitespace."""
+    gaps = _SPLIT_GAPS + _UNICODE_GAPS
+    parts = [rng.choice(("", "", ".", ". ", "?! ", "...\n", "\u3000. "))]
+    for _ in range(rng.randint(30, 60)):
+        parts.append(rng.choice(_SPLIT_STARTS))
+        for _ in range(rng.randint(0, 6)):
+            parts.append(rng.choice(gaps) or " ")
+            parts.append(rng.choice(_SPLIT_WORDS))
+        parts.append(rng.choice(("", "", "", "\n", " ", "\r\n", "\u2028", "\u0085")))
+        parts.append(rng.choice(_SPLIT_TERMINATORS))
+        parts.append(rng.choice(gaps))
+    return "".join(parts)
+
+
+def test_split_sentences_matches_reference_on_long_and_unicode_texts():
+    rng = random.Random(31)
+    abbreviation_sets = (default_abbreviations(),
+                         frozenset({"u.s", "é", "snake_case", "x", "..", ""}))
+    blanks = ["".join(rng.choice(_UNICODE_GAPS + _SPLIT_GAPS) for _ in range(n))
+              for n in range(8)]
+    texts = blanks + [_long_split_text(rng) for _ in range(800)]
+    for text in texts:
+        for abbreviations in abbreviation_sets:
+            assert split_sentences(text, abbreviations) == \
+                reference_split_sentences(text, abbreviations), repr(text)
+    assert all(split_sentences(text) == [] for text in blanks)
+
+
+def test_segment_sentences_matches_reference_on_planted_documents(planted):
+    abbreviations = default_abbreviations()
+    documents = [doc for docs in load_documents(planted.documents_path).values()
+                 for doc in docs]
+    assert documents
+    for doc in documents:
+        assert segment_sentences(doc).sentences == \
+            tuple(reference_split_sentences(doc.text, abbreviations))
+
+
 @pytest.mark.parametrize("text, expected", [
     # "$" of the old word search also matched before a final newline.
     ("U.S\n. Next", ["U.S\n. Next"]),
@@ -302,6 +349,18 @@ def test_load_documents_sorted_by_rank(tmp_path):
     assert sorted(by_q) == ["q1", "q2"]
     assert [d.original_rank for d in by_q["q1"]] == [1, 2]
     assert by_q["q1"][0].doc_id == "q1#1"
+
+
+def test_load_documents_duplicate_rank_names_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rows = [{"question_id": "q1", "rank": 1, "text": "a."},
+            {"question_id": "q2", "rank": 1, "text": "b."},
+            {"question_id": "q1", "rank": 2, "text": "c."},
+            {"question_id": "q1", "rank": 1, "text": "d."}]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with pytest.raises(ParseError, match=r"d\.jsonl:4: duplicate document: "
+                                         r"question 'q1' rank 1 \(first seen on line 1\)"):
+        load_documents(path)
 
 
 def test_write_documents_roundtrip(tmp_path):

@@ -310,6 +310,48 @@ def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
     assert all(seen.values()), seen
 
 
+class _TableProvider:
+    """Embeds each text as the vector a table gives it."""
+
+    provider_id = "table"
+    dim = 4
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, text):
+        return self.table[text]
+
+
+def test_build_evidence_norms_equal_numpy_norm_at_the_extremes():
+    # build_evidence takes each norm as sqrt(v.dot(v)), which is numpy's own
+    # path for the norm of a real 1-d array; pin the two bit for bit where
+    # the squares vanish, are subnormal or overflow.
+    tiny = np.nextafter(0.0, 1.0)
+    vectors = [np.zeros(4), np.full(4, tiny), np.array([tiny, -3 * tiny, 0.0, 1e-160]),
+               np.full(4, 1e-160), np.array([2.2e-308, 1e-310, -1e-320, 0.0]),
+               np.array([1e154, 1e154, 0.0, 1.0]), np.full(4, 1e200),
+               np.array([1.7e308, -1.7e308, 1.0, 0.0]), np.array([3.0, -4.0, 1e-320, 0.5])]
+    with np.errstate(over="ignore"):
+        for vec in vectors:
+            assert math.sqrt(vec.dot(vec)) == float(np.linalg.norm(vec))
+    text = " ".join(f"Ent{i}x says s{i}." for i in range(len(vectors)))
+    docset = DocumentSet(question_id="q1", documents=(
+        segment_sentences(Document(question_id="q1", original_rank=1, text=text)),))
+    sentences = docset.documents[0].sentences
+    assert len(sentences) == len(vectors)
+    pool = build_pool(GazetteerExtractor({f"Ent{i}x": "PERSON" for i in range(len(vectors))})
+                      .extract(docset), docset)
+    for q_vec in vectors:
+        provider = _TableProvider(dict(zip(sentences, vectors), question=q_vec))
+        with np.errstate(all="ignore"):
+            evidence = build_evidence(pool, docset, "question", provider)
+            expected = [[reference_cosine(q_vec, vectors[index])
+                         for _doc_id, index in ev.sentence_keys] for ev in evidence]
+        assert len(evidence) == len(vectors)
+        assert [list(ev.scores) for ev in evidence] == expected
+
+
 def test_build_evidence_cache_miss_names_hash(tmp_path):
     docset, pool = _evidence_fixture()
     texts = [s for doc in docset.documents for s in doc.sentences]
