@@ -20,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInputError, ParseError, UnderfullBandError
 
@@ -426,14 +426,10 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     return [piece for piece in map(str.strip, pieces) if piece]
 
 
-Segmenter = Callable[[str], list[str]]
-
-
-def segment_sentences(doc: Document, segmenter: Segmenter | None = None) -> Document:
+def segment_sentences(doc: Document) -> Document:
     """Return a copy of the document with its sentences filled in."""
-    segmenter = segmenter or split_sentences
     return Document(doc.question_id, doc.original_rank, doc.text,
-                    tuple(segmenter(doc.text)))
+                    tuple(split_sentences(doc.text)))
 
 
 # ---------------------------------------------------------------------------

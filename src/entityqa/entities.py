@@ -9,10 +9,8 @@ extractor used as a self-contained baseline and in tests.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DocumentSet, canonicalize, read_jsonl, write_jsonl
 from .errors import IngestionError, ParseError
@@ -26,8 +24,8 @@ ONTONOTES_TAGS = frozenset({
 DEFAULT_CANDIDATE_CAP = 100
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
+    """One tagged span; its extractor has already checked tag and span."""
     surface: str
     tag: str
     doc_id: str
@@ -35,24 +33,15 @@ class EntityMention:
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.tag not in ONTONOTES_TAGS:
-            raise ValueError(f"unknown entity tag {self.tag!r}")
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"bad span [{self.start}, {self.end})")
 
-
-@dataclass(frozen=True)
-class CandidateEntity:
+class CandidateEntity(NamedTuple):
     canonical_surface: str
-    mentions: tuple[EntityMention, ...]
     df: int
-    tags: tuple[tuple[str, int], ...]  # (tag, count) pairs, most common first
+    # The distinct (doc_id, sentence index) pairs of its mentions, sorted.
+    sentence_keys: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    question_id: str
+class CandidatePool(NamedTuple):
     candidates: tuple[CandidateEntity, ...]
     capped: bool
 
@@ -134,14 +123,8 @@ class GazetteerExtractor:
                 if tag is not None:
                     start = spans[i][0]
                     end = spans[i + length - 1][1]
-                    found.append(EntityMention(
-                        surface=text[start:end],
-                        tag=tag,
-                        doc_id=doc_id,
-                        sentence_index=sent_idx,
-                        start=start,
-                        end=end,
-                    ))
+                    found.append(EntityMention(text[start:end], tag, doc_id,
+                                               sent_idx, start, end))
                     i += length
                     break
             else:
@@ -158,57 +141,79 @@ class AnnotationFileExtractor:
 
     File format (JSONL): {"question_id", "doc_rank",
     "entities": [{"surface", "tag", "sent_idx", "start", "end"}, ...]}.
-    Records are indexed by question id at load, so `extract` reads only
-    the records of its own question.
+    Every entity is checked once, at load: its keys, its tag and its span.
+    Records are indexed by question id, so `extract` reads only the
+    records of its own question and checks only what needs the segmented
+    document.
     """
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        # question id -> document rank -> entities, each level in the order
-        # of first appearance in the file.
-        self.records: dict[str, dict[int, list[dict]]] = {}
+        # question id -> document rank -> (first line, entities), each level
+        # in the order of first appearance in the file. An entity is
+        # (line, surface, tag, sent_idx, start, end).
+        self.records: dict[str, dict[int, tuple[int, list[tuple]]]] = {}
         for line_no, raw in read_jsonl(path):
             try:
                 qid, rank = str(raw["question_id"]), int(raw["doc_rank"])
                 ents = raw["entities"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc
-            self.records.setdefault(qid, {}).setdefault(rank, []).extend(ents)
+            by_rank = self.records.setdefault(qid, {})
+            if rank not in by_rank:
+                by_rank[rank] = (line_no, [])
+            by_rank[rank][1].extend(self._checked(ents, line_no, qid))
+
+    def _checked(self, ents, line_no: int, qid: str) -> list[tuple]:
+        def fail(reason: str) -> ParseError:
+            return ParseError(self.path, line_no, f"question {qid!r}: {reason}")
+
+        checked = []
+        try:
+            for ent in ents:
+                surface, tag = str(ent["surface"]), str(ent["tag"])
+                sent_idx, start, end = int(ent["sent_idx"]), int(ent["start"]), int(ent["end"])
+                if tag not in ONTONOTES_TAGS:
+                    raise fail(f"unknown entity tag {tag!r}")
+                if sent_idx < 0:
+                    raise fail(f"negative sentence index {sent_idx}")
+                if not 0 <= start < end:
+                    raise fail(f"bad span [{start}, {end})")
+                checked.append((line_no, surface, tag, sent_idx, start, end))
+        except KeyError as exc:
+            raise fail(f"entity without key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise fail(f"invalid entity: {exc}") from exc
+        return checked
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
         qid = docset.question_id
-        known = {(d.question_id, d.original_rank) for d in docset.documents}
-        for rank in self.records.get(qid, {}):
-            if (qid, rank) not in known:
+        by_rank = self.records.get(qid, {})
+        known = {d.original_rank for d in docset.documents if d.question_id == qid}
+        for rank, (line_no, _ents) in by_rank.items():
+            if rank not in known:
                 raise IngestionError(
-                    f"{self.path}: annotations reference unknown document "
-                    f"{qid!r} rank {rank}"
+                    f"{self.path}:{line_no}: question {qid!r}: annotations "
+                    f"reference unknown document {qid!r} rank {rank}"
                 )
         mentions: list[EntityMention] = []
         for doc in docset.documents:
-            doc_id = doc.doc_id
-            by_rank = self.records.get(doc.question_id, {})
-            for ent in by_rank.get(doc.original_rank, []):
-                sent_idx = int(ent["sent_idx"])
-                if not (0 <= sent_idx < len(doc.sentences)):
+            doc_id, sentences = doc.doc_id, doc.sentences
+            _line, ents = self.records.get(doc.question_id, {}).get(
+                doc.original_rank, (0, ()))
+            for line_no, surface, tag, sent_idx, start, end in ents:
+                if sent_idx >= len(sentences):
                     raise IngestionError(
-                        f"{self.path}: sentence index {sent_idx} out of range "
-                        f"for document {doc_id}"
+                        f"{self.path}:{line_no}: question {doc.question_id!r}: "
+                        f"sentence index {sent_idx} out of range for document {doc_id}"
                     )
-                start, end = int(ent["start"]), int(ent["end"])
-                if not (0 <= start < end <= len(doc.sentences[sent_idx])):
+                if end > len(sentences[sent_idx]):
                     raise IngestionError(
-                        f"{self.path}: span [{start}, {end}) outside sentence "
-                        f"{sent_idx} of {doc_id}"
+                        f"{self.path}:{line_no}: question {doc.question_id!r}: "
+                        f"span [{start}, {end}) outside sentence {sent_idx} of {doc_id}"
                     )
-                mentions.append(EntityMention(
-                    surface=str(ent["surface"]),
-                    tag=str(ent["tag"]),
-                    doc_id=doc_id,
-                    sentence_index=sent_idx,
-                    start=start,
-                    end=end,
-                ))
+                mentions.append(EntityMention(surface, tag, doc_id, sent_idx,
+                                              start, end))
         return mentions
 
 
@@ -238,53 +243,37 @@ def filter_by_type(mentions: Iterable[EntityMention],
     return [m for m in mentions if m.tag in accepted_tags]
 
 
-def build_pool(mentions: Sequence[EntityMention], docset: DocumentSet,
+def build_pool(mentions: Sequence[EntityMention],
                cap: int = DEFAULT_CANDIDATE_CAP,
                group_surface_variants: bool = True,
-               all_mentions: Sequence[EntityMention] | None = None,
-               df_any_tag: bool = False) -> CandidatePool:
+               df_mentions: Sequence[EntityMention] | None = None) -> CandidatePool:
     """Group type-filtered mentions into candidates with document frequency.
 
-    df counts the distinct documents containing the entity with an accepted
-    tag; with df_any_tag=True it instead counts documents containing the
-    entity under any tag (all_mentions must then carry the unfiltered list).
-    If more than `cap` candidates emerge they are ranked by df descending
-    (ties by canonical surface) and only the top `cap` are retained.
+    df counts the distinct documents holding the entity in `mentions` or,
+    when given, in `df_mentions`: pass the unfiltered mentions to count
+    documents containing it under any tag. If more than `cap` candidates
+    emerge they are ranked by df descending (ties by canonical surface)
+    and only the top `cap` are retained.
     """
-    def key_of(m: EntityMention) -> str:
-        return canonicalize(m.surface) if group_surface_variants else m.surface
+    key_of = canonicalize if group_surface_variants else str
 
-    grouped: dict[str, list[EntityMention]] = {}
+    sentence_keys: dict[str, set[tuple[str, int]]] = {}
     for m in mentions:
-        key = key_of(m)
+        key = key_of(m.surface)
         if key:
-            grouped.setdefault(key, []).append(m)
+            sentence_keys.setdefault(key, set()).add((m.doc_id, m.sentence_index))
 
-    df_source = grouped
-    if df_any_tag:
-        if all_mentions is None:
-            raise ValueError("df_any_tag requires the unfiltered mention list")
-        df_source = {}
-        for m in all_mentions:
-            key = key_of(m)
-            if key:
-                df_source.setdefault(key, []).append(m)
+    docs = {key: {doc_id for doc_id, _index in keys}
+            for key, keys in sentence_keys.items()}
+    for m in df_mentions or ():
+        key = key_of(m.surface)
+        if key in docs:
+            docs[key].add(m.doc_id)
 
-    candidates = []
-    for key, group in grouped.items():
-        docs = {m.doc_id for m in df_source.get(key, group)}
-        tags = Counter(m.tag for m in group)
-        candidates.append(CandidateEntity(
-            canonical_surface=key,
-            mentions=tuple(group),
-            df=len(docs),
-            tags=tuple(tags.most_common()),
-        ))
-
-    candidates.sort(key=lambda c: (-c.df, c.canonical_surface))
-    capped = len(candidates) > cap
+    ranked = sorted(sentence_keys, key=lambda key: (-len(docs[key]), key))
     return CandidatePool(
-        question_id=docset.question_id,
-        candidates=tuple(candidates[:cap]),
-        capped=capped,
+        candidates=tuple(
+            CandidateEntity(key, len(docs[key]), tuple(sorted(sentence_keys[key])))
+            for key in ranked[:cap]),
+        capped=len(ranked) > cap,
     )

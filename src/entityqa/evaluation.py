@@ -28,6 +28,7 @@ METRICS = ("MRR", "P@1", "Hit@5", "tMRR", "tP@1", "tHit@5")
 TMRR_MODES = ("expected_reciprocal", "reciprocal_expected")
 
 SIGNIFICANCE_LEVEL = 0.05
+# The 5 of Hit@5 and tHit@5: a run is scored as a top-5 list.
 CLASSICAL_RANK_CUTOFF = 5
 
 
@@ -162,16 +163,15 @@ def _first_relevant_position_dist(n: int, r: int) -> list[tuple[int, float]]:
 
 
 def tie_aware_metrics(run: TiedRun, judgment: Judgment,
-                      tmrr_mode: str = "expected_reciprocal",
-                      hit_cutoff: int = 5) -> tuple[float, float, float]:
+                      tmrr_mode: str = "expected_reciprocal"
+                      ) -> tuple[float, float, float]:
     """(tMRR, tP@1, tHit@5) in closed form; see tie_aware_from_counts."""
-    return tie_aware_from_counts(_run_counts(run, judgment), tmrr_mode,
-                                 hit_cutoff)
+    return tie_aware_from_counts(_run_counts(run, judgment), tmrr_mode)
 
 
 def tie_aware_from_counts(counts: Sequence[tuple[int, int]],
-                          tmrr_mode: str = "expected_reciprocal",
-                          hit_cutoff: int = 5) -> tuple[float, float, float]:
+                          tmrr_mode: str = "expected_reciprocal"
+                          ) -> tuple[float, float, float]:
     """(tMRR, tP@1, tHit@5) from per-group (size, relevant) counts.
 
     The expectations depend only on each group's size and relevant count
@@ -192,18 +192,18 @@ def tie_aware_from_counts(counts: Sequence[tuple[int, int]],
 
     tp1 = counts[0][1] / counts[0][0] if counts else 0.0
 
-    # tHit@5: P(some relevant item within the first `hit_cutoff` positions).
+    # tHit@5: P(some relevant item within the first five positions).
     miss_prob = 1.0
     before = 0
     for n, r in counts:
         after = before + n
-        if before >= hit_cutoff:
+        if before >= CLASSICAL_RANK_CUTOFF:
             break
         if r > 0:
-            if after <= hit_cutoff:
+            if after <= CLASSICAL_RANK_CUTOFF:
                 miss_prob = 0.0
                 break
-            slots = hit_cutoff - before
+            slots = CLASSICAL_RANK_CUTOFF - before
             # All `slots` positions drawn from this group must come from
             # its n - r irrelevant members.
             if n - r < slots:

@@ -179,7 +179,8 @@ class LoadedStages:
 
         The answer type is predicted first, from the question alone, so a
         question of a non-entity type returns before its documents are
-        segmented.
+        segmented. Returns (pool, evidence, number of documents), or None
+        for a question of a non-entity type.
         """
         try:
             coarse, fine = self.predict_types(question)
@@ -195,11 +196,10 @@ class LoadedStages:
         all_mentions = self.extractor.extract(segmented)
         typed = filter_by_type(all_mentions, accepted)
         pool = build_pool(
-            typed, segmented,
+            typed,
             cap=self.config.candidate_cap,
             group_surface_variants=self.config.group_surface_variants,
-            all_mentions=all_mentions if self.config.df_any_tag else None,
-            df_any_tag=self.config.df_any_tag,
+            df_mentions=all_mentions if self.config.df_any_tag else None,
         )
         evidence = build_evidence(pool, segmented,
                                   preprocess_text(question.text), self.provider)

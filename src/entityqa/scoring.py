@@ -9,7 +9,6 @@ question embedding and those sentence embeddings.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ import numpy as np
 from .corpus import DocumentSet, read_jsonl, write_jsonl
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
-
-log = logging.getLogger(__name__)
 
 AGGREGATION_MODES = ("avg", "avg_max", "max")
 
@@ -184,17 +181,16 @@ def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> i
 @dataclass(frozen=True)
 class EvidenceSet:
     entity: CandidateEntity
-    sentence_keys: tuple[tuple[str, int], ...]  # (doc_id, sentence index)
-    scores: tuple[float, ...]
+    scores: tuple[float, ...]  # one per entity.sentence_keys entry
 
     def __post_init__(self):
-        if len(self.sentence_keys) != len(self.scores):
-            raise ValueError("scores must parallel sentence_keys")
+        if len(self.entity.sentence_keys) != len(self.scores):
+            raise ValueError("scores must parallel the entity's sentence_keys")
 
 
 def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
                    provider: Provider) -> list[EvidenceSet]:
-    """Collect and score each candidate's evidence sentences.
+    """Score each candidate's evidence sentences.
 
     Each distinct sentence is embedded and scored once, then shared across
     all candidates mentioned in it. A sentence's score is its cosine
@@ -209,11 +205,7 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
 
     out: list[EvidenceSet] = []
     for candidate in pool.candidates:
-        keys = sorted({(m.doc_id, m.sentence_index) for m in candidate.mentions})
-        if not keys:
-            log.warning("candidate %r has no evidence sentences; excluded",
-                        candidate.canonical_surface)
-            continue
+        keys = candidate.sentence_keys
         for key in keys:
             if key not in score_memo:
                 doc_id, index = key
@@ -224,7 +216,7 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
                 else:
                     value = float(np.dot(q_vec, vec) / (q_norm * norm))
                     score_memo[key] = max(-1.0, min(1.0, value))
-        out.append(EvidenceSet(entity=candidate, sentence_keys=tuple(keys),
+        out.append(EvidenceSet(entity=candidate,
                                scores=tuple(score_memo[key] for key in keys)))
     return out
 
@@ -249,7 +241,7 @@ def aggregate(evidence: EvidenceSet, mode: str,
         value = float(np.max(evidence.scores))
     elif mode == "avg_max":
         per_doc: dict[str, float] = {}
-        for (doc_id, _index), score in zip(evidence.sentence_keys, evidence.scores):
+        for (doc_id, _index), score in zip(evidence.entity.sentence_keys, evidence.scores):
             if doc_id not in per_doc or score > per_doc[doc_id]:
                 per_doc[doc_id] = score
         total = float(sum(per_doc.values()))

@@ -39,7 +39,7 @@ from entityqa.pipeline import PipelineConfig, load_stages, run_pipeline
 from entityqa.qtype import classifier_accuracy, majority_baseline
 from entityqa.ranking import TiedRun
 from entityqa.scoring import aggregate
-from entityqa.entities import CandidateEntity, EntityMention
+from entityqa.entities import CandidateEntity
 from entityqa.scoring import EvidenceSet
 
 
@@ -121,18 +121,14 @@ def test_criterion_04_aggregation_matches_brute_force():
     rng = random.Random(44)
 
     def evidence(scores_by_doc):
-        entity = CandidateEntity(
-            canonical_surface="x",
-            mentions=(EntityMention(surface="x", tag="PERSON", doc_id="d#1",
-                                    sentence_index=0, start=0, end=1),),
-            df=len(scores_by_doc), tags=(("PERSON", 1),))
         keys, values = [], []
         for doc_id, scores in scores_by_doc.items():
             for i, s in enumerate(scores):
                 keys.append((doc_id, i))
                 values.append(s)
-        return EvidenceSet(entity=entity, sentence_keys=tuple(keys),
-                           scores=tuple(values))
+        entity = CandidateEntity(canonical_surface="x", df=len(scores_by_doc),
+                                 sentence_keys=tuple(keys))
+        return EvidenceSet(entity=entity, scores=tuple(values))
 
     for _ in range(1000):
         scores_by_doc = {
@@ -161,13 +157,13 @@ def test_criterion_05_df_matches_document_scan():
                      for i, t in enumerate(texts))
         docset = DocumentSet(question_id="q", documents=docs)
         mentions = GazetteerExtractor(lexicon).extract(docset)
-        pool = build_pool(mentions, docset, cap=100)
+        pool = build_pool(mentions, cap=100)
         got = {c.canonical_surface: c.df for c in pool.candidates}
         assert got == brute_force_df(truth, str.lower)
 
         dfs = [c.df for c in pool.candidates]
         assert dfs == sorted(dfs, reverse=True)
-        capped = build_pool(mentions, docset, cap=3)
+        capped = build_pool(mentions, cap=3)
         assert [c.canonical_surface for c in capped.candidates] == \
             [c.canonical_surface for c in pool.candidates][:3]
 

@@ -10,6 +10,8 @@ from datagen import generate_labeled_file
 
 from entityqa.cli import main
 from entityqa.corpus import Document, DocumentSet, load_documents, write_documents
+from entityqa.entities import AnnotationFileExtractor
+from entityqa.errors import ParseError
 from entityqa.qtype import QuestionClassifier
 
 
@@ -116,6 +118,31 @@ def test_run_duplicate_document_is_a_data_error(tmp_path, config_file, capsys):
     assert err.startswith(f"data error: {bad}:2:")
     assert "'q1'" in err and "first seen on line 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entity, reason", [
+    ({"tag": "CITY"}, "unknown entity tag 'CITY'"),
+    ({"end": None}, "entity without key 'end'"),
+    ({"start": 5}, "bad span [5, 5)"),
+    ({"sent_idx": "one"}, "invalid entity: invalid literal for int()"),
+])
+def test_malformed_annotation_is_a_data_error_at_load(
+        tmp_path, config_file, capsys, entity, reason):
+    good = {"surface": "Paris", "tag": "GPE", "sent_idx": 0, "start": 0, "end": 5}
+    ent = {k: v for k, v in {**good, **entity}.items() if v is not None}
+    bad = tmp_path / "annotations.jsonl"
+    bad.write_text(json.dumps({"question_id": "q7", "doc_rank": 1,
+                               "entities": [ent]}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        AnnotationFileExtractor(bad)
+    assert str(excinfo.value).startswith(f"{bad}:1: question 'q7': {reason}")
+
+    out = tmp_path / "r.jsonl"
+    cfg = config_file({"ner_backend": "annotations", "annotations_path": str(bad)})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:1: question 'q7': {reason}")
+    assert not out.exists() and not Path(f"{out}.config.json").exists()
 
 
 def test_bad_set_syntax_exits_2(tmp_path, config_file):

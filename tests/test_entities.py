@@ -39,12 +39,6 @@ def test_ontonotes_tag_set():
             "CARDINAL"} <= ONTONOTES_TAGS
 
 
-def test_mention_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        EntityMention(surface="x", tag="NOT_A_TAG", doc_id="q1#1",
-                      sentence_index=0, start=0, end=1)
-
-
 def test_filter_by_type():
     mk = lambda tag: EntityMention(surface="x", tag=tag, doc_id="q1#1",
                                    sentence_index=0, start=0, end=1)
@@ -166,26 +160,26 @@ def test_annotation_file_unknown_doc_raises_for_its_question_only(tmp_path):
 def test_build_pool_groups_surface_variants():
     docset = _docset(["Webb Simpson won.", "WEBB SIMPSON lost."])
     ext = GazetteerExtractor({"Webb Simpson": "PERSON"})
-    pool = build_pool(ext.extract(docset), docset)
+    pool = build_pool(ext.extract(docset))
     assert len(pool.candidates) == 1
     cand = pool.candidates[0]
     assert cand.canonical_surface == "webb simpson"
     assert cand.df == 2
-    assert len(cand.mentions) == 2
+    assert cand.sentence_keys == (("q1#1", 0), ("q1#2", 0))
 
 
 def test_build_pool_df_counts_documents_not_mentions():
     docset = _docset(["Paris and Paris again. Paris!", "No city here."])
     ext = GazetteerExtractor({"Paris": "GPE"})
-    pool = build_pool(ext.extract(docset), docset)
+    pool = build_pool(ext.extract(docset))
     assert pool.candidates[0].df == 1
-    assert len(pool.candidates[0].mentions) == 3
+    assert pool.candidates[0].sentence_keys == (("q1#1", 0), ("q1#1", 1))
 
 
 def test_build_pool_orders_by_df_then_surface():
     docset = _docset(["Alpha Corp and Beta Corp.", "Beta Corp alone."])
     ext = GazetteerExtractor({"Alpha Corp": "ORG", "Beta Corp": "ORG"})
-    pool = build_pool(ext.extract(docset), docset)
+    pool = build_pool(ext.extract(docset))
     assert [c.canonical_surface for c in pool.candidates] == [
         "beta corp", "alpha corp"]
 
@@ -199,8 +193,8 @@ def test_build_pool_cap_keeps_df_descending_prefix():
     lexicon = {f"Ent{i}ax": "PERSON" for i in range(6)}
     docset = _docset(texts)
     ext = GazetteerExtractor(lexicon)
-    full = build_pool(ext.extract(docset), docset)
-    capped = build_pool(ext.extract(docset), docset, cap=3)
+    full = build_pool(ext.extract(docset))
+    capped = build_pool(ext.extract(docset), cap=3)
     assert capped.capped and not full.capped
     assert [c.canonical_surface for c in capped.candidates] == \
         [c.canonical_surface for c in full.candidates][:3]
@@ -214,15 +208,21 @@ def test_build_pool_df_any_tag_counts_all_tagged_docs():
     ext = GazetteerExtractor({"Ent0ax": "PERSON"})
     mentions = ext.extract(docset)
     kept = filter_by_type(mentions, frozenset({"PERSON"}))
-    pool = build_pool(kept, docset, all_mentions=mentions, df_any_tag=True)
+    pool = build_pool(kept, df_mentions=mentions)
     assert pool.candidates[0].df == 2
 
 
-def test_pool_tags_counted():
-    docset = _docset(["Ent0ax spoke. Ent0ax sang."])
-    ext = GazetteerExtractor({"Ent0ax": "PERSON"})
-    pool = build_pool(ext.extract(docset), docset)
-    assert pool.candidates[0].tags[0] == ("PERSON", 2)
+def test_build_pool_df_mentions_and_exact_surfaces():
+    mentions = [EntityMention("Paris", "GPE", "q1#1", 0, 0, 5),
+                EntityMention("PARIS", "GPE", "q1#2", 1, 0, 5),
+                EntityMention("Paris", "GPE", "q1#1", 0, 9, 14),
+                EntityMention("Paris", "ORG", "q1#3", 0, 0, 5)]
+    typed = filter_by_type(mentions, frozenset({"GPE"}))
+    keys = (("q1#1", 0), ("q1#2", 1))
+    assert build_pool(typed).candidates == (("paris", 2, keys),)
+    assert build_pool(typed, df_mentions=mentions).candidates == (("paris", 3, keys),)
+    assert build_pool(typed, group_surface_variants=False).candidates == (
+        ("PARIS", 1, (("q1#2", 1),)), ("Paris", 1, (("q1#1", 0),)))
 
 
 def test_df_matches_brute_force_on_random_corpora():
@@ -234,9 +234,17 @@ def test_df_matches_brute_force_on_random_corpora():
         docset = _docset(texts)
         ext = GazetteerExtractor(lexicon)
         mentions = ext.extract(docset)
-        pool = build_pool(mentions, docset, cap=1000)
+        pool = build_pool(mentions, cap=1000)
         got = {c.canonical_surface: c.df for c in pool.candidates}
         assert got == brute_force_df(truth, str.lower)
+        # Each planted surface occurs in no other surface, so a substring
+        # test finds exactly the sentences that mention it; the keys are
+        # sorted as plain tuples ("q1#10" before "q1#2").
+        assert {c.canonical_surface: c.sentence_keys for c in pool.candidates} == {
+            surface.lower(): tuple(sorted(
+                (doc.doc_id, index) for doc in docset.documents
+                for index, sentence in enumerate(doc.sentences) if surface in sentence))
+            for surface in lexicon if surface.lower() in got}
 
 
 # Word forms that the scan must treat alike or apart: accents precomposed

@@ -12,7 +12,7 @@ from oracles import reference_rank
 from entityqa import pipeline
 from entityqa.corpus import (DocumentSet, Question, load_documents,
                              load_questions, segment_sentences)
-from entityqa.entities import CandidateEntity, EntityMention
+from entityqa.entities import CandidateEntity
 from entityqa.errors import ConfigError
 from entityqa.evaluation import load_qrels, evaluate_run
 from entityqa.pipeline import (
@@ -338,15 +338,9 @@ def _random_evidence(rng: random.Random, n_docs: int
         scores = tuple(rng.choice(levels) if rng.random() < 0.7
                        else rng.uniform(-1, 1) for _ in keys)
         df = rng.randint(0, n_docs)
-        entity = CandidateEntity(
-            canonical_surface=surface,
-            mentions=tuple(EntityMention(surface=surface, tag="PERSON",
-                                         doc_id=doc_id, sentence_index=index,
-                                         start=0, end=1)
-                           for doc_id, index in keys),
-            df=df, tags=(("PERSON", df),))
-        evidence.append(EvidenceSet(entity=entity, sentence_keys=tuple(keys),
-                                    scores=scores))
+        entity = CandidateEntity(canonical_surface=surface, df=df,
+                                 sentence_keys=tuple(keys))
+        evidence.append(EvidenceSet(entity=entity, scores=scores))
         plain.append((surface, [(doc_id, score) for (doc_id, _), score
                                 in zip(keys, scores)], df))
     return evidence, plain

@@ -7,7 +7,7 @@ import pytest
 from oracles import brute_force_aggregate, reference_cosine
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
-from entityqa.entities import CandidateEntity, EntityMention, GazetteerExtractor, build_pool
+from entityqa.entities import CandidateEntity, GazetteerExtractor, build_pool
 from entityqa.errors import CacheMissError, ParseError
 from entityqa.scoring import (
     AGGREGATION_MODES,
@@ -221,7 +221,7 @@ def _evidence_fixture():
                  for i, t in enumerate(texts))
     docset = DocumentSet(question_id="q1", documents=docs)
     ext = GazetteerExtractor({"Ent0ax": "PERSON", "Ent1bx": "PERSON"})
-    pool = build_pool(ext.extract(docset), docset)
+    pool = build_pool(ext.extract(docset))
     return docset, pool
 
 
@@ -234,14 +234,14 @@ def test_build_evidence_shapes_and_sharing():
             for doc in docset.documents for i, s in enumerate(doc.sentences)}
     ent0 = evidence["ent0ax"]
     ent1 = evidence["ent1bx"]
-    assert ent0.sentence_keys == (("q1#1", 0), ("q1#1", 1))  # both in doc 1
-    assert ent1.sentence_keys == (("q1#1", 1), ("q1#2", 0))  # shared + doc 2
-    shared = set(ent0.sentence_keys) & set(ent1.sentence_keys)
+    assert ent0.entity.sentence_keys == (("q1#1", 0), ("q1#1", 1))  # both in doc 1
+    assert ent1.entity.sentence_keys == (("q1#1", 1), ("q1#2", 0))  # shared + doc 2
+    shared = set(ent0.entity.sentence_keys) & set(ent1.entity.sentence_keys)
     assert {text[key] for key in shared} == {"Ent0ax and Ent1bx like beta."}
     # the shared sentence scored identically for both candidates
     key = shared.pop()
-    s0 = dict(zip(ent0.sentence_keys, ent0.scores))
-    s1 = dict(zip(ent1.sentence_keys, ent1.scores))
+    s0 = dict(zip(ent0.entity.sentence_keys, ent0.scores))
+    s1 = dict(zip(ent1.entity.sentence_keys, ent1.scores))
     assert s0[key] == s1[key]
 
 
@@ -279,7 +279,7 @@ def _random_evidence_case(rng: random.Random):
                  for i, t in enumerate(texts))
     docset = DocumentSet(question_id="q1", documents=docs)
     pool = build_pool(GazetteerExtractor({e: "PERSON" for e in entities})
-                      .extract(docset), docset)
+                      .extract(docset))
     pick = rng.choice((words, words, ["wtiny"]))
     question = " ".join(rng.choice(pick) for _ in range(rng.randint(1, 3)))
     return docset, pool, question, WordAverageProvider(vectors)
@@ -298,7 +298,7 @@ def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
         for provider in (word_avg, CacheProvider(cache_path)):
             q_vec = provider.embed(question)
             for ev in build_evidence(pool, docset, question, provider):
-                for key, score in zip(ev.sentence_keys, ev.scores):
+                for key, score in zip(ev.entity.sentence_keys, ev.scores):
                     s_vec = provider.embed(sentence[key])
                     assert score == reference_cosine(q_vec, s_vec)
                     if not (q_vec.any() and s_vec.any()):
@@ -341,13 +341,13 @@ def test_build_evidence_norms_equal_numpy_norm_at_the_extremes():
     sentences = docset.documents[0].sentences
     assert len(sentences) == len(vectors)
     pool = build_pool(GazetteerExtractor({f"Ent{i}x": "PERSON" for i in range(len(vectors))})
-                      .extract(docset), docset)
+                      .extract(docset))
     for q_vec in vectors:
         provider = _TableProvider(dict(zip(sentences, vectors), question=q_vec))
         with np.errstate(all="ignore"):
             evidence = build_evidence(pool, docset, "question", provider)
             expected = [[reference_cosine(q_vec, vectors[index])
-                         for _doc_id, index in ev.sentence_keys] for ev in evidence]
+                         for _doc_id, index in ev.entity.sentence_keys] for ev in evidence]
         assert len(evidence) == len(vectors)
         assert [list(ev.scores) for ev in evidence] == expected
 
@@ -367,19 +367,15 @@ def test_build_evidence_cache_miss_names_hash(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _ev(scores_by_doc: dict[str, list[float]]) -> EvidenceSet:
-    entity = CandidateEntity(
-        canonical_surface="x",
-        mentions=(EntityMention(surface="x", tag="PERSON", doc_id="d#1",
-                              sentence_index=0, start=0, end=1),),
-        df=len(scores_by_doc), tags=(("PERSON", 1),))
     keys = []
     values = []
     for doc_id, scores in scores_by_doc.items():
         for i, s in enumerate(scores):
             keys.append((doc_id, i))
             values.append(s)
-    return EvidenceSet(entity=entity, sentence_keys=tuple(keys),
-                       scores=tuple(values))
+    entity = CandidateEntity(canonical_surface="x", df=len(scores_by_doc),
+                             sentence_keys=tuple(keys))
+    return EvidenceSet(entity=entity, scores=tuple(values))
 
 
 def test_aggregate_singleton_all_modes_coincide():
@@ -410,11 +406,8 @@ def test_aggregate_all_docs_denominator():
 
 
 def test_aggregate_empty_evidence_rejected():
-    entity = CandidateEntity(canonical_surface="x", mentions=(
-        EntityMention(surface="x", tag="PERSON", doc_id="d#1",
-                      sentence_index=0, start=0, end=1),),
-        df=1, tags=(("PERSON", 1),))
-    ev = EvidenceSet(entity=entity, sentence_keys=(), scores=())
+    entity = CandidateEntity(canonical_surface="x", df=1, sentence_keys=())
+    ev = EvidenceSet(entity=entity, scores=())
     with pytest.raises(ValueError):
         aggregate(ev, "avg")
 
