@@ -15,9 +15,8 @@ from .entities import (CandidateEntity, CandidatePool, EntityMention,
                        GazetteerExtractor, ONTONOTES_TAGS, build_pool,
                        filter_by_type)
 from .evaluation import (Judgment, MetricReport, SignificanceResult,
-                         classical_metrics, evaluate_run, load_qrels,
-                         match_answer, paired_t_test, per_query_diff,
-                         tie_aware_metrics)
+                         evaluate_run, load_qrels, match_answer,
+                         paired_t_test, per_query_diff)
 from .pipeline import (LoadedStages, PipelineConfig, PipelineResult,
                        load_config, load_stages, run_pipeline, write_run_file)
 from .qtype import QuestionClassifier, map_answer_types, train_classifier
@@ -36,11 +35,11 @@ __all__ = [
     "PipelineConfig", "PipelineResult", "Question", "QuestionClassifier",
     "RankingConfig", "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
     "aggregate", "build_evidence", "build_pool", "canonicalize",
-    "classical_metrics", "collection_spec", "combine",
+    "collection_spec", "combine",
     "evaluate_run", "filter_by_type", "load_config",
     "load_documents", "load_qrels", "load_questions", "load_runs",
     "load_stages", "map_answer_types", "match_answer", "paired_t_test",
     "per_query_diff", "preprocess_text", "rank_answers", "run_pipeline",
     "sample_strata", "segment_sentences", "split_sentences",
-    "tie_aware_metrics", "train_classifier", "write_run_file", "write_runs",
+    "train_classifier", "write_run_file", "write_runs",
 ]

@@ -325,16 +325,13 @@ def _contraction_rules(table: Mapping[str, str]
             all("'" in k for k in keys))
 
 
-def preprocess_text(raw: str, contraction_table: Mapping[str, str] | None = None) -> str:
+def preprocess_text(raw: str) -> str:
     """Accent-fold and expand contractions; idempotent on its own output."""
     global _default_rules
     text = fold_accents(_APOSTROPHES.sub("'", raw))
-    if contraction_table is None:
-        if _default_rules is None:
-            _default_rules = _contraction_rules(default_contractions())
-        pattern, lowered, keys_need_apostrophe = _default_rules
-    else:
-        pattern, lowered, keys_need_apostrophe = _contraction_rules(contraction_table)
+    if _default_rules is None:
+        _default_rules = _contraction_rules(default_contractions())
+    pattern, lowered, keys_need_apostrophe = _default_rules
     if keys_need_apostrophe and "'" not in text:
         return text
 

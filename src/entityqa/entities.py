@@ -87,7 +87,11 @@ class GazetteerExtractor:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise ParseError(str(path), line_no, "expected 'surface<TAB>tag'")
-                lexicon[parts[0]] = parts[1].strip()
+                tag = parts[1].strip()
+                if tag not in ONTONOTES_TAGS:
+                    raise ParseError(str(path), line_no,
+                                     f"gazetteer tag {tag!r} not in the tagset")
+                lexicon[parts[0]] = tag
         return cls(lexicon)
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:

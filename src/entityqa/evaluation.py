@@ -4,7 +4,10 @@ Classical MRR / P@1 / Hit@5 treat each tie group as one rank, which
 rewards systems for flooding a rank with candidates. The tie-aware
 variants score the expectation of each metric when every tie group is
 shuffled into a uniformly random linear order, computed here in closed
-form from hypergeometric position distributions.
+form from hypergeometric position distributions. All six metrics come
+from the first tie group that holds a relevant candidate, found in one
+scan: the classical ones see only the first five groups, while tMRR
+counts that group at any rank.
 """
 
 from __future__ import annotations
@@ -105,142 +108,50 @@ def matching_surfaces(surfaces: Iterable[str],
     return frozenset(s for s in surfaces if match_answer(s, judgment))
 
 
-def _relevance_counts(groups: Sequence[frozenset[str]],
-                     relevant: frozenset[str]) -> list[tuple[int, int]]:
-    """(group size, number of relevant members) per group, in run order."""
-    return [(len(group), len(group & relevant)) for group in groups]
-
-
-def _run_counts(run: TiedRun, judgment: Judgment) -> list[tuple[int, int]]:
-    relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
-    return _relevance_counts(run.groups, relevant)
-
-
-# ---------------------------------------------------------------------------
-# Classical metrics (one rank per tie group)
-# ---------------------------------------------------------------------------
-
-def classical_metrics(run: TiedRun, judgment: Judgment) -> tuple[float, float, float]:
-    """(MRR, P@1, Hit@5) with each group counted as a single rank."""
-    return classical_from_counts(_run_counts(run, judgment))
-
-
-def classical_from_counts(counts: Sequence[tuple[int, int]]
-                          ) -> tuple[float, float, float]:
-    """(MRR, P@1, Hit@5) from per-group (size, relevant) counts.
-
-    Only the first five groups are scanned — the rank list is a top-5 list
-    by construction, and external runs with more groups are treated as if
-    truncated.
-    """
-    counts = counts[:CLASSICAL_RANK_CUTOFF]
-    mrr = 0.0
-    hit = 0.0
-    for index, (_n, r) in enumerate(counts, start=1):
-        if r > 0:
-            mrr = 1.0 / index
-            hit = 1.0
-            break
-    p1 = 1.0 if counts and counts[0][1] > 0 else 0.0
-    return mrr, p1, hit
-
-
-# ---------------------------------------------------------------------------
-# Tie-aware metrics (expectations under random tie-breaking)
-# ---------------------------------------------------------------------------
-
-def _first_relevant_position_dist(n: int, r: int) -> list[tuple[int, float]]:
-    """(position, probability) of the first relevant item inside one group.
-
-    With r relevant among n uniformly shuffled items, the first relevant
-    sits at internal position j with probability C(n-j, r-1) / C(n, r).
-    """
-    denom = math.comb(n, r)
-    return [
-        (j, math.comb(n - j, r - 1) / denom)
-        for j in range(1, n - r + 2)
-    ]
-
-
-def tie_aware_metrics(run: TiedRun, judgment: Judgment,
-                      tmrr_mode: str = "expected_reciprocal"
-                      ) -> tuple[float, float, float]:
-    """(tMRR, tP@1, tHit@5) in closed form; see tie_aware_from_counts."""
-    return tie_aware_from_counts(_run_counts(run, judgment), tmrr_mode)
-
-
-def tie_aware_from_counts(counts: Sequence[tuple[int, int]],
-                          tmrr_mode: str = "expected_reciprocal"
-                          ) -> tuple[float, float, float]:
-    """(tMRR, tP@1, tHit@5) from per-group (size, relevant) counts.
-
-    The expectations depend only on each group's size and relevant count
-    (McSherry & Najork, ECIR 2008).
-
-    Position distributions: group g occupies linear positions
-    N_{g-1}+1 .. N_g, where N_g is the cumulative size. tP@1 is the
-    relevant fraction of group 1. tHit@5 multiplies, per group overlapping
-    the first five positions, the probability that none of its relevant
-    members is drawn into those positions. tMRR sums E[1/position] of the
-    first relevant item over the first group that has one; the
-    reciprocal_expected mode instead returns 1 / E[position].
-    """
-    if tmrr_mode not in TMRR_MODES:
-        raise ValueError(f"unknown tMRR mode {tmrr_mode!r}")
-    if not any(r for _n, r in counts):
-        return 0.0, 0.0, 0.0
-
-    tp1 = counts[0][1] / counts[0][0] if counts else 0.0
-
-    # tHit@5: P(some relevant item within the first five positions).
-    miss_prob = 1.0
-    before = 0
-    for n, r in counts:
-        after = before + n
-        if before >= CLASSICAL_RANK_CUTOFF:
-            break
-        if r > 0:
-            if after <= CLASSICAL_RANK_CUTOFF:
-                miss_prob = 0.0
-                break
-            slots = CLASSICAL_RANK_CUTOFF - before
-            # All `slots` positions drawn from this group must come from
-            # its n - r irrelevant members.
-            if n - r < slots:
-                miss_prob = 0.0
-                break
-            miss_prob *= math.comb(n - r, slots) / math.comb(n, slots)
-        before = after
-    thit = 1.0 - miss_prob
-
-    # tMRR: only the first group with a relevant member matters.
-    tmrr = 0.0
-    before = 0
-    for n, r in counts:
-        if r > 0:
-            if tmrr_mode == "expected_reciprocal":
-                tmrr = sum(
-                    p / (before + j)
-                    for j, p in _first_relevant_position_dist(n, r)
-                )
-            else:
-                expected_rank = before + (n + 1) / (r + 1)
-                tmrr = 1.0 / expected_rank
-            break
-        before += n
-    return tmrr, tp1, thit
-
-
 def run_metrics(groups: Sequence[frozenset[str]], relevant: frozenset[str],
                 tmrr_mode: str) -> tuple[float, ...]:
     """All METRICS of one ranked list of tie groups, in METRICS order.
 
     `relevant` holds the surfaces that match the question's gold answers
     (see matching_surfaces); it may include surfaces outside the groups.
+    Every metric depends only on the first group with a relevant member:
+    its rank g, the positions `before` it, its size n and its relevant
+    count r (McSherry & Najork, ECIR 2008).
+
+    Classical: one rank per group, over the first five groups. Tie-aware:
+    the group's members are shuffled uniformly, so its first relevant one
+    sits at internal position j with probability C(n-j, r-1) / C(n, r).
+    tP@1 is r/n for the first group. tHit@5 misses only when all
+    s = min(max(5 - before, 0), n) positions the group has inside the
+    cutoff draw irrelevant members: 1 - C(n-r, s) / C(n, s). tMRR is
+    E[1 / position], or 1 / E[position] in the reciprocal_expected mode.
     """
-    counts = _relevance_counts(groups, relevant)
-    return classical_from_counts(counts) + tie_aware_from_counts(counts,
-                                                                 tmrr_mode)
+    if tmrr_mode not in TMRR_MODES:
+        raise ValueError(f"unknown tMRR mode {tmrr_mode!r}")
+    before = 0
+    for g, group in enumerate(groups, start=1):
+        n = len(group)
+        r = len(group & relevant)
+        if r:
+            break
+        before += n
+    else:
+        return (0.0,) * len(METRICS)
+
+    if g <= CLASSICAL_RANK_CUTOFF:
+        mrr, p1, hit = 1.0 / g, 1.0 if g == 1 else 0.0, 1.0
+    else:
+        mrr = p1 = hit = 0.0
+    if tmrr_mode == "expected_reciprocal":
+        placements = math.comb(n, r)
+        tmrr = sum(math.comb(n - j, r - 1) / placements / (before + j)
+                   for j in range(1, n - r + 2))
+    else:
+        tmrr = 1.0 / (before + (n + 1) / (r + 1))
+    tp1 = r / n if g == 1 else 0.0
+    slots = min(max(CLASSICAL_RANK_CUTOFF - before, 0), n)
+    thit = 1.0 - math.comb(n - r, slots) / math.comb(n, slots)
+    return mrr, p1, hit, tmrr, tp1, thit
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +271,13 @@ def _aligned(report_a: MetricReport, report_b: MetricReport) -> MetricReport:
                 for metric, series in report_b.values.items()})
 
 
-def compare_reports(report_a: MetricReport, report_b: MetricReport,
-                    metrics: Sequence[str] = METRICS) -> list[SignificanceResult]:
-    """Paired t-tests of a against b, question by question."""
+def compare_reports(report_a: MetricReport,
+                    report_b: MetricReport) -> list[SignificanceResult]:
+    """Paired t-tests of a against b on every metric, question by question."""
     report_b = _aligned(report_a, report_b)
     return [
         paired_t_test(report_a.series(m), report_b.series(m), metric=m)
-        for m in metrics
+        for m in METRICS
     ]
 
 

@@ -14,7 +14,7 @@ the level it depends on:
   scoring) and the gold match of every pool surface;
 - per pair, question and aggregation mode: one `aggregate` per candidate;
 - per variant: only `rank_answers` (combine, rounding, tie grouping),
-  then the metrics from the groups' (size, relevant) counts;
+  then `run_metrics` up to the first group with a relevant member;
 - per emitted row: the config_id.
 """
 
@@ -173,31 +173,28 @@ def _evaluate_variant(ranking: RankingConfig, questions: Sequence[Question],
 def _ablation_cell(mode_config: PipelineConfig, questions: Sequence[Question],
                    candidates: Mapping[str, _Candidates],
                    combine_mode: str, tmrr_mode: str) -> AblationRow:
-    if combine_mode == "multiplicative":
-        alpha = beta = None
-        variant = replace(mode_config, combine=combine_mode)
-        report = _evaluate_variant(variant.ranking, questions, candidates,
-                                   tmrr_mode)
-    else:
-        digits = mode_config.score_digits
-        best: tuple[float, float, float, MetricReport] | None = None
-        for grid_alpha, grid_beta in ALPHA_BETA_GRID:
-            grid_report = _evaluate_variant(
-                RankingConfig(combine_mode=combine_mode, alpha=grid_alpha,
-                              beta=grid_beta, score_digits=digits),
-                questions, candidates, tmrr_mode)
-            mean_tmrr = grid_report.mean("tMRR")
-            # Strictly greater: ties keep the first grid point.
-            if best is None or mean_tmrr > best[0]:
-                best = (mean_tmrr, grid_alpha, grid_beta, grid_report)
-        _score, alpha, beta, report = best
-        variant = replace(mode_config, combine=combine_mode, alpha=alpha,
-                          beta=beta)
+    """The cell's grid point with the best mean tMRR. A multiplicative cell
+    has one point, the configured weights, which its combine ignores."""
+    additive = combine_mode == "additive"
+    grid = (ALPHA_BETA_GRID if additive
+            else ((mode_config.alpha, mode_config.beta),))
+    best: tuple[float, float, float, MetricReport] | None = None
+    for grid_alpha, grid_beta in grid:
+        grid_report = _evaluate_variant(
+            RankingConfig(combine_mode=combine_mode, alpha=grid_alpha,
+                          beta=grid_beta, score_digits=mode_config.score_digits),
+            questions, candidates, tmrr_mode)
+        mean_tmrr = grid_report.mean("tMRR")
+        # Strictly greater: ties keep the first grid point.
+        if best is None or mean_tmrr > best[0]:
+            best = (mean_tmrr, grid_alpha, grid_beta, grid_report)
+    _score, alpha, beta, report = best
+    variant = replace(mode_config, combine=combine_mode, alpha=alpha, beta=beta)
     return AblationRow(
         classifier=variant.classifier,
         embedding_provider=variant.embedding_provider,
         aggregation=variant.aggregation, combine=combine_mode,
-        alpha=alpha, beta=beta,
+        alpha=alpha if additive else None, beta=beta if additive else None,
         config_id=variant.config_id, means=report.means(),
     )
 

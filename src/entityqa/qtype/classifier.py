@@ -26,7 +26,7 @@ from ..errors import ParseError, TrainingError
 from .annotate import QuestionAnnotation, RuleBasedAnnotator
 from .features import FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import default_taxonomy
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,13 @@ class LabeledQuestion:
         return f"{self.coarse}:{self.fine}"
 
 
-def load_labeled_questions(path: str | Path,
-                           taxonomy: Taxonomy | None = None) -> list[LabeledQuestion]:
+def load_labeled_questions(path: str | Path) -> list[LabeledQuestion]:
     """Parse the labeled-question file: "COARSE:fine<TAB>question text".
 
     Lines without a tab fall back to splitting on the first space, the
     other common distribution format of this data.
     """
-    tax = taxonomy or default_taxonomy()
+    tax = default_taxonomy()
     out: list[LabeledQuestion] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -10,7 +10,7 @@ yields the same feature space regardless of input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .annotate import QuestionAnnotation
 
@@ -42,20 +42,16 @@ class FeatureSpace:
         assert self.total_dim == sum(len(v) for v in self.vocab.values())
 
     @classmethod
-    def build(cls, annotations: Iterable[QuestionAnnotation],
-              min_count: int = 1) -> "FeatureSpace":
-        counts: dict[tuple[str, str], int] = {}
-        for ann in annotations:
-            for pair in set(feature_templates(ann)):
-                counts[pair] = counts.get(pair, 0) + 1
+    def build(cls, annotations: Iterable[QuestionAnnotation]) -> "FeatureSpace":
+        """Every feature that occurs in the annotations."""
         per_ns: dict[str, set[str]] = {ns: set() for ns in NAMESPACES}
-        for (ns, value), n in counts.items():
-            if n >= min_count:
-                per_ns.setdefault(ns, set()).add(value)
-        return cls.from_vocab({ns: sorted(vs) for ns, vs in per_ns.items()})
+        for ann in annotations:
+            for ns, value in feature_templates(ann):
+                per_ns[ns].add(value)
+        return cls.from_vocab(per_ns)
 
     @classmethod
-    def from_vocab(cls, vocab: dict[str, Sequence[str]]) -> "FeatureSpace":
+    def from_vocab(cls, vocab: dict[str, Iterable[str]]) -> "FeatureSpace":
         frozen = {ns: tuple(sorted(vocab.get(ns, ()))) for ns in NAMESPACES}
         index: dict[tuple[str, str], int] = {}
         i = 0

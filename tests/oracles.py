@@ -13,7 +13,10 @@ preprocessing oracle always runs the contraction regex. The ranking
 oracle is the old per-candidate tail: aggregate and range-check one
 semantic score, combine it with df, round and group, one step at a time.
 The answer-matching oracle splits both canonical forms into token lists
-and compares slices.
+and compares slices. The count-based metric oracles scan every group's
+(size, relevant) counts twice: once for the classical triple over the
+first five groups, once for the tie-aware triple with its tHit@5
+miss-probability product.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import math
 import re
 import unicodedata
+from typing import Sequence
 
 import numpy as np
 
@@ -119,6 +123,107 @@ def classical_reference(group_relevant: list[int],
             break
     p1 = 1.0 if head and head[0] > 0 else 0.0
     return mrr, p1, hit
+
+
+# Two-scan reference for run_metrics: the classical and the tie-aware
+# triples from the (size, relevant) counts of every group.
+CLASSICAL_RANK_CUTOFF = 5
+TMRR_MODES = ("expected_reciprocal", "reciprocal_expected")
+
+
+def classical_from_counts(counts: Sequence[tuple[int, int]]
+                          ) -> tuple[float, float, float]:
+    """(MRR, P@1, Hit@5) from per-group (size, relevant) counts.
+
+    Only the first five groups are scanned — the rank list is a top-5 list
+    by construction, and external runs with more groups are treated as if
+    truncated.
+    """
+    counts = counts[:CLASSICAL_RANK_CUTOFF]
+    mrr = 0.0
+    hit = 0.0
+    for index, (_n, r) in enumerate(counts, start=1):
+        if r > 0:
+            mrr = 1.0 / index
+            hit = 1.0
+            break
+    p1 = 1.0 if counts and counts[0][1] > 0 else 0.0
+    return mrr, p1, hit
+
+
+def _first_relevant_position_dist(n: int, r: int) -> list[tuple[int, float]]:
+    """(position, probability) of the first relevant item inside one group.
+
+    With r relevant among n uniformly shuffled items, the first relevant
+    sits at internal position j with probability C(n-j, r-1) / C(n, r).
+    """
+    denom = math.comb(n, r)
+    return [
+        (j, math.comb(n - j, r - 1) / denom)
+        for j in range(1, n - r + 2)
+    ]
+
+
+def tie_aware_from_counts(counts: Sequence[tuple[int, int]],
+                          tmrr_mode: str = "expected_reciprocal"
+                          ) -> tuple[float, float, float]:
+    """(tMRR, tP@1, tHit@5) from per-group (size, relevant) counts.
+
+    The expectations depend only on each group's size and relevant count
+    (McSherry & Najork, ECIR 2008).
+
+    Position distributions: group g occupies linear positions
+    N_{g-1}+1 .. N_g, where N_g is the cumulative size. tP@1 is the
+    relevant fraction of group 1. tHit@5 multiplies, per group overlapping
+    the first five positions, the probability that none of its relevant
+    members is drawn into those positions. tMRR sums E[1/position] of the
+    first relevant item over the first group that has one; the
+    reciprocal_expected mode instead returns 1 / E[position].
+    """
+    if tmrr_mode not in TMRR_MODES:
+        raise ValueError(f"unknown tMRR mode {tmrr_mode!r}")
+    if not any(r for _n, r in counts):
+        return 0.0, 0.0, 0.0
+
+    tp1 = counts[0][1] / counts[0][0] if counts else 0.0
+
+    # tHit@5: P(some relevant item within the first five positions).
+    miss_prob = 1.0
+    before = 0
+    for n, r in counts:
+        after = before + n
+        if before >= CLASSICAL_RANK_CUTOFF:
+            break
+        if r > 0:
+            if after <= CLASSICAL_RANK_CUTOFF:
+                miss_prob = 0.0
+                break
+            slots = CLASSICAL_RANK_CUTOFF - before
+            # All `slots` positions drawn from this group must come from
+            # its n - r irrelevant members.
+            if n - r < slots:
+                miss_prob = 0.0
+                break
+            miss_prob *= math.comb(n - r, slots) / math.comb(n, slots)
+        before = after
+    thit = 1.0 - miss_prob
+
+    # tMRR: only the first group with a relevant member matters.
+    tmrr = 0.0
+    before = 0
+    for n, r in counts:
+        if r > 0:
+            if tmrr_mode == "expected_reciprocal":
+                tmrr = sum(
+                    p / (before + j)
+                    for j, p in _first_relevant_position_dist(n, r)
+                )
+            else:
+                expected_rank = before + (n + 1) / (r + 1)
+                tmrr = 1.0 / expected_rank
+            break
+        before += n
+    return tmrr, tp1, thit
 
 
 def brute_force_aggregate(scores_by_doc: dict[str, list[float]], mode: str,

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import time
+from itertools import chain
 
 import pytest
 
@@ -28,11 +29,11 @@ from entityqa.corpus import (
 from entityqa.entities import GazetteerExtractor, build_pool
 from entityqa.evaluation import (
     Judgment,
-    classical_metrics,
     evaluate_run,
     load_qrels,
+    matching_surfaces,
     paired_t_test,
-    tie_aware_metrics,
+    run_metrics,
 )
 from entityqa.experiments import run_ablation
 from entityqa.pipeline import PipelineConfig, load_stages, run_pipeline
@@ -65,14 +66,19 @@ def _labeled_run(group_sizes, group_relevant, qid="q1"):
     return run, judgment
 
 
+def _metrics(run, judgment):
+    """run_metrics of a run scored against a judgment, in METRICS order."""
+    relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+    return run_metrics(run.groups, relevant, "expected_reciprocal")
+
+
 def test_criterion_01_table5_worked_example():
     """Group sizes [2,20,1,1,2], both answers in the last group:
     classical MRR = 0.2 and Hit@5 = 1; tie-aware tMRR = 0.04,
     tP@1 = 0, tHit@5 = 0. Runtime < 1 s."""
     t0 = time.perf_counter()
     run, judgment = _labeled_run([2, 20, 1, 1, 2], [0, 0, 0, 0, 2])
-    mrr, p1, hit = classical_metrics(run, judgment)
-    tmrr, tp1, thit = tie_aware_metrics(run, judgment)
+    mrr, p1, hit, tmrr, tp1, thit = _metrics(run, judgment)
     elapsed = time.perf_counter() - t0
     assert mrr == 0.2
     assert p1 == 0.0
@@ -94,7 +100,7 @@ def test_criterion_02_tie_aware_against_monte_carlo():
         sizes = [rng.randint(1, 25) for _ in range(k)]
         rel = [rng.randint(0, n) if rng.random() < 0.6 else 0 for n in sizes]
         run, judgment = _labeled_run(sizes, rel)
-        got = tie_aware_metrics(run, judgment)
+        got = _metrics(run, judgment)[3:]
         want = mc_tie_metrics(sizes, rel, n_samples=10 ** 6, seed=i)
         for g, w in zip(got, want):
             worst = max(worst, abs(g - w))
@@ -111,8 +117,8 @@ def test_criterion_03_singleton_runs_match_classical_bitwise():
         k = rng.randint(1, 5)
         rel = [1 if rng.random() < 0.35 else 0 for _ in range(k)]
         run, judgment = _labeled_run([1] * k, rel)
-        assert tie_aware_metrics(run, judgment) == \
-            classical_metrics(run, judgment)
+        values = _metrics(run, judgment)
+        assert values[3:] == values[:3]
 
 
 def test_criterion_04_aggregation_matches_brute_force():

@@ -145,6 +145,19 @@ def test_malformed_annotation_is_a_data_error_at_load(
     assert not out.exists() and not Path(f"{out}.config.json").exists()
 
 
+def test_gazetteer_tag_outside_the_tagset_is_a_data_error(tmp_path, config_file,
+                                                         capsys):
+    bad = tmp_path / "gazetteer.tsv"
+    bad.write_text("Foo Bar\tCITY\n", encoding="utf-8")
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--config", str(config_file()), "--out", str(out),
+                 "--set", f"gazetteer_path={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:1: gazetteer tag 'CITY' not in the tagset")
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.config.json").exists()
+
+
 def test_bad_set_syntax_exits_2(tmp_path, config_file):
     cfg = config_file()
     assert main(["run", "--config", str(cfg),

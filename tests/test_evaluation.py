@@ -4,12 +4,14 @@ import math
 import random
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from oracles import (classical_reference, enumerate_tie_metrics, mc_tie_metrics,
-                     reference_match_answer)
+from oracles import (classical_from_counts, classical_reference,
+                     enumerate_tie_metrics, mc_tie_metrics,
+                     reference_match_answer, tie_aware_from_counts)
 
 from entityqa.corpus import Document, DocumentSet, write_documents
 from entityqa.entities import EntityMention, write_annotations
@@ -20,14 +22,14 @@ from entityqa.evaluation import (
     Judgment,
     MetricReport,
     SignificanceResult,
-    classical_metrics,
     compare_reports,
     evaluate_run,
     load_qrels,
     match_answer,
+    matching_surfaces,
     paired_t_test,
     per_query_diff,
-    tie_aware_metrics,
+    run_metrics,
     write_diff_csv,
     write_report_csv,
     write_report_json,
@@ -75,6 +77,12 @@ def _labeled_run(group_sizes, group_relevant, qid="q1"):
                         gold_answers=frozenset(rel_surfaces) or frozenset({"zz"}),
                         match_policy="exact")
     return run, judgment
+
+
+def _metrics(run, judgment, tmrr_mode="expected_reciprocal"):
+    """run_metrics of a run scored against a judgment, in METRICS order."""
+    relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+    return run_metrics(run.groups, relevant, tmrr_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +199,7 @@ def test_load_qrels_duplicate(tmp_path):
 def test_classical_table_shape():
     # relevant answers only in the fifth group
     run, judgment = _labeled_run([2, 20, 1, 1, 2], [0, 0, 0, 0, 2])
-    mrr, p1, hit = classical_metrics(run, judgment)
+    mrr, p1, hit = _metrics(run, judgment)[:3]
     assert mrr == pytest.approx(0.2)
     assert p1 == 0.0
     assert hit == 1.0
@@ -199,23 +207,23 @@ def test_classical_table_shape():
 
 def test_classical_first_group_relevant():
     run, judgment = _labeled_run([1, 3], [1, 0])
-    assert classical_metrics(run, judgment) == (1.0, 1.0, 1.0)
+    assert _metrics(run, judgment)[:3] == (1.0, 1.0, 1.0)
 
 
 def test_classical_no_relevant():
     run, judgment = _labeled_run([2, 3], [0, 0])
-    assert classical_metrics(run, judgment) == (0.0, 0.0, 0.0)
+    assert _metrics(run, judgment)[:3] == (0.0, 0.0, 0.0)
 
 
 def test_classical_scans_only_five_groups():
     run, judgment = _labeled_run([1] * 6, [0, 0, 0, 0, 0, 1])
-    assert classical_metrics(run, judgment) == (0.0, 0.0, 0.0)
+    assert _metrics(run, judgment)[:3] == (0.0, 0.0, 0.0)
 
 
 def test_classical_empty_run():
     run = TiedRun(question_id="q1", groups=(), scores=())
     judgment = _judgment("anything")
-    assert classical_metrics(run, judgment) == (0.0, 0.0, 0.0)
+    assert _metrics(run, judgment)[:3] == (0.0, 0.0, 0.0)
 
 
 def test_classical_matches_reference_on_random_shapes():
@@ -225,7 +233,7 @@ def test_classical_matches_reference_on_random_shapes():
         sizes = [rng.randint(1, 5) for _ in range(k)]
         rel = [rng.randint(0, n) for n in sizes]
         run, judgment = _labeled_run(sizes, rel)
-        assert classical_metrics(run, judgment) == \
+        assert _metrics(run, judgment)[:3] == \
             classical_reference(rel)
 
 
@@ -235,7 +243,7 @@ def test_classical_matches_reference_on_random_shapes():
 
 def test_tie_aware_table_shape():
     run, judgment = _labeled_run([2, 20, 1, 1, 2], [0, 0, 0, 0, 2])
-    tmrr, tp1, thit = tie_aware_metrics(run, judgment)
+    tmrr, tp1, thit = _metrics(run, judgment)[3:]
     assert tmrr == pytest.approx(0.04)
     assert tp1 == 0.0
     assert thit == 0.0
@@ -243,7 +251,7 @@ def test_tie_aware_table_shape():
 
 def test_tie_aware_half_relevant_first_group():
     run, judgment = _labeled_run([2], [1])
-    _tmrr, tp1, _thit = tie_aware_metrics(run, judgment)
+    _tmrr, tp1, _thit = _metrics(run, judgment)[3:]
     assert tp1 == pytest.approx(0.5)
 
 
@@ -251,18 +259,18 @@ def test_tie_aware_hit_worked_example():
     # 3 irrelevant singles, then 4 items with 1 relevant: only 2 of the 5
     # cutoff slots reach the second group, so tHit@5 = 1 - C(3,2)/C(4,2).
     run, judgment = _labeled_run([3, 4], [0, 1])
-    _tmrr, _tp1, thit = tie_aware_metrics(run, judgment)
+    _tmrr, _tp1, thit = _metrics(run, judgment)[3:]
     assert thit == pytest.approx(0.5)
 
 
 def test_tie_aware_no_relevant_zeroes():
     run, judgment = _labeled_run([3, 3], [0, 0])
-    assert tie_aware_metrics(run, judgment) == (0.0, 0.0, 0.0)
+    assert _metrics(run, judgment)[3:] == (0.0, 0.0, 0.0)
 
 
 def test_tie_aware_empty_run():
     run = TiedRun(question_id="q1", groups=(), scores=())
-    assert tie_aware_metrics(run, _judgment("x")) == (0.0, 0.0, 0.0)
+    assert _metrics(run, _judgment("x"))[3:] == (0.0, 0.0, 0.0)
 
 
 def test_tie_aware_matches_enumeration_oracle():
@@ -272,7 +280,7 @@ def test_tie_aware_matches_enumeration_oracle():
         sizes = [rng.randint(1, 8) for _ in range(k)]
         rel = [rng.randint(0, n) for n in sizes]
         run, judgment = _labeled_run(sizes, rel)
-        got = tie_aware_metrics(run, judgment)
+        got = _metrics(run, judgment)[3:]
         want = enumerate_tie_metrics(sizes, rel)
         for g, w in zip(got, want):
             assert math.isclose(g, w, abs_tol=1e-12)
@@ -287,7 +295,7 @@ def test_tie_aware_matches_mc_oracle_spot_checks():
     ]
     for sizes, rel in cases:
         run, judgment = _labeled_run(sizes, rel)
-        got = tie_aware_metrics(run, judgment)
+        got = _metrics(run, judgment)[3:]
         want = mc_tie_metrics(sizes, rel, n_samples=200_000, seed=4)
         for g, w in zip(got, want):
             assert math.isclose(g, w, abs_tol=0.01)
@@ -300,17 +308,55 @@ def test_singleton_runs_tie_aware_equals_classical():
         sizes = [1] * k
         rel = [1 if rng.random() < 0.3 else 0 for _ in range(k)]
         run, judgment = _labeled_run(sizes, rel)
-        classical = classical_metrics(run, judgment)
-        tie_aware = tie_aware_metrics(run, judgment)
-        assert classical == tie_aware  # bit-for-bit
+        values = _metrics(run, judgment)
+        assert values[:3] == values[3:]  # bit-for-bit
 
 
 def test_tmrr_reciprocal_expected_mode():
     # first relevant group: n=4, r=2 after 3 singles -> E[pos] = 3 + 5/3
     run, judgment = _labeled_run([3, 4], [0, 2])
-    tmrr, _tp1, _thit = tie_aware_metrics(run, judgment,
-                                          tmrr_mode="reciprocal_expected")
+    tmrr, _tp1, _thit = _metrics(
+        run, judgment, tmrr_mode="reciprocal_expected")[3:]
     assert tmrr == pytest.approx(1.0 / (3 + 5 / 3))
+
+
+def test_run_metrics_matches_two_scan_reference_bitwise():
+    """run_metrics equals the old two-scan metric code (tests/oracles.py),
+    float.hex for float.hex, on 100,000 seeded random layouts: 0-9 groups
+    of 1-30 members, relevant surfaces also outside the groups, both tMRR
+    modes."""
+    rng = random.Random(12)
+    names = [f"s{i}" for i in range(9 * 30 + 5)]
+    past_fifth_group = past_fifth_position = 0
+    for _ in range(100_000):
+        share = rng.choice((0.05, 0.2, 0.5, 1.0))
+        groups, counts, relevant = [], [], []
+        start = 0
+        for _g in range(rng.randint(0, 9)):
+            n = rng.randint(1, 30)
+            r = rng.randint(1, n) if rng.random() < share else 0
+            groups.append(frozenset(names[start:start + n]))
+            relevant += names[start:start + r]
+            counts.append((n, r))
+            start += n
+        relevant += names[start:start + rng.randint(0, 5)]
+        first = next((k for k, (_n, r) in enumerate(counts) if r), None)
+        if first is not None:
+            past_fifth_group += first >= 5
+            past_fifth_position += sum(n for n, _r in counts[:first]) >= 5
+        for mode in ("expected_reciprocal", "reciprocal_expected"):
+            got = run_metrics(groups, frozenset(relevant), mode)
+            want = classical_from_counts(counts) + \
+                tie_aware_from_counts(counts, mode)
+            assert [v.hex() for v in got] == [v.hex() for v in want], \
+                (counts, mode, got, want)
+    assert past_fifth_group > 1000 and past_fifth_position > 10_000
+
+
+def test_run_metrics_rejects_unknown_tmrr_mode():
+    for groups in ((), (frozenset({"a"}),)):
+        with pytest.raises(ValueError, match="unknown tMRR mode 'bogus'"):
+            run_metrics(groups, frozenset({"a"}), "bogus")
 
 
 def test_tie_aware_bounds_and_partial_order():
@@ -319,7 +365,7 @@ def test_tie_aware_bounds_and_partial_order():
         sizes = [rng.randint(1, 10) for _ in range(rng.randint(1, 5))]
         rel = [rng.randint(0, n) for n in sizes]
         run, judgment = _labeled_run(sizes, rel)
-        tmrr, tp1, thit = tie_aware_metrics(run, judgment)
+        tmrr, tp1, thit = _metrics(run, judgment)[3:]
         assert 0.0 <= tmrr <= 1.0
         assert 0.0 <= tp1 <= 1.0
         assert 0.0 <= thit <= 1.0
