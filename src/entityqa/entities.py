@@ -259,18 +259,22 @@ def build_pool(mentions: Sequence[EntityMention],
     emerge they are ranked by df descending (ties by canonical surface)
     and only the top `cap` are retained.
     """
-    key_of = canonicalize if group_surface_variants else str
+    # Each distinct surface is canonicalized once per call.
+    canonical = canonicalize if group_surface_variants else str
+    surfaces = {m.surface for m in mentions}
+    surfaces.update(m.surface for m in df_mentions or ())
+    key_of = {surface: canonical(surface) for surface in surfaces}
 
     sentence_keys: dict[str, set[tuple[str, int]]] = {}
     for m in mentions:
-        key = key_of(m.surface)
+        key = key_of[m.surface]
         if key:
             sentence_keys.setdefault(key, set()).add((m.doc_id, m.sentence_index))
 
     docs = {key: {doc_id for doc_id, _index in keys}
             for key, keys in sentence_keys.items()}
     for m in df_mentions or ():
-        key = key_of(m.surface)
+        key = key_of[m.surface]
         if key in docs:
             docs[key].add(m.doc_id)
 

@@ -9,18 +9,24 @@ the level it depends on:
 - per grid: each data file is read once, and the classifier/provider
   pairs share what they can (one SVM, one extractor, one parse and
   preprocessing of the labeled questions, one centroid classifier per
-  provider);
-- per pair and question: `prepare` (typing, extraction, evidence
-  scoring) and the gold match of every pool surface;
+  provider, trained on one embedding of each distinct labeled text);
+- per question: the document step (segmentation and extraction of all
+  mentions), once for all pairs, and only if some pair types the
+  question as an entity type;
+- per pair and question: `prepare` (typing, then the typed step: type
+  filter, pooling, evidence scoring) and the gold match of every pool
+  surface;
 - per pair, question and aggregation mode: one `aggregate` per candidate;
-- per variant: only `rank_answers` (combine, rounding, tie grouping),
-  then `run_metrics` up to the first group with a relevant member;
+- per variant: only `rank_answers` (combine, then rounding and tie
+  grouping down to the fifth group), then `run_metrics` up to the first
+  group with a relevant member;
 - per emitted row: the config_id.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -31,9 +37,9 @@ from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
                          run_metrics, write_csv)
 from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
-                       PipelineConfig, aggregate_evidence, load_classifier,
-                       load_extractor, load_labeled_texts, load_provider,
-                       load_stages, load_type_map)
+                       PipelineConfig, aggregate_evidence, document_step,
+                       load_classifier, load_extractor, load_labeled_texts,
+                       load_provider, load_stages, load_type_map)
 from .ranking import ALPHA_BETA_GRID, RankingConfig, load_runs, rank_answers
 from .scoring import AGGREGATION_MODES, Provider
 
@@ -78,7 +84,8 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
 
     The SVM reads only the question text, so both providers share it; a
     centroid classifier is trained in its own provider's embedding space,
-    from labeled questions parsed and preprocessed once for both.
+    from labeled questions parsed and preprocessed once for both. The
+    pairs share one extractor and its document step.
     """
     pairs = [replace(base_config, classifier=classifier,
                      embedding_provider=provider)
@@ -86,6 +93,10 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
     for pair in pairs:
         pair.validate_paths()
     extractor = load_extractor(base_config)
+    # The pairs prepare a question one after another, so a memo of the last
+    # document set runs its document step once for all of them.
+    read_documents = lru_cache(maxsize=1)(partial(document_step,
+                                                  extractor=extractor))
     type_map = load_type_map(base_config)
     labeled = load_labeled_texts(base_config)
     providers: dict[str, Provider] = {}
@@ -101,7 +112,8 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
             classifiers[key] = load_classifier(pair, provider, labeled)
         stages.append(LoadedStages(config=pair, classifier=classifiers[key],
                                    provider=provider, extractor=extractor,
-                                   type_map=type_map))
+                                   type_map=type_map,
+                                   read_documents=read_documents))
     return stages
 
 
@@ -123,29 +135,31 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
                  tmrr_mode: str = "expected_reciprocal") -> list[AblationRow]:
     """Evaluate all 24 stage combinations on one question set."""
     _check_coverage(questions, docsets, judgments)
-    rows: list[AblationRow] = []
-    for stages in _load_pair_stages(base_config):
-        # Questions with no candidates (unmapped type, empty pool) are left
-        # out here and get the empty run in every variant.
-        evidence_of = {}
-        pools: dict[str, _Candidates] = {}
-        for q in questions:
-            prepared = stages.prepare(q, docsets[q.id])
-            if prepared is None or not prepared[1]:
+    pairs = _load_pair_stages(base_config)
+    # Per pair, the evidence and candidates of each question. Questions with
+    # no candidates (unmapped type, empty pool) are left out here and get
+    # the empty run in every variant. The pairs prepare each question in
+    # turn, so they share its document step.
+    prepared: list[dict[str, tuple[list, _Candidates]]] = [{} for _ in pairs]
+    for q in questions:
+        for stages, pools in zip(pairs, prepared):
+            result = stages.prepare(q, docsets[q.id])
+            if result is None or not result[1]:
                 continue
-            _pool, evidence, n_docs = prepared
+            _pool, evidence, n_docs = result
             surfaces = tuple(ev.entity.canonical_surface for ev in evidence)
-            evidence_of[q.id] = evidence
-            pools[q.id] = _Candidates(
+            pools[q.id] = evidence, _Candidates(
                 surfaces=surfaces, semantic=(),
                 dfs=tuple(ev.entity.df for ev in evidence), n_docs=n_docs,
                 relevant=matching_surfaces(surfaces, judgments[q.id]))
+    rows: list[AblationRow] = []
+    for stages, pools in zip(pairs, prepared):
         for aggregation in AGGREGATION_MODES:
             mode_config = replace(stages.config, aggregation=aggregation)
             candidates = {
                 qid: replace(pool, semantic=tuple(aggregate_evidence(
-                    evidence_of[qid], pool.n_docs, mode_config)))
-                for qid, pool in pools.items()
+                    evidence, pool.n_docs, mode_config)))
+                for qid, (evidence, pool) in pools.items()
             }
             for combine_mode in COMBINE_ORDER:
                 rows.append(_ablation_cell(mode_config, questions, candidates,

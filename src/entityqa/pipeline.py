@@ -14,12 +14,12 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import (DocumentSet, Question, preprocess_text, read_json,
                      segment_sentences, write_json)
-from .entities import (AnnotationFileExtractor, GazetteerExtractor, build_pool,
-                       filter_by_type)
+from .entities import (AnnotationFileExtractor, EntityMention,
+                       GazetteerExtractor, build_pool, filter_by_type)
 from .errors import ConfigError, ParseError, UnmappedTypeError
 from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
                     RuleBasedAnnotator, load_labeled_questions,
@@ -158,6 +158,18 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None
 # Stage loading (one-time cost, kept out of per-question timing)
 # ---------------------------------------------------------------------------
 
+def document_step(docset: DocumentSet,
+                  extractor: GazetteerExtractor | AnnotationFileExtractor
+                  ) -> tuple[DocumentSet, list[EntityMention]]:
+    """The part of `prepare` that no question or answer type changes: the
+    document set split into sentences, and every mention found there."""
+    segmented = replace(
+        docset,
+        documents=tuple(segment_sentences(d) for d in docset.documents),
+    )
+    return segmented, extractor.extract(segmented)
+
+
 @dataclass(frozen=True)
 class LoadedStages:
     config: PipelineConfig
@@ -166,6 +178,10 @@ class LoadedStages:
     extractor: GazetteerExtractor | AnnotationFileExtractor
     type_map: AnswerTypeMap
     annotator: RuleBasedAnnotator = field(default_factory=RuleBasedAnnotator)
+    # Runs the document step in place of `document_step` with this
+    # extractor: stages that share an extractor may share the step.
+    read_documents: Callable[[DocumentSet],
+                             tuple[DocumentSet, list[EntityMention]]] | None = None
 
     def predict_types(self, question: Question) -> tuple[str, str]:
         if self.config.classifier == "svm":
@@ -178,9 +194,10 @@ class LoadedStages:
         """Everything up to evidence scores (independent of agg/combine).
 
         The answer type is predicted first, from the question alone, so a
-        question of a non-entity type returns before its documents are
-        segmented. Returns (pool, evidence, number of documents), or None
-        for a question of a non-entity type.
+        question of a non-entity type returns before the document step.
+        Then the typed step filters the mentions by type, pools them and
+        scores their evidence. Returns (pool, evidence, number of
+        documents), or None for a question of a non-entity type.
         """
         try:
             coarse, fine = self.predict_types(question)
@@ -189,11 +206,9 @@ class LoadedStages:
             # Non-entity question types (definition/abbreviation style)
             # cannot be answered by entity ranking: empty run.
             return None
-        segmented = replace(
-            docset,
-            documents=tuple(segment_sentences(d) for d in docset.documents),
-        )
-        all_mentions = self.extractor.extract(segmented)
+        segmented, all_mentions = (
+            self.read_documents(docset) if self.read_documents
+            else document_step(docset, self.extractor))
         typed = filter_by_type(all_mentions, accepted)
         pool = build_pool(
             typed,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import zipfile
 from dataclasses import dataclass
@@ -261,13 +262,13 @@ class EmbeddingClassifier:
 
 def _centroids(classes: tuple[str, ...], labels: Sequence[str],
                matrix: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(classes), matrix.shape[1]))
     index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros(len(classes))
-    for label, row in zip(labels, matrix):
-        out[index[label]] += row
-        counts[index[label]] += 1
-    out /= np.maximum(counts, 1.0)[:, None]
+    rows = np.fromiter((index[label] for label in labels), dtype=np.intp,
+                       count=len(labels))
+    out = np.zeros((len(classes), matrix.shape[1]))
+    # Unbuffered: rows are added to their class in row order, as a loop would.
+    np.add.at(out, rows, matrix)
+    out /= np.maximum(np.bincount(rows, minlength=len(classes)), 1.0)[:, None]
     norms = np.linalg.norm(out, axis=1)
     nonzero = norms > 0
     out[nonzero] /= norms[nonzero, None]
@@ -278,12 +279,16 @@ def train_embedding_classifier(labeled: Sequence[LabeledQuestion],
                                embed: Callable[[str], np.ndarray]) -> EmbeddingClassifier:
     if not labeled:
         raise TrainingError("no training samples")
+    # Each distinct text is embedded once; duplicates share its row.
+    row_of: dict[str, int] = {}
     rows = []
     for q in labeled:
-        v = np.asarray(embed(q.text), dtype=float)
-        norm = float(np.linalg.norm(v))
-        rows.append(v / norm if norm > 0 else v)
-    matrix = np.vstack(rows)
+        if q.text not in row_of:
+            row_of[q.text] = len(rows)
+            v = np.asarray(embed(q.text), dtype=float)
+            norm = math.sqrt(v.dot(v))
+            rows.append(v / norm if norm > 0 else v)
+    matrix = np.vstack(rows)[[row_of[q.text] for q in labeled]]
     coarse_classes = tuple(sorted({q.coarse for q in labeled}))
     fine_classes = tuple(sorted({q.fine_qualified for q in labeled}))
     return EmbeddingClassifier(

@@ -70,14 +70,23 @@ class TiedRun:
 
 def combine(semantic: float, df: int, n_docs: int, config: RankingConfig) -> float:
     """comb-score of one candidate: weighted addition or multiplication."""
+    return _combine_each((semantic,), (df,), n_docs, config)[0]
+
+
+def _combine_each(semantic: Sequence[float], dfs: Sequence[int], n_docs: int,
+                  config: RankingConfig) -> list[float]:
+    """`combine` of each candidate, with the counts checked once per call;
+    the error names the first df out of range in input order."""
     if n_docs <= 0:
         raise ValueError("n_docs must be positive")
-    if not (0 <= df <= n_docs):
-        raise ValueError(f"df {df} outside 0..{n_docs}")
-    df_norm = df / n_docs
+    if dfs and not (0 <= min(dfs) and max(dfs) <= n_docs):
+        bad = next(df for df in dfs if not 0 <= df <= n_docs)
+        raise ValueError(f"df {bad} outside 0..{n_docs}")
+    pairs = zip(semantic, dfs, strict=True)
     if config.combine_mode == "additive":
-        return config.alpha * semantic + config.beta * df_norm
-    return semantic * df_norm
+        alpha, beta = config.alpha, config.beta
+        return [alpha * value + beta * (df / n_docs) for value, df in pairs]
+    return [value * (df / n_docs) for value, df in pairs]
 
 
 def rank_answers(question_id: str, surfaces: Sequence[str],
@@ -87,16 +96,39 @@ def rank_answers(question_id: str, surfaces: Sequence[str],
     combined scores and keep the MAX_RANK_GROUPS best groups, best first.
 
     Scores are rounded to `config.score_digits` before grouping so that
-    float accumulation noise cannot split a genuine tie.
+    float accumulation noise cannot split a genuine tie. Rounding is
+    monotone, so the kept groups are a prefix of the candidates sorted by
+    raw combined score: rounding runs from the top and stops at the sixth
+    distinct rounded score. A group's score is the rounded score of its
+    first member in input order, which decides the sign of a zero score
+    whose members round to both -0.0 and 0.0. No candidates give the
+    empty run, whatever `n_docs` is.
     """
-    by_score: dict[float, set[str]] = {}
-    for surface, value, df in zip(surfaces, semantic, dfs, strict=True):
-        combined = round(combine(value, df, n_docs, config), config.score_digits)
-        by_score.setdefault(combined, set()).add(surface)
-    ordered = sorted(by_score.items(), key=lambda kv: -kv[0])[:MAX_RANK_GROUPS]
+    if not (surfaces or semantic or dfs):
+        return TiedRun(question_id=question_id, groups=(), scores=(),
+                       config_id=config_id)
+    combined = _combine_each(semantic, dfs, n_docs, config)
+    if len(surfaces) != len(combined):
+        raise ValueError("one surface per candidate required")
+    digits = config.score_digits
+    groups: list[set[str]] = []
+    firsts: list[int] = []  # input index of each group's first member
+    last = None
+    for i in sorted(range(len(combined)), key=combined.__getitem__, reverse=True):
+        score = round(combined[i], digits)
+        if score != last:
+            if len(groups) == MAX_RANK_GROUPS:
+                break
+            groups.append({surfaces[i]})
+            firsts.append(i)
+            last = score
+        else:
+            groups[-1].add(surfaces[i])
+            if i < firsts[-1]:
+                firsts[-1] = i
     return TiedRun(question_id=question_id,
-                   groups=tuple(frozenset(members) for _, members in ordered),
-                   scores=tuple(score for score, _ in ordered),
+                   groups=tuple(map(frozenset, groups)),
+                   scores=tuple(round(combined[i], digits) for i in firsts),
                    config_id=config_id)
 
 

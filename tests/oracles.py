@@ -16,7 +16,8 @@ The answer-matching oracle splits both canonical forms into token lists
 and compares slices. The count-based metric oracles scan every group's
 (size, relevant) counts twice: once for the classical triple over the
 first five groups, once for the tie-aware triple with its tHit@5
-miss-probability product.
+miss-probability product. The centroid oracle adds each labeled row to
+its class in a Python loop.
 """
 
 from __future__ import annotations
@@ -456,3 +457,20 @@ def reference_rank(candidates: list[tuple[str, list[tuple[str, float]], int]],
     best_scores = sorted(groups, reverse=True)[:max_groups]
     return (tuple(frozenset(groups[score]) for score in best_scores),
             tuple(best_scores))
+
+
+def reference_centroids(classes: tuple[str, ...], labels: Sequence[str],
+                        matrix: np.ndarray) -> np.ndarray:
+    """Class centroids of the rows of `matrix`, L2-normalized where
+    nonzero: each row is added to its label's sum in row order."""
+    out = np.zeros((len(classes), matrix.shape[1]))
+    index = {c: i for i, c in enumerate(classes)}
+    counts = np.zeros(len(classes))
+    for label, row in zip(labels, matrix):
+        out[index[label]] += row
+        counts[index[label]] += 1
+    out /= np.maximum(counts, 1.0)[:, None]
+    norms = np.linalg.norm(out, axis=1)
+    nonzero = norms > 0
+    out[nonzero] /= norms[nonzero, None]
+    return out

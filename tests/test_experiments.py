@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from datagen import _TYPE_CYCLE, VOCAB_WORDS
 
-from entityqa.corpus import DocumentSet, load_documents, load_questions
+from entityqa import pipeline
+from entityqa.corpus import (DocumentSet, load_documents, load_questions,
+                             segment_sentences)
+from entityqa.entities import GazetteerExtractor
 from entityqa.errors import DataError
 from entityqa.evaluation import Judgment, evaluate_run, load_qrels
 from entityqa.experiments import (
@@ -167,6 +170,45 @@ def test_ablation_rows_match_full_pipeline_runs(oracle_case, planted):
         sweep = [mean_tmrr(alpha, beta) for alpha, beta in ALPHA_BETA_GRID]
         first_best = ALPHA_BETA_GRID[sweep.index(max(sweep))]
         assert (row.alpha, row.beta) == first_best
+
+
+def test_ablation_reads_each_question_documents_once(monkeypatch, planted,
+                                                     planted_config):
+    """The four pairs share one document step per question: it runs once
+    for a question that some pair types as an entity type, and not at all
+    for one that every pair types as a non-entity type."""
+    questions, docsets = _inputs(planted)
+    judgments = load_qrels(planted.qrels_path)
+    base = PipelineConfig(**planted_config)
+    questions[0] = replace(questions[0], text="What does VRC stand for?")
+    pairs = [load_stages(replace(base, classifier=classifier,
+                                 embedding_provider=provider))[0]
+             for classifier in ("svm", "external-embedding")
+             for provider in ("word-avg", "cache")]
+    entity_typed = [q.id for q in questions
+                    if any(stages.prepare(q, docsets[q.id]) is not None
+                           for stages in pairs)]
+    assert questions[0].id not in entity_typed
+    assert entity_typed == [q.id for q in questions[1:]]
+
+    segmented, extracted = [], []
+
+    def counting_segment(doc):
+        segmented.append(doc.doc_id)
+        return segment_sentences(doc)
+
+    def counting_extract(self, docset):
+        extracted.append(docset.question_id)
+        return extract(self, docset)
+
+    extract = GazetteerExtractor.extract
+    monkeypatch.setattr(pipeline, "segment_sentences", counting_segment)
+    monkeypatch.setattr(GazetteerExtractor, "extract", counting_extract)
+    rows = run_ablation(base, questions, docsets, judgments)
+    assert len(rows) == 24
+    assert extracted == entity_typed
+    assert segmented == [d.doc_id for qid in entity_typed
+                         for d in docsets[qid].documents]
 
 
 def test_ablation_csv_write_is_atomic(tmp_path, ablation_rows):

@@ -326,11 +326,13 @@ def test_aggregation_modes_change_scores_not_winner(planted, planted_config):
 
 def _random_evidence(rng: random.Random, n_docs: int
                      ) -> tuple[list[EvidenceSet], list]:
-    """Candidates with few distinct sentence scores and dfs, so that ties
-    are common, as EvidenceSets and as reference_rank's plain tuples."""
-    levels = [-1.0, -0.5, 0.0, 0.1, 0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0]
+    """Up to 100 candidates with few distinct sentence scores and dfs, so
+    that ties are common, and with scores of both signs that round to
+    zero, as EvidenceSets and as reference_rank's plain tuples."""
+    levels = [-1.0, -0.5, -1e-12, 0.0, 1e-12, 0.1, 0.2, 1 / 3, 0.5, 0.7,
+              0.9, 1.0]
     evidence, plain = [], []
-    for i in range(rng.randint(0, 30)):
+    for i in range(rng.randint(0, 100)):
         surface = f"entity {i}"
         docs = rng.sample(range(n_docs), rng.randint(1, n_docs))
         keys = sorted((f"d{d}", s) for d in docs
@@ -346,11 +348,17 @@ def _random_evidence(rng: random.Random, n_docs: int
     return evidence, plain
 
 
+def _hex(scores):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return tuple(score.hex() for score in scores)
+
+
 def test_rank_from_evidence_matches_reference_rank():
     """The float tail gives the old per-candidate tail's groups and scores,
-    exactly, under every aggregation, denominator and combine mode."""
+    bit for bit, under every aggregation, denominator and combine mode."""
     rng = random.Random(2024)
     grid = rng.sample(ALPHA_BETA_GRID, 8) + [(0.1, 0.1), (0.7, 0.7)]
+    cut = signed_zero = 0
     for trial in range(600):
         n_docs = rng.randint(1, 10)
         evidence, plain = _random_evidence(rng, n_docs)
@@ -366,7 +374,25 @@ def test_rank_from_evidence_matches_reference_rank():
         run = rank_from_evidence(evidence, n_docs, "q", config, "cid")
         groups, scores = reference_rank(plain, n_docs, aggregation,
                                         denominator, combine, alpha, beta,
-                                        digits)
-        assert run.groups == groups
-        assert run.scores == scores
+                                        digits, max_groups=len(plain))
+        assert run.groups == groups[:5]
+        assert _hex(run.scores) == _hex(scores[:5])
         assert (run.question_id, run.config_id) == ("q", "cid")
+        cut += len(groups) > 5
+        signed_zero += "-0x0.0p+0" in _hex(scores[:5])
+    # Most pools hold more groups than are kept, and some keep a -0.0.
+    assert cut > 300 and signed_zero > 10
+
+
+def test_rank_answers_takes_a_group_score_from_its_first_member():
+    """Scores of both signs that round to zero share one group, whose score
+    keeps the sign of its first member in input order."""
+    config = PipelineConfig().ranking
+    for semantic, want in (([-1e-12, 1e-12], ("-0x0.0p+0",)),
+                           ([1e-12, -1e-12], ("0x0.0p+0",)),
+                           ([0.5, 1e-12, -1e-12, -0.0], ((0.5).hex(), "0x0.0p+0"))):
+        surfaces = [f"e{i}" for i in range(len(semantic))]
+        run = pipeline.rank_answers("q", surfaces, semantic, [1] * len(semantic),
+                                    1, config)
+        assert _hex(run.scores) == want
+        assert frozenset().union(*run.groups) == frozenset(surfaces)

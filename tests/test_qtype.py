@@ -1,9 +1,16 @@
+import hashlib
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import reference_centroids
+
 from entityqa.corpus import Question
 from entityqa.errors import TrainingError, UnmappedTypeError
-from entityqa.pipeline import PipelineConfig, load_stages
+from entityqa.pipeline import PipelineConfig, load_classifier, load_provider, load_stages
+from entityqa.qtype.classifier import _centroids
 from entityqa.qtype import (
     NAMESPACES,
     EmbeddingClassifier,
@@ -318,3 +325,44 @@ def test_embedding_classifier_nearest_centroid():
     assert coarse == "HUMAN"
     coarse, _fine = clf.predict_vector(embed("Where is that?"))
     assert coarse == "LOCATION"
+
+
+# provider -> sha256 of the (coarse, fine) centroid array bytes trained on
+# the planted fixture's labeled questions. The planted cache holds the
+# word-average vectors, so both providers train the same centroids.
+_PLANTED_CENTROIDS = (
+    "f4875bce8ff8e35f7a6a3bd32f3b5b8d490324db23dc595686a1220203179b7a",
+    "fd4aa862721df38ef8a31e00e865b43c12d1ab46b7bd4090d616cc637f0a0a5d")
+CENTROID_DIGESTS = {"word-avg": _PLANTED_CENTROIDS, "cache": _PLANTED_CENTROIDS}
+
+
+@pytest.mark.parametrize("provider", sorted(CENTROID_DIGESTS))
+def test_planted_centroids_match_pinned_digests(planted_config, provider):
+    config = replace(PipelineConfig(**planted_config),
+                     classifier="external-embedding", embedding_provider=provider)
+    clf = load_classifier(config, load_provider(config))
+    digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest()
+                    for arr in (clf.coarse_centroids, clf.fine_centroids))
+    assert digests == CENTROID_DIGESTS[provider]
+
+
+def test_centroids_match_row_loop_reference_bitwise():
+    """Rows are summed per class in row order, so every bit, signed zeros
+    included, equals the loop's."""
+    rng = random.Random(5)
+    np_rng = np.random.default_rng(5)
+    for _ in range(300):
+        classes = tuple(f"c{i}" for i in range(rng.randint(1, 6)))
+        n_rows, dim = rng.randint(1, 40), rng.randint(1, 8)
+        labels = [rng.choice(classes) for _ in range(n_rows)]
+        matrix = np_rng.normal(size=(n_rows, dim)) * 10.0 ** np_rng.integers(
+            -3, 4, size=(n_rows, 1))
+        # Signed zeros, whole zero rows and repeated rows.
+        matrix[np_rng.random((n_rows, dim)) < 0.2] = -0.0
+        matrix[np_rng.random((n_rows, dim)) < 0.1] = 0.0
+        if n_rows > 2:
+            matrix[rng.randrange(n_rows)] = -0.0
+            matrix[rng.randrange(n_rows)] = matrix[rng.randrange(n_rows)]
+        got = _centroids(classes, labels, matrix)
+        want = reference_centroids(classes, labels, matrix)
+        assert got.tobytes() == want.tobytes()

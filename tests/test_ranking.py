@@ -97,9 +97,11 @@ def test_rank_rounds_before_grouping():
 
 
 def test_rank_empty_input_gives_empty_run():
-    run = rank_answers("q1", [], [], [], 10, RankingConfig(), "abc123")
-    assert run == TiedRun(question_id="q1", groups=(), scores=(),
-                          config_id="abc123")
+    # Whatever n_docs is: an empty document set has no candidates.
+    for n_docs in (10, 0):
+        run = rank_answers("q1", [], [], [], n_docs, RankingConfig(), "abc123")
+        assert run == TiedRun(question_id="q1", groups=(), scores=(),
+                              config_id="abc123")
 
 
 def test_rank_rejects_unparallel_inputs():
