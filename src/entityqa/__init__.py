@@ -20,8 +20,8 @@ from .evaluation import (Judgment, MetricReport, SignificanceResult,
 from .pipeline import (LoadedStages, PipelineConfig, PipelineResult,
                        load_config, load_stages, run_pipeline, write_run_file)
 from .qtype import QuestionClassifier, map_answer_types, train_classifier
-from .ranking import (ALPHA_BETA_GRID, RankingConfig, TiedRun, combine,
-                      load_runs, rank_answers, write_runs)
+from .ranking import (ALPHA_BETA_GRID, RankingConfig, TiedRun, load_runs,
+                      rank_answers, write_runs)
 from .scoring import (CacheProvider, EvidenceSet, WordAverageProvider,
                       aggregate, build_evidence)
 
@@ -35,7 +35,7 @@ __all__ = [
     "PipelineConfig", "PipelineResult", "Question", "QuestionClassifier",
     "RankingConfig", "SignificanceResult", "StrataSpec", "TiedRun", "WordAverageProvider",
     "aggregate", "build_evidence", "build_pool", "canonicalize",
-    "collection_spec", "combine",
+    "collection_spec",
     "evaluate_run", "filter_by_type", "load_config",
     "load_documents", "load_qrels", "load_questions", "load_runs",
     "load_stages", "map_answer_types", "match_answer", "paired_t_test",

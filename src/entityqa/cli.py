@@ -20,8 +20,9 @@ from .corpus import (COLLECTION_SPECS, DocumentSet, collection_spec,
                      derive_question_seed, load_documents, load_questions,
                      load_strata_spec, sample_strata, write_documents)
 from .errors import ConfigError, DataError
-from .evaluation import (METRICS, load_qrels, per_query_diff, write_diff_csv,
-                         write_report_csv, write_report_json)
+from .evaluation import (MATCH_POLICIES, METRICS, TMRR_MODES, load_qrels,
+                         per_query_diff, write_diff_csv, write_report_csv,
+                         write_report_json)
 from .experiments import (evaluate_run_files, run_ablation, run_latency_bench,
                           write_ablation_csv, write_ablation_json,
                           write_latency_json, write_significance_json)
@@ -86,6 +87,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.diff_metric:
+        if len(args.runs) != 2:
+            raise ConfigError("--diff-metric needs exactly two run files")
+        if args.diff_metric not in METRICS:
+            raise ConfigError(f"--diff-metric must be one of {METRICS}")
     judgments = load_qrels(args.qrels, args.match_policy)
     reports, significance = evaluate_run_files(args.runs, judgments,
                                                tmrr_mode=args.tmrr_mode)
@@ -96,10 +102,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if significance:
         write_significance_json(f"{prefix}.significance.json", significance)
     if args.diff_metric:
-        if len(reports) != 2:
-            raise ConfigError("--diff-metric needs exactly two run files")
-        if args.diff_metric not in METRICS:
-            raise ConfigError(f"--diff-metric must be one of {METRICS}")
         table = per_query_diff(reports[0], reports[1], args.diff_metric)
         write_diff_csv(f"{prefix}.diff.csv", table)
         print(f"per-query diff ({args.diff_metric}): "
@@ -203,9 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--out-prefix", required=True)
     p_ablate.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_ablate.add_argument("--match-policy", default="containment",
-                          choices=["exact", "containment"])
+                          choices=MATCH_POLICIES)
     p_ablate.add_argument("--tmrr-mode", default="expected_reciprocal",
-                          choices=["expected_reciprocal", "reciprocal_expected"])
+                          choices=TMRR_MODES)
     p_ablate.set_defaults(func=_cmd_ablate)
 
     p_eval = sub.add_parser("evaluate", help="score run files against qrels")
@@ -213,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--qrels", required=True)
     p_eval.add_argument("--out-prefix", required=True)
     p_eval.add_argument("--match-policy", default="containment",
-                        choices=["exact", "containment"])
+                        choices=MATCH_POLICIES)
     p_eval.add_argument("--tmrr-mode", default="expected_reciprocal",
-                        choices=["expected_reciprocal", "reciprocal_expected"])
+                        choices=TMRR_MODES)
     p_eval.add_argument("--diff-metric", default=None,
                         help="write per-query diff CSV for this metric "
                              "(requires exactly two runs)")

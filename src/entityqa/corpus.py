@@ -44,7 +44,6 @@ COLLECTION_SPECS = {
 class Question:
     id: str
     text: str
-    gold_answers: tuple[str, ...]
     source_set: str = "custom"
 
     def __post_init__(self):
@@ -171,10 +170,10 @@ def read_json(path: str | Path) -> dict:
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
     """Load questions from a JSONL file, one object per line.
 
-    Each record is {"id", "text", "gold_answers": [..], "set"}; a record's
-    own "set" value overrides the source_set argument. Duplicate ids and
-    records whose gold answers normalise to nothing are rejected with the
-    offending line number.
+    Each record is {"id", "text", "set"}; a record's own "set" value
+    overrides the source_set argument. Other keys, such as "gold_answers",
+    are ignored: gold answers come from the qrels. Duplicate ids are
+    rejected with the offending line number.
     """
     questions: list[Question] = []
     seen: dict[str, int] = {}
@@ -186,16 +185,10 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
             raise ParseError(str(path), line_no,
                              f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
         seen[qid] = line_no
-        gold = raw.get("gold_answers", [])
-        if not isinstance(gold, list) or not gold:
-            raise ParseError(str(path), line_no, "gold_answers must be a non-empty list")
-        if any(not canonicalize(str(g)) for g in gold):
-            raise ParseError(str(path), line_no, "gold answer empty after normalization")
         try:
             questions.append(Question(
                 id=qid,
                 text=str(raw["text"]),
-                gold_answers=tuple(str(g) for g in gold),
                 source_set=str(raw.get("set", source_set)),
             ))
         except ValueError as exc:

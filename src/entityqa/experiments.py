@@ -40,10 +40,9 @@ from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
                        PipelineConfig, aggregate_evidence, document_step,
                        load_classifier, load_extractor, load_labeled_texts,
                        load_provider, load_stages, load_type_map)
-from .ranking import ALPHA_BETA_GRID, RankingConfig, load_runs, rank_answers
+from .ranking import (ALPHA_BETA_GRID, COMBINE_MODES, RankingConfig,
+                      load_runs, rank_answers)
 from .scoring import AGGREGATION_MODES, Provider
-
-COMBINE_ORDER = ("multiplicative", "additive")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
                     evidence, pool.n_docs, mode_config)))
                 for qid, (evidence, pool) in pools.items()
             }
-            for combine_mode in COMBINE_ORDER:
+            for combine_mode in COMBINE_MODES:
                 rows.append(_ablation_cell(mode_config, questions, candidates,
                                            combine_mode, tmrr_mode))
     return rows

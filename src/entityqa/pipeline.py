@@ -11,22 +11,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
 from .corpus import (DocumentSet, Question, preprocess_text, read_json,
                      segment_sentences, write_json)
-from .entities import (AnnotationFileExtractor, EntityMention,
-                       GazetteerExtractor, build_pool, filter_by_type)
+from .entities import (DEFAULT_CANDIDATE_CAP, AnnotationFileExtractor,
+                       EntityMention, GazetteerExtractor, build_pool,
+                       filter_by_type)
 from .errors import ConfigError, ParseError, UnmappedTypeError
 from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
                     RuleBasedAnnotator, load_labeled_questions,
                     map_answer_types, train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
-from .ranking import (COMBINE_MODES, RankingConfig, TiedRun, rank_answers,
-                      write_runs)
+from .ranking import (COMBINE_MODES, SCORE_DIGITS, RankingConfig, TiedRun,
+                      rank_answers, write_runs)
 from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,
                       WordAverageProvider, aggregate, build_evidence)
 
@@ -48,11 +49,11 @@ class PipelineConfig:
     combine: str = "multiplicative"
     alpha: float = 0.1
     beta: float = 0.1
-    candidate_cap: int = 100
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP
     avgmax_denominator: str = "containing_docs"
     group_surface_variants: bool = True
     df_any_tag: bool = False
-    score_digits: int = 9
+    score_digits: int = SCORE_DIGITS
     source_set: str = "custom"
     # Data files. Empty string means "not provided".
     questions_path: str = ""
@@ -177,7 +178,6 @@ class LoadedStages:
     provider: Provider
     extractor: GazetteerExtractor | AnnotationFileExtractor
     type_map: AnswerTypeMap
-    annotator: RuleBasedAnnotator = field(default_factory=RuleBasedAnnotator)
     # Runs the document step in place of `document_step` with this
     # extractor: stages that share an extractor may share the step.
     read_documents: Callable[[DocumentSet],
@@ -185,8 +185,8 @@ class LoadedStages:
 
     def predict_types(self, question: Question) -> tuple[str, str]:
         if self.config.classifier == "svm":
-            ann = self.annotator.annotate(question.text)
-            return self.classifier.predict(ann)
+            return self.classifier.predict(
+                RuleBasedAnnotator().annotate(question.text))
         return self.classifier.predict_vector(
             self.provider.embed(preprocess_text(question.text)))
 
@@ -227,8 +227,11 @@ class LoadedStages:
             return TiedRun(question_id=question.id, groups=(), scores=(),
                            config_id=config.config_id)
         _pool, evidence, n_docs = prepared
-        return rank_from_evidence(
-            evidence, n_docs, question.id, config, config.config_id)
+        return rank_answers(
+            question.id, [ev.entity.canonical_surface for ev in evidence],
+            aggregate_evidence(evidence, n_docs, config),
+            [ev.entity.df for ev in evidence], n_docs, config.ranking,
+            config.config_id)
 
 
 def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
@@ -239,15 +242,6 @@ def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
                   avgmax_denominator=config.avgmax_denominator, n_docs=n_docs)
         for ev in evidence
     ]
-
-
-def rank_from_evidence(evidence, n_docs: int, question_id: str,
-                       config: PipelineConfig, config_id: str) -> TiedRun:
-    """Aggregate evidence scores, combine with df and rank (pure tail)."""
-    return rank_answers(
-        question_id, [ev.entity.canonical_surface for ev in evidence],
-        aggregate_evidence(evidence, n_docs, config),
-        [ev.entity.df for ev in evidence], n_docs, config.ranking, config_id)
 
 
 def load_provider(config: PipelineConfig) -> Provider:
@@ -315,11 +309,6 @@ def load_stages(config: PipelineConfig) -> tuple[LoadedStages, float]:
 class PipelineResult:
     runs: tuple[TiedRun, ...]
     errors: tuple[tuple[str, str], ...]  # (question_id, message)
-    load_seconds: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
@@ -327,9 +316,8 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
                  stages: LoadedStages | None = None) -> PipelineResult:
     """Answer every question in order; per-question failures are recorded,
     not fatal. Progress is logged at INFO, one record per question."""
-    load_seconds = 0.0
     if stages is None:
-        stages, load_seconds = load_stages(config)
+        stages, _ = load_stages(config)
     runs: list[TiedRun] = []
     errors: list[tuple[str, str]] = []
     for n, question in enumerate(questions, start=1):
@@ -347,8 +335,7 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
             errors.append((question.id, error))
         log.info("question %d/%d %s: %s", n, len(questions), question.id,
                  error or "answered")
-    return PipelineResult(runs=tuple(runs), errors=tuple(errors),
-                          load_seconds=load_seconds)
+    return PipelineResult(runs=tuple(runs), errors=tuple(errors))
 
 
 def write_run_file(path: str | Path, result: PipelineResult,

@@ -150,11 +150,6 @@ class QuestionClassifier:
             raise ParseError(str(npz_path), 0, f"invalid model arrays: {exc}") from exc
         meta = read_json(meta_path)
         try:
-            hyper = meta.get("hyperparams", {})
-            recorded = tuple(
-                (k, float(v)) for k, v in sorted(hyper.items())
-                if isinstance(v, (int, float))
-            )
             space = FeatureSpace.from_dict(meta["vocab"])
             coarse_classes = tuple(meta["coarse_classes"])
             fine_classes = tuple(meta["fine_classes"])
@@ -166,15 +161,13 @@ class QuestionClassifier:
                 classes=coarse_classes,
                 weights=arrays["coarse_weights"],
                 bias=arrays["coarse_bias"],
-                hyperparams=recorded,
             ),
             fine_model=LinearModel(
                 classes=fine_classes,
                 weights=arrays["fine_weights"],
                 bias=arrays["fine_bias"],
-                hyperparams=recorded,
             ),
-            hyperparams=hyper,
+            hyperparams=meta.get("hyperparams", {}),
         )
 
 

@@ -24,11 +24,6 @@ class LinearModel:
     classes: tuple[str, ...]
     weights: np.ndarray  # shape (C, D)
     bias: np.ndarray     # shape (C,)
-    hyperparams: tuple[tuple[str, float], ...] = ()
-
-    @property
-    def dimension(self) -> int:
-        return int(self.weights.shape[1])
 
     def decision_scores(self, active: Sequence[int]) -> np.ndarray:
         if active:
@@ -96,12 +91,7 @@ def train_one_vs_rest(samples: Sequence[tuple[Sequence[int], int]],
                 if idx:
                     w[np.ix_(violating, idx)] += (eta / scale) * targets[violating, None]
                 bias[violating] += eta * targets[violating]
-    recorded = (
-        ("epochs", float(epochs)), ("learning_rate", learning_rate),
-        ("l2", l2), ("seed", float(seed)),
-    )
-    return LinearModel(classes=class_list, weights=w * scale, bias=bias,
-                       hyperparams=recorded)
+    return LinearModel(classes=class_list, weights=w * scale, bias=bias)
 
 
 def hinge_objective(model: LinearModel,

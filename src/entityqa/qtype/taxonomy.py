@@ -22,18 +22,6 @@ from ..errors import ParseError, UnmappedTypeError
 class Taxonomy:
     coarse_to_fine: dict[str, tuple[str, ...]]
 
-    @property
-    def coarse_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coarse_to_fine))
-
-    @property
-    def fine_labels(self) -> tuple[str, ...]:
-        """Fully qualified fine labels, e.g. 'HUMAN:individual'."""
-        out = []
-        for coarse in self.coarse_labels:
-            out.extend(f"{coarse}:{fine}" for fine in self.coarse_to_fine[coarse])
-        return tuple(sorted(out))
-
     def validate_pair(self, coarse: str, fine: str) -> bool:
         return fine in self.coarse_to_fine.get(coarse, ())
 

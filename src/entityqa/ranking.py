@@ -15,7 +15,8 @@ from typing import Sequence
 from .corpus import read_jsonl, write_jsonl
 from .errors import ParseError
 
-COMBINE_MODES = ("additive", "multiplicative")
+# In the order the ablation grid reports its combine cells.
+COMBINE_MODES = ("multiplicative", "additive")
 
 # Tuning grid for the additive weights: {0.1, ..., 0.7} x {0.1, ..., 0.7}.
 _GRID_STEPS = tuple(round(0.1 * i, 1) for i in range(1, 8))
@@ -63,20 +64,12 @@ class TiedRun:
                 raise ValueError("tie groups must be pairwise disjoint")
             seen |= g
 
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
-
-
-def combine(semantic: float, df: int, n_docs: int, config: RankingConfig) -> float:
-    """comb-score of one candidate: weighted addition or multiplication."""
-    return _combine_each((semantic,), (df,), n_docs, config)[0]
-
 
 def _combine_each(semantic: Sequence[float], dfs: Sequence[int], n_docs: int,
                   config: RankingConfig) -> list[float]:
-    """`combine` of each candidate, with the counts checked once per call;
-    the error names the first df out of range in input order."""
+    """comb-score of each candidate: weighted addition or multiplication
+    of its semantic score and its df / n_docs. The counts are checked once
+    per call; the error names the first df out of range in input order."""
     if n_docs <= 0:
         raise ValueError("n_docs must be positive")
     if dfs and not (0 <= min(dfs) and max(dfs) <= n_docs):

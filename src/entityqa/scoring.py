@@ -70,7 +70,7 @@ class WordAverageProvider:
         self.provider_id = provider_id
 
     @classmethod
-    def from_file(cls, path: str | Path, provider_id: str = "word-avg") -> "WordAverageProvider":
+    def from_file(cls, path: str | Path) -> "WordAverageProvider":
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
         with open(path, encoding="utf-8") as fh:
@@ -95,7 +95,7 @@ class WordAverageProvider:
                 vectors[parts[0]] = vec
         if not vectors:
             raise EmptyInputError(f"{path}: no vectors")
-        return cls(vectors, provider_id=provider_id)
+        return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
         rows = [

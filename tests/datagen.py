@@ -395,8 +395,9 @@ def generate_planted_fixture(root: str | Path, seed: int = 23,
             fh.write(word + " " + " ".join(f"{v:.6f}" for v in values) + "\n")
 
     # Cache: every text the cache-backed provider may be asked for.
-    provider = WordAverageProvider.from_file(vectors_path,
-                                             provider_id="frozen-encoder")
+    provider = WordAverageProvider(
+        WordAverageProvider.from_file(vectors_path).vectors,
+        provider_id="frozen-encoder")
     texts: list[str] = []
     for record in doc_lines:
         doc = segment_sentences(Document(

@@ -213,7 +213,7 @@ def test_criterion_07_planted_answers_rank_first(planted, planted_config):
     docsets = {qid: DocumentSet(question_id=qid, documents=tuple(docs))
                for qid, docs in load_documents(planted.documents_path).items()}
     result = run_pipeline(config, questions, docsets)
-    assert result.ok
+    assert not result.errors
     report = evaluate_run(result.runs, load_qrels(planted.qrels_path),
                           run_id="planted")
     elapsed = time.perf_counter() - t0

@@ -253,6 +253,7 @@ def test_evaluate_diff_metric_requires_two_runs(tmp_path, planted, run_file):
     assert main(["evaluate", str(run_file), "--qrels", planted.qrels_path,
                  "--out-prefix", str(tmp_path / "x"),
                  "--diff-metric", "tMRR"]) == 2
+    assert list(tmp_path.glob("x.*")) == []
 
 
 def test_evaluate_unknown_diff_metric_rejected(tmp_path, planted, run_file):
@@ -260,6 +261,7 @@ def test_evaluate_unknown_diff_metric_rejected(tmp_path, planted, run_file):
                  "--qrels", planted.qrels_path,
                  "--out-prefix", str(tmp_path / "x"),
                  "--diff-metric", "NDCG"]) == 2
+    assert list(tmp_path.glob("x.*")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,17 @@ def test_load_questions_roundtrip(tmp_path):
     assert [q.id for q in questions] == ["q1", "q2"]
     assert questions[0].source_set == "CQ-W"
     assert questions[1].source_set == "custom"
-    assert questions[1].gold_answers == ("B", "C")
+
+
+def test_load_questions_ignores_gold_answers(tmp_path):
+    path = tmp_path / "q.jsonl"
+    records = [
+        {"id": "q1", "text": "Who won?"},
+        {"id": "q2", "text": "Where is it?", "gold_answers": []},
+        {"id": "q3", "text": "When was it?", "gold_answers": ["?!"]},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert [q.id for q in load_questions(path)] == ["q1", "q2", "q3"]
 
 
 def test_load_questions_empty_file(tmp_path):

@@ -598,8 +598,7 @@ def _pipeline_result(error=None):
     """The bad result has the good one's run lines, so only its sidecar,
     written second, can fail."""
     return PipelineResult(runs=(TiedRun("q1", (frozenset({"a"}),), (0.5,)),),
-                          errors=(("q2", error),) if error is not None else (),
-                          load_seconds=0.0)
+                          errors=(("q2", error),) if error is not None else ())
 
 
 def _annotated(qid, text, surface):

@@ -20,9 +20,9 @@ from entityqa.experiments import (
     write_latency_json,
     write_significance_json,
 )
-from entityqa.pipeline import (PipelineConfig, load_stages,
-                               rank_from_evidence, run_pipeline)
-from entityqa.ranking import ALPHA_BETA_GRID, TiedRun, write_runs
+from entityqa.pipeline import (PipelineConfig, aggregate_evidence,
+                               load_stages, run_pipeline)
+from entityqa.ranking import ALPHA_BETA_GRID, TiedRun, rank_answers, write_runs
 
 
 def _inputs(fixture):
@@ -163,8 +163,10 @@ def test_ablation_rows_match_full_pipeline_runs(oracle_case, planted):
                     runs.append(TiedRun(question_id=q.id, groups=(), scores=()))
                     continue
                 _pool, evidence, n_docs = prepared[q.id]
-                runs.append(rank_from_evidence(evidence, n_docs, q.id,
-                                               variant, ""))
+                runs.append(rank_answers(
+                    q.id, [ev.entity.canonical_surface for ev in evidence],
+                    aggregate_evidence(evidence, n_docs, variant),
+                    [ev.entity.df for ev in evidence], n_docs, variant.ranking))
             return evaluate_run(runs, judgments).mean("tMRR")
 
         sweep = [mean_tmrr(alpha, beta) for alpha, beta in ALPHA_BETA_GRID]

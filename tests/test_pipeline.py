@@ -16,10 +16,10 @@ from entityqa.entities import CandidateEntity
 from entityqa.errors import ConfigError
 from entityqa.evaluation import load_qrels, evaluate_run
 from entityqa.pipeline import (
+    LoadedStages,
     PipelineConfig,
     load_config,
     load_stages,
-    rank_from_evidence,
     run_pipeline,
     write_run_file,
 )
@@ -157,7 +157,7 @@ def test_run_pipeline_plants_gold_on_top(planted, planted_config):
     cfg = PipelineConfig(**planted_config)
     questions, docsets = _inputs(planted)
     result = run_pipeline(cfg, questions, docsets)
-    assert result.ok
+    assert not result.errors
     assert len(result.runs) == len(planted.questions)
     judgments = load_qrels(planted.qrels_path)
     report = evaluate_run(result.runs, judgments, run_id="unit")
@@ -233,7 +233,7 @@ def test_run_pipeline_missing_docset_recorded(planted, planted_config):
     questions, docsets = _inputs(planted)
     docsets.pop(questions[0].id)
     result = run_pipeline(cfg, questions, docsets)
-    assert not result.ok
+    assert result.errors
     assert len(result.runs) == len(questions) - 1
     assert result.errors[0][0] == questions[0].id
     assert "document" in result.errors[0][1]
@@ -250,8 +250,7 @@ def test_prepare_skips_segmentation_for_unmapped_type(monkeypatch, planted,
         return segment_sentences(doc)
 
     monkeypatch.setattr(pipeline, "segment_sentences", counting_segment)
-    abbreviation = Question(id=questions[0].id, text="What does VRC stand for?",
-                            gold_answers=("anything",))
+    abbreviation = Question(id=questions[0].id, text="What does VRC stand for?")
     assert stages.prepare(abbreviation, docsets[abbreviation.id]) is None
     assert segmented == []
     # The same documents are segmented for an entity question.
@@ -278,7 +277,7 @@ def test_unmapped_question_type_yields_empty_run(tmp_path, planted,
     docsets = {qid: DocumentSet(question_id=qid, documents=tuple(docs))
                for qid, docs in load_documents(documents_path).items()}
     result = run_pipeline(cfg, questions, docsets)
-    assert result.ok
+    assert not result.errors
     assert len(result.runs) == 1
     assert result.runs[0].groups == ()
 
@@ -300,7 +299,7 @@ def test_empty_candidate_pool_yields_empty_run(tmp_path, planted,
     docsets = {qid: DocumentSet(question_id=qid, documents=tuple(docs))
                for qid, docs in load_documents(documents_path).items()}
     result = run_pipeline(cfg, questions, docsets)
-    assert result.ok
+    assert not result.errors
     assert result.runs[0].groups == ()
 
 
@@ -353,9 +352,14 @@ def _hex(scores):
     return tuple(score.hex() for score in scores)
 
 
-def test_rank_from_evidence_matches_reference_rank():
-    """The float tail gives the old per-candidate tail's groups and scores,
-    bit for bit, under every aggregation, denominator and combine mode."""
+def test_answer_matches_reference_rank(monkeypatch):
+    """The float tail of `answer` gives the old per-candidate tail's groups
+    and scores, bit for bit, under every aggregation, denominator and
+    combine mode."""
+    prepared = None
+    monkeypatch.setattr(LoadedStages, "prepare",
+                        lambda self, question, docset: prepared)
+    question = Question(id="q", text="Who?")
     rng = random.Random(2024)
     grid = rng.sample(ALPHA_BETA_GRID, 8) + [(0.1, 0.1), (0.7, 0.7)]
     cut = signed_zero = 0
@@ -371,13 +375,16 @@ def test_rank_from_evidence_matches_reference_rank():
                                 avgmax_denominator=denominator,
                                 combine=combine, alpha=alpha, beta=beta,
                                 score_digits=digits)
-        run = rank_from_evidence(evidence, n_docs, "q", config, "cid")
+        prepared = None, evidence, n_docs
+        stages = LoadedStages(config=config, classifier=None, provider=None,
+                              extractor=None, type_map=None)
+        run = stages.answer(question, None)
         groups, scores = reference_rank(plain, n_docs, aggregation,
                                         denominator, combine, alpha, beta,
                                         digits, max_groups=len(plain))
         assert run.groups == groups[:5]
         assert _hex(run.scores) == _hex(scores[:5])
-        assert (run.question_id, run.config_id) == ("q", "cid")
+        assert (run.question_id, run.config_id) == ("q", config.config_id)
         cut += len(groups) > 5
         signed_zero += "-0x0.0p+0" in _hex(scores[:5])
     # Most pools hold more groups than are kept, and some keep a -0.0.

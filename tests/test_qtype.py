@@ -150,14 +150,12 @@ def test_trainer_rejects_bad_input():
 
 
 def test_trainer_records_hyperparams():
-    model = train_one_vs_rest(_separable_samples(), classes=("a", "b", "c"),
-                              dimension=5, epochs=4, learning_rate=0.25,
-                              l2=1e-3, seed=2)
-    hp = dict(model.hyperparams)
-    assert hp["epochs"] == 4
-    assert hp["learning_rate"] == 0.25
-    assert hp["l2"] == 1e-3
-    assert hp["seed"] == 2
+    labeled = [LabeledQuestion("HUMAN", "individual", "Who won the race?"),
+               LabeledQuestion("LOCATION", "city", "Where is the arena?")]
+    model = train_classifier(labeled, epochs=4, learning_rate=0.25, l2=1e-3,
+                             seed=2)
+    assert model.hyperparams == {"epochs": 4, "learning_rate": 0.25,
+                                 "l2": 1e-3, "seed": 2}
 
 
 def test_objective_improves_over_zero_model():
@@ -205,8 +203,8 @@ def test_unmapped_types_raise():
 
 def test_taxonomy_shape():
     tax = default_taxonomy()
-    assert len(tax.coarse_labels) == 6
-    assert len(tax.fine_labels) == 50
+    assert len(tax.coarse_to_fine) == 6
+    assert sum(map(len, tax.coarse_to_fine.values())) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ def svm_stages(planted_config):
 
 def test_predict_types_then_map_end_to_end(svm_stages):
     q = Question(id="t1", text="Who founded the famous bridge in Ostenfell?",
-                 gold_answers=("x",), source_set="custom")
+                 source_set="custom")
     coarse, fine = svm_stages.predict_types(q)
     assert coarse == "HUMAN"
     assert map_answer_types(coarse, fine, svm_stages.type_map) == \
@@ -298,7 +296,7 @@ def test_predict_types_then_map_end_to_end(svm_stages):
 
 def test_predict_types_unmapped_type_raises(svm_stages):
     q = Question(id="t2", text="What does VRC stand for?",
-                 gold_answers=("x",), source_set="custom")
+                 source_set="custom")
     coarse, fine = svm_stages.predict_types(q)
     with pytest.raises(UnmappedTypeError):
         map_answer_types(coarse, fine, svm_stages.type_map)

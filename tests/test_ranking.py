@@ -8,7 +8,7 @@ from entityqa.ranking import (
     MAX_RANK_GROUPS,
     RankingConfig,
     TiedRun,
-    combine,
+    _combine_each,
     load_runs,
     rank_answers,
     write_runs,
@@ -21,25 +21,25 @@ from entityqa.ranking import (
 
 def test_combine_multiplicative_example():
     cfg = RankingConfig(combine_mode="multiplicative")
-    assert combine(0.5, 5, 10, cfg) == pytest.approx(0.25)
+    assert _combine_each([0.5], [5], 10, cfg) == [pytest.approx(0.25)]
 
 
 def test_combine_additive_example():
     cfg = RankingConfig(combine_mode="additive", alpha=0.1, beta=0.1)
-    assert combine(1.0, 10, 10, cfg) == pytest.approx(0.2)
+    assert _combine_each([1.0], [10], 10, cfg) == [pytest.approx(0.2)]
 
 
 def test_combine_multiplicative_zero_df_absorbs():
     cfg = RankingConfig(combine_mode="multiplicative")
-    assert combine(0.99, 0, 10, cfg) == 0.0
+    assert _combine_each([0.99], [0], 10, cfg) == [0.0]
 
 
 def test_combine_rejects_bad_counts():
     cfg = RankingConfig()
     with pytest.raises(ValueError):
-        combine(0.5, 1, 0, cfg)
+        _combine_each([0.5], [1], 0, cfg)
     with pytest.raises(ValueError):
-        combine(0.5, 11, 10, cfg)
+        _combine_each([0.5], [11], 10, cfg)
 
 
 def test_additive_config_requires_weights_in_range():
@@ -118,8 +118,9 @@ def test_multiplicative_scale_covariance():
         sems = {s: rng.uniform(0, 1) for s in names}
         dfs = {s: rng.randint(0, 10) for s in names}
         c = rng.uniform(0.1, 9.0)
-        base = [combine(sems[s], dfs[s], 10, cfg) for s in names]
-        scaled = [combine(c * sems[s], dfs[s], 10, cfg) for s in names]
+        df_list = [dfs[s] for s in names]
+        base = _combine_each([sems[s] for s in names], df_list, 10, cfg)
+        scaled = _combine_each([c * sems[s] for s in names], df_list, 10, cfg)
         argsort = lambda xs: sorted(range(n), key=lambda i: (-xs[i], names[i]))
         assert argsort(base) == argsort(scaled)
 
@@ -130,11 +131,11 @@ def test_additive_matches_closed_form_brute_force():
         alpha, beta = rng.choice(ALPHA_BETA_GRID)
         cfg = RankingConfig(combine_mode="additive", alpha=alpha, beta=beta)
         n = rng.randint(1, 10)
-        for _i in range(n):
-            sem = rng.uniform(-1, 1)
-            df = rng.randint(0, 10)
-            got = combine(sem, df, 10, cfg)
-            assert got == pytest.approx(alpha * sem + beta * df / 10)
+        sems, dfs = zip(*[(rng.uniform(-1, 1), rng.randint(0, 10))
+                          for _ in range(n)])
+        got = _combine_each(sems, dfs, 10, cfg)
+        assert got == [pytest.approx(alpha * sem + beta * df / 10)
+                       for sem, df in zip(sems, dfs)]
 
 
 # ---------------------------------------------------------------------------
