@@ -18,7 +18,10 @@ import re
 import tempfile
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
+from itertools import compress, count
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -167,6 +170,20 @@ def read_json(path: str | Path) -> dict:
     return raw
 
 
+def parse_rank(value, path: str | Path, line_no: int, question_id: str) -> int:
+    """A rank field read from JSON: an int, a float with no fractional
+    part, or a string that `int()` accepts. A bool, a fractional number
+    or any other value is a ParseError naming the file, line and question."""
+    if not isinstance(value, bool) and not (isinstance(value, float)
+                                            and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(str(path), line_no,
+                     f"question {question_id!r}: rank must be an integer, not {value!r}")
+
+
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
     """Load questions from a JSONL file, one object per line.
 
@@ -208,9 +225,10 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
     seen: dict[tuple[str, int], int] = {}
     for line_no, raw in read_jsonl(path):
         try:
+            qid = str(raw["question_id"])
             doc = Document(
-                question_id=str(raw["question_id"]),
-                original_rank=int(raw["rank"]),
+                question_id=qid,
+                original_rank=parse_rank(raw["rank"], path, line_no, qid),
                 text=str(raw["text"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -378,11 +396,47 @@ def default_abbreviations() -> frozenset[str]:
     return _abbrev_cache
 
 
-# `[.!?][.!?]*` matches what `[.!?]+` does, but `re` only skips ahead to
-# a pattern's first character in C when the pattern opens with a bare
-# character class, not with a repeat.
-_BOUNDARY = re.compile(r"([.!?][.!?]*)(\s+)(?=[A-Z0-9\"'(])")
-_RUN = re.compile(r"[\w.]*")
+# A boundary is a run of terminators, whitespace, and an upper-case,
+# digit, quote or parenthesis start. The pattern opens with a bare
+# character class, so `re` skips ahead to a terminator in C. Right after
+# the first terminator, an optional flag group captures the whitespace
+# where the abbreviation rule could hold: after a newline, or where the
+# `[\w.]*` run before the terminators matches an entry under `(?i)`
+# (`_splitter` says why every boundary the rule would join is flagged).
+# Only flagged boundaries get the exact check; every other one splits.
+_BOUNDARY = r"([.!?](?:(?:{flag})(?=[.!?]*(\s+)))?[.!?]*)\s+(?=[A-Z0-9\"'(])"
+# The `[\w.]*` run that ends a piece, or ends one newline before its
+# end, read forward in the reversed piece.
+_RUN_BEFORE = re.compile(r"\n?([\w.]*)")
+
+
+@lru_cache(maxsize=8)
+def _splitter(abbreviations: frozenset[str]):
+    r"""`re.split` by the boundary pattern, with the flag built for this set.
+
+    The rule holds where the run, lower-cased and with trailing periods
+    stripped, is an entry. Terminators right after a newline are always
+    flagged. Elsewhere the run ends just before them, and so in a word
+    character, since a boundary starts at the first of its terminators;
+    a matching entry is non-empty, does not end in a period and equals
+    `run.lower()`. `str.lower` maps each character to
+    one, except "İ" to "i" + U+0307, and U+0307 is no word character;
+    `(?i)` matches each other word character by its lower case, and "Σ"
+    by "σ" and "ς" alike. So the entry, with each "i" + U+0307 written
+    back as "İ", is as long as the run and matches it under `(?i)`, and
+    `(?<![\w.])` pins the run's start. The flag may also fire where the
+    rule does not hold, as for "DR", or "s" before "ſ"; the exact check
+    settles those.
+    """
+    by_width: dict[int, list[str]] = {}
+    for entry in abbreviations:
+        if entry and not entry.endswith("."):
+            word = entry.replace("i\u0307", "\u0130")
+            by_width.setdefault(len(word), []).append(re.escape(word))
+    flags = [rf"(?<=(?<![\w.])(?i:{'|'.join(sorted(words))})[.!?])"
+             for _, words in sorted(by_width.items())]
+    flags.append(r"(?<=\n.)")
+    return re.compile(_BOUNDARY.format(flag="|".join(flags))).split
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
@@ -394,26 +448,26 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     is one sentence; sentences are stripped and empty ones dropped.
 
     That token is the `[\w.]*` run which ends at the terminator, or one
-    newline before it; it is matched forward in the reversed text.
+    newline before it. One `re.split` finds every boundary and flags those
+    where the token could be an abbreviation; only at a flagged boundary
+    is the token looked up, and where it is listed the pieces on either
+    side are joined again with the whitespace between them.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
-    pieces: list[str] = []
-    start = 0
-    n, rev = len(text), ""
-    for match in _BOUNDARY.finditer(text):
-        if "." in match.group(1):
-            stop = match.start(1)
-            if stop > start and text[stop - 1] == "\n":
-                stop -= 1
-            rev = rev or text[::-1]
-            before = text[n - _RUN.match(rev, n - stop, n - start).end():stop]
-            if before and before.lower().rstrip(".") in abbreviations:
-                continue
-        pieces.append(text[start:match.end(1)])
-        start = match.end(2)
-    pieces.append(text[start:])
-    return [piece for piece in map(str.strip, pieces) if piece]
+    abbreviations = (default_abbreviations() if abbreviations is None
+                     else frozenset(abbreviations))
+    parts = _splitter(abbreviations)(text)
+    # parts: piece, terminators, flagged whitespace or None, ..., last piece
+    pieces = list(map(add, parts[::3], parts[1::3]))
+    pieces.append(parts[-1])
+    for i in compress(count(), parts[2::3]):
+        # Whitespace comes before every piece but the first, so a piece's
+        # own run is the one the rule reads, whatever was joined before it.
+        piece, terminators, gap = parts[3 * i:3 * i + 3]
+        run = _RUN_BEFORE.match(piece[::-1])[1][::-1]
+        if "." in terminators and run and run.lower().rstrip(".") in abbreviations:
+            pieces[i + 1] = pieces[i] + gap + pieces[i + 1]
+            pieces[i] = ""
+    return list(filter(None, map(str.strip, pieces)))
 
 
 def segment_sentences(doc: Document) -> Document:

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import DocumentSet, canonicalize, read_jsonl, write_jsonl
+from .corpus import DocumentSet, canonicalize, parse_rank, read_jsonl, write_jsonl
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -159,7 +159,8 @@ class AnnotationFileExtractor:
         self.records: dict[str, dict[int, tuple[int, list[tuple]]]] = {}
         for line_no, raw in read_jsonl(path):
             try:
-                qid, rank = str(raw["question_id"]), int(raw["doc_rank"])
+                qid = str(raw["question_id"])
+                rank = parse_rank(raw["doc_rank"], self.path, line_no, qid)
                 ents = raw["entities"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from entityqa import corpus
 from entityqa.corpus import (
     BAND_BOUNDS,
     COLLECTION_SPECS,
@@ -159,10 +160,19 @@ def test_split_preserves_characters_in_order():
 
 
 # Words before a terminator: abbreviations with inner periods, non-ASCII
-# letters, digits and numerals (é, ٣, ², ⅷ), underscores, runs of periods.
+# letters, digits and numerals (é, ٣, ², ⅷ), underscores, runs of periods,
+# and letters where `str.lower` and `re.IGNORECASE` part ways: "İ" lowers
+# to "i" + U+0307, the Kelvin sign "K" to "k", "ſ" stays "ſ", and a
+# word-final "Σ" lowers to "ς" (after an apostrophe the run is "Σ" alone,
+# which lowers to "σ").
 _SPLIT_WORDS = ("U.S", "u.s", "e.g", "E.G", "i.e", "Dr", "mr", "No", "etc",
                 "ph.d", "Ph.D.", "café", "é", "٣", "x²", "ⅷ", "Ⅷ", "snake_case",
-                "_", "a_b.c", "3.14", "word", "Zoë", "naïve", "..", "x", "")
+                "_", "a_b.c", "3.14", "word", "Zoë", "naïve", "..", "x", "",
+                "İ", "\u212a", "ſ", "ΑΣ", "Α'Σ", "Σ", "DR")
+# Entries that only the exact rule tells apart from what `(?i)` matches:
+# "i̇" is "i" + U+0307, "x." and ".." can never match, "" matches a run of
+# periods alone, and "DR" matches nothing, as runs are lower-cased.
+_CASE_ABBREVIATIONS = frozenset({"i\u0307", "k", "σ", "ς", "x.", "", "..", "DR"})
 _SPLIT_GAPS = (" ", "  ", "\n", " \n", "\n\n", "\t", "")
 _SPLIT_TERMINATORS = (".", "!", "?", "...", "?!", ".!", ". .", "")
 _SPLIT_STARTS = ("Next", "next", "3 more", '"Quoted"', "(Aside)", "'tis",
@@ -183,18 +193,42 @@ def _random_split_text(rng: random.Random) -> str:
     return "".join(parts)
 
 
+def _flagged_outcomes(text: str, abbreviations: frozenset[str]) -> tuple[int, int]:
+    """How many of the text's flagged boundaries stay splits, and how many
+    the exact rule joins (the rule of `reference_split_sentences`)."""
+    parts = corpus._splitter(abbreviations)(text)
+    split = joined = 0
+    for piece, terminators, gap in zip(parts[::3], parts[1::3], parts[2::3]):
+        if gap is not None:
+            word = re.search(r"([\w.]+)$", piece)
+            if "." in terminators and word and \
+                    word.group(1).lower().rstrip(".") in abbreviations:
+                joined += 1
+            else:
+                split += 1
+    return split, joined
+
+
 def test_split_sentences_matches_reference_on_random_texts():
     rng = random.Random(5)
-    # The default list, and one whose entries hold non-ASCII word
-    # characters and underscores, so those words are looked up too.
+    # The default list, one whose entries hold non-ASCII word characters
+    # and underscores, so those words are looked up too, and the entries
+    # where lower-casing and `(?i)` differ.
     abbreviation_sets = (default_abbreviations(),
                          frozenset({"é", "٣", "x²", "ⅷ", "snake_case", "a_b.c",
-                                    "café", "zoë", "_", "3.14", ""}))
+                                    "café", "zoë", "_", "3.14", ""}),
+                         _CASE_ABBREVIATIONS)
+    outcomes = {abbreviations: [0, 0] for abbreviations in abbreviation_sets}
     for _ in range(4000):
         text = _random_split_text(rng)
         for abbreviations in abbreviation_sets:
             assert split_sentences(text, abbreviations) == \
                 reference_split_sentences(text, abbreviations), repr(text)
+            split, joined = _flagged_outcomes(text, abbreviations)
+            outcomes[abbreviations][0] += split
+            outcomes[abbreviations][1] += joined
+    # The exact check ran both ways under every set.
+    assert all(split > 100 and joined > 100 for split, joined in outcomes.values()), outcomes
 
 
 # Whitespace that `\s` matches besides space, tab and newline: no-break,
@@ -223,14 +257,20 @@ def _long_split_text(rng: random.Random) -> str:
 def test_split_sentences_matches_reference_on_long_and_unicode_texts():
     rng = random.Random(31)
     abbreviation_sets = (default_abbreviations(),
-                         frozenset({"u.s", "é", "snake_case", "x", "..", ""}))
+                         frozenset({"u.s", "é", "snake_case", "x", "..", ""}),
+                         _CASE_ABBREVIATIONS)
     blanks = ["".join(rng.choice(_UNICODE_GAPS + _SPLIT_GAPS) for _ in range(n))
               for n in range(8)]
     texts = blanks + [_long_split_text(rng) for _ in range(800)]
+    outcomes = {abbreviations: [0, 0] for abbreviations in abbreviation_sets}
     for text in texts:
         for abbreviations in abbreviation_sets:
             assert split_sentences(text, abbreviations) == \
                 reference_split_sentences(text, abbreviations), repr(text)
+            split, joined = _flagged_outcomes(text, abbreviations)
+            outcomes[abbreviations][0] += split
+            outcomes[abbreviations][1] += joined
+    assert all(split > 100 and joined > 100 for split, joined in outcomes.values()), outcomes
     assert all(split_sentences(text) == [] for text in blanks)
 
 
@@ -253,10 +293,87 @@ def test_segment_sentences_matches_reference_on_planted_documents(planted):
     ("Café. Next", ["Café.", "Next"]),
     (". Next", [".", "Next"]),
     ("\n. Next", [".", "Next"]),
+    # The run before one newline may end in periods; they are stripped.
+    ("Dr.\n. Next", ["Dr.\n. Next"]),
+    ("Dr..\n. Next", ["Dr..\n. Next"]),
+    ("e.g.\n. Next", ["e.g.\n. Next"]),
+    ("x.\n. Next", ["x.\n.", "Next"]),
 ])
 def test_split_sentences_word_before_terminator(text, expected):
     assert split_sentences(text) == expected
     assert reference_split_sentences(text, default_abbreviations()) == expected
+
+
+@pytest.mark.parametrize("text, abbreviations, expected", [
+    ("\u0130. Next", _CASE_ABBREVIATIONS, ["\u0130. Next"]),
+    ("i. Next", _CASE_ABBREVIATIONS, ["i.", "Next"]),
+    ("I. Next", _CASE_ABBREVIATIONS, ["I.", "Next"]),
+    ("\u0130.\n. Next", _CASE_ABBREVIATIONS, ["\u0130.\n. Next"]),
+    ("X\u0130. Next", frozenset({"xi\u0307"}), ["X\u0130. Next"]),
+    ("\u212a. Next", _CASE_ABBREVIATIONS, ["\u212a. Next"]),
+    ("K. Next", _CASE_ABBREVIATIONS, ["K. Next"]),
+    ("\u017f. Next", _CASE_ABBREVIATIONS, ["\u017f.", "Next"]),
+    ("\u017f. Next", frozenset({"s"}), ["\u017f.", "Next"]),
+    ("S. Next", frozenset({"\u017f"}), ["S.", "Next"]),
+    ("Σ. Next", _CASE_ABBREVIATIONS, ["Σ. Next"]),
+    ("Α'Σ. Next", _CASE_ABBREVIATIONS, ["Α'Σ. Next"]),
+    ("ΑΣ. Next", _CASE_ABBREVIATIONS, ["ΑΣ.", "Next"]),
+    ("ΑΣ. Next", frozenset({"ας"}), ["ΑΣ. Next"]),
+    ("ΑΣ. Next", frozenset({"ασ"}), ["ΑΣ.", "Next"]),
+    ("Dr. Next", _CASE_ABBREVIATIONS, ["Dr.", "Next"]),
+    ("DR. Next", _CASE_ABBREVIATIONS, ["DR.", "Next"]),
+    ("x. Next", _CASE_ABBREVIATIONS, ["x.", "Next"]),
+    ("x.\n. Next", _CASE_ABBREVIATIONS, ["x.\n.", "Next"]),
+    ("a ..\n. Next", _CASE_ABBREVIATIONS, ["a ..\n. Next"]),
+    ("a ..\n. Next", default_abbreviations(), ["a ..\n.", "Next"]),
+    ("a .. Next", _CASE_ABBREVIATIONS, ["a ..", "Next"]),
+    ("Dr.\n. Next", _CASE_ABBREVIATIONS, ["Dr.\n.", "Next"]),
+])
+def test_split_sentences_where_case_folding_differs(text, abbreviations, expected):
+    assert split_sentences(text, abbreviations) == expected
+    assert reference_split_sentences(text, abbreviations) == expected
+
+
+def test_split_sentences_keeps_each_abbreviation_set_apart():
+    text = "See bar. Next. Dr. Who"
+    answers = {default_abbreviations(): ["See bar.", "Next.", "Dr. Who"],
+               frozenset({"bar"}): ["See bar. Next.", "Dr.", "Who"],
+               frozenset({"bar", "dr"}): ["See bar. Next.", "Dr. Who"],
+               frozenset(): ["See bar.", "Next.", "Dr.", "Who"]}
+    for _ in range(3):
+        for abbreviations, expected in answers.items():
+            assert split_sentences(text, abbreviations) == expected
+            assert reference_split_sentences(text, abbreviations) == expected
+        assert split_sentences(text) == answers[default_abbreviations()]
+    # More sets than the cache holds: each call still gets its own answer,
+    # and the cache stays at its bound.
+    for n in range(40):
+        word = f"w{n}"
+        assert split_sentences(f"See {word}. Next", frozenset({word})) == [f"See {word}. Next"]
+        assert split_sentences(f"See {word}. Next", frozenset({f"w{n + 1}"})) == \
+            [f"See {word}.", "Next"]
+    # A plain set is read as its frozenset.
+    assert split_sentences(text, {"bar"}) == answers[frozenset({"bar"})]
+    info = corpus._splitter.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert split_sentences(text) == answers[default_abbreviations()]
+
+
+def test_every_word_character_matches_its_lower_case_ignoring_case():
+    # The flag of `split_sentences` rests on this: every character a run
+    # can hold lower-cases to one character that matches it under `(?i)`,
+    # except "İ", whose lower case is "i" + U+0307, and U+0307 is no word
+    # character.
+    every_char = "".join(map(chr, range(0x110000)))
+    changed = [ch for ch in re.findall(r"[\w.]", every_char) if ch.lower() != ch]
+    assert len(changed) > 1000
+    for ch in changed:
+        lower = ch.lower()
+        if len(lower) == 1:
+            assert re.fullmatch(f"(?i:{re.escape(lower)})", ch), hex(ord(ch))
+        else:
+            assert ch == "\u0130" and lower == "i\u0307", hex(ord(ch))
+    assert not re.fullmatch(r"\w", "\u0307")
 
 
 def test_segment_sentences_indexes():
@@ -366,6 +483,29 @@ def test_load_documents_duplicate_rank_names_line(tmp_path):
     with pytest.raises(ParseError, match=r"d\.jsonl:4: duplicate document: "
                                          r"question 'q1' rank 1 \(first seen on line 1\)"):
         load_documents(path)
+
+
+@pytest.mark.parametrize("ranks, bad_line, shown", [
+    ([2.5], 1, "2.5"),
+    ([True], 1, "True"),
+    ([1, 1.9, True], 2, "1.9"),
+    ([1, "2.5"], 2, "'2.5'"),
+    ([1, None], 2, "None"),
+])
+def test_load_documents_rejects_ranks_that_are_not_integers(tmp_path, ranks, bad_line, shown):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(json.dumps({"question_id": "q1", "rank": rank, "text": "a."}) + "\n"
+                            for rank in ranks))
+    with pytest.raises(ParseError, match=rf"d\.jsonl:{bad_line}: question 'q1': "
+                                         rf"rank must be an integer, not {re.escape(shown)}$"):
+        load_documents(path)
+
+
+def test_load_documents_accepts_ints_and_digit_strings(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(json.dumps({"question_id": "q1", "rank": rank, "text": "a."}) + "\n"
+                            for rank in (3, "1", " 2 ")))
+    assert [d.original_rank for d in load_documents(path)["q1"]] == [1, 2, 3]
 
 
 def test_write_documents_roundtrip(tmp_path):

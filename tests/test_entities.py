@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from entityqa.entities import (
     filter_by_type,
     write_annotations,
 )
-from entityqa.errors import IngestionError
+from entityqa.errors import IngestionError, ParseError
 
 
 def _docset(texts, qid="q1"):
@@ -123,6 +124,24 @@ def test_annotation_file_bad_sentence_index(tmp_path):
                     '"start": 0, "end": 1}]}\n')
     with pytest.raises(IngestionError):
         AnnotationFileExtractor(path).extract(docset)
+
+
+@pytest.mark.parametrize("rank, shown", [(2.5, "2.5"), (True, "True"), (False, "False"),
+                                         ("x", "'x'")])
+def test_annotation_file_rejects_ranks_that_are_not_integers(tmp_path, rank, shown):
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(json.dumps({"question_id": qid, "doc_rank": r, "entities": []}) + "\n"
+                            for qid, r in (("q1", 1), ("q7", rank))))
+    with pytest.raises(ParseError, match=rf"ann\.jsonl:2: question 'q7': "
+                                         rf"rank must be an integer, not {re.escape(shown)}$"):
+        AnnotationFileExtractor(path)
+
+
+def test_annotation_file_accepts_ints_and_digit_strings(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(json.dumps({"question_id": "q1", "doc_rank": r, "entities": []}) + "\n"
+                            for r in (2, "3")))
+    assert list(AnnotationFileExtractor(path).records["q1"]) == [2, 3]
 
 
 def test_annotation_file_unknown_doc_ok_when_unused(tmp_path):
