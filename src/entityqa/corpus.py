@@ -184,6 +184,18 @@ def parse_rank(value, path: str | Path, line_no: int, question_id: str) -> int:
                      f"question {question_id!r}: rank must be an integer, not {value!r}")
 
 
+def parse_question_id(value, path: str | Path, line_no: int) -> str:
+    """A question id read from JSON: a string, or an integer that is not a
+    bool, read as its decimal string. Any other value is a ParseError
+    naming the file, line and value."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ParseError(str(path), line_no,
+                     f"question id must be a string or an integer, not {value!r}")
+
+
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
     """Load questions from a JSONL file, one object per line.
 
@@ -197,7 +209,7 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
     for line_no, raw in read_jsonl(path):
         if "id" not in raw or "text" not in raw:
             raise ParseError(str(path), line_no, "record must have 'id' and 'text'")
-        qid = str(raw["id"])
+        qid = parse_question_id(raw["id"], path, line_no)
         if qid in seen:
             raise ParseError(str(path), line_no,
                              f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
@@ -225,7 +237,7 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
     seen: dict[tuple[str, int], int] = {}
     for line_no, raw in read_jsonl(path):
         try:
-            qid = str(raw["question_id"])
+            qid = parse_question_id(raw["question_id"], path, line_no)
             doc = Document(
                 question_id=qid,
                 original_rank=parse_rank(raw["rank"], path, line_no, qid),

@@ -12,7 +12,8 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import DocumentSet, canonicalize, parse_rank, read_jsonl, write_jsonl
+from .corpus import (DocumentSet, canonicalize, parse_question_id, parse_rank,
+                     read_jsonl, write_jsonl)
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -95,28 +96,45 @@ class GazetteerExtractor:
         return cls(lexicon)
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
+        """Every gazetteer match in the document set, in document and
+        sentence order.
+
+        An ASCII sentence without "_" takes its canonical keys from one
+        `findall` on its lower-cased text. This is exact: on ASCII a token
+        can carry only "_" of the outer punctuation at either end, so its
+        canonical form is its lower case, and `lower()` keeps every
+        character's offset and word class. Every other sentence
+        canonicalises each distinct token once per document set.
+        """
         mentions: list[EntityMention] = []
         # Canonical form per raw token, for this docset only, so memory
         # does not grow with the vocabulary of the whole corpus.
         canonical: dict[str, str] = {}
+        findall = _WORD.findall
+        starts = self.longest_from.keys()
         for doc in docset.documents:
             doc_id = doc.doc_id
             for index, sentence in enumerate(doc.sentences):
-                mentions.extend(self._scan(sentence, doc_id, index, canonical))
+                if sentence.isascii() and "_" not in sentence:
+                    keys = findall(sentence.lower())
+                else:
+                    tokens = findall(sentence)
+                    keys = list(map(canonical.get, tokens))
+                    if None in keys:  # a token not yet canonicalised here
+                        for tok in tokens:
+                            if tok not in canonical:
+                                canonical[tok] = canonicalize(tok)
+                        keys = list(map(canonical.get, tokens))
+                if not starts.isdisjoint(keys):
+                    mentions.extend(self._longest_matches(sentence, keys,
+                                                          doc_id, index))
         return mentions
 
-    def _scan(self, text: str, doc_id: str, sent_idx: int,
-              canonical: dict[str, str]) -> list[EntityMention]:
-        tokens = _WORD.findall(text)
-        keys = list(map(canonical.get, tokens))
-        if None in keys:  # a token not yet canonicalised in this docset
-            for tok in tokens:
-                if tok not in canonical:
-                    canonical[tok] = canonicalize(tok)
-            keys = list(map(canonical.get, tokens))
+    def _longest_matches(self, text: str, keys: list[str], doc_id: str,
+                         sent_idx: int) -> list[EntityMention]:
+        """The left-to-right longest matches over the sentence's keys, one
+        key per `_WORD` token of `text`."""
         longest_from = self.longest_from
-        if longest_from.keys().isdisjoint(keys):
-            return []
         spans = [m.span() for m in _WORD.finditer(text)]
         found: list[EntityMention] = []
         n = len(keys)
@@ -159,7 +177,7 @@ class AnnotationFileExtractor:
         self.records: dict[str, dict[int, tuple[int, list[tuple]]]] = {}
         for line_no, raw in read_jsonl(path):
             try:
-                qid = str(raw["question_id"])
+                qid = parse_question_id(raw["question_id"], self.path, line_no)
                 rank = parse_rank(raw["doc_rank"], self.path, line_no, qid)
                 ents = raw["entities"]
             except (KeyError, TypeError, ValueError) as exc:

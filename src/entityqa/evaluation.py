@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .corpus import atomic_write_text, canonicalize, read_jsonl, write_json
+from .corpus import (atomic_write_text, canonicalize, parse_question_id, read_jsonl,
+                     write_json)
 from .errors import DataError, ParseError
 from .ranking import TiedRun
 
@@ -62,7 +63,7 @@ def load_qrels(path: str | Path,
     out: dict[str, Judgment] = {}
     for line_no, raw in read_jsonl(path):
         try:
-            qid = str(raw["question_id"])
+            qid = parse_question_id(raw["question_id"], path, line_no)
             golds = [str(g) for g in raw["gold_answers"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(str(path), line_no, f"invalid qrels record: {exc}") from exc

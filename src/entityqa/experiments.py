@@ -138,11 +138,17 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
     # Per pair, the evidence and candidates of each question. Questions with
     # no candidates (unmapped type, empty pool) are left out here and get
     # the empty run in every variant. The pairs prepare each question in
-    # turn, so they share its document step.
+    # turn, so they share its document step. Pairs share a classifier only
+    # where it predicts alike for both (the SVM reads only the question),
+    # so each classifier predicts each question once.
     prepared: list[dict[str, tuple[list, _Candidates]]] = [{} for _ in pairs]
     for q in questions:
+        predicted: dict[int, tuple[str, str]] = {}
         for stages, pools in zip(pairs, prepared):
-            result = stages.prepare(q, docsets[q.id])
+            classifier = id(stages.classifier)
+            if classifier not in predicted:
+                predicted[classifier] = stages.predict_types(q)
+            result = stages.prepare(q, docsets[q.id], predicted[classifier])
             if result is None or not result[1]:
                 continue
             _pool, evidence, n_docs = result

@@ -190,17 +190,19 @@ class LoadedStages:
         return self.classifier.predict_vector(
             self.provider.embed(preprocess_text(question.text)))
 
-    def prepare(self, question: Question, docset: DocumentSet):
+    def prepare(self, question: Question, docset: DocumentSet,
+                types: tuple[str, str] | None = None):
         """Everything up to evidence scores (independent of agg/combine).
 
         The answer type is predicted first, from the question alone, so a
-        question of a non-entity type returns before the document step.
-        Then the typed step filters the mentions by type, pools them and
-        scores their evidence. Returns (pool, evidence, number of
-        documents), or None for a question of a non-entity type.
+        question of a non-entity type returns before the document step;
+        `types`, when given, is that prediction, made by the caller with
+        this classifier. Then the typed step filters the mentions by type,
+        pools them and scores their evidence. Returns (pool, evidence,
+        number of documents), or None for a question of a non-entity type.
         """
         try:
-            coarse, fine = self.predict_types(question)
+            coarse, fine = types or self.predict_types(question)
             accepted = map_answer_types(coarse, fine, self.type_map)
         except UnmappedTypeError:
             # Non-entity question types (definition/abbreviation style)

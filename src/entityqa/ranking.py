@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import read_jsonl, write_jsonl
+from .corpus import parse_question_id, read_jsonl, write_jsonl
 from .errors import ParseError
 
 # In the order the ablation grid reports its combine cells.
@@ -142,7 +142,7 @@ def load_runs(path: str | Path) -> list[TiedRun]:
     for line_no, raw in read_jsonl(path):
         try:
             runs.append(TiedRun(
-                question_id=str(raw["question_id"]),
+                question_id=parse_question_id(raw["question_id"], path, line_no),
                 groups=tuple(frozenset(map(str, g)) for g in raw["groups"]),
                 scores=tuple(float(s) for s in raw["scores"]),
                 config_id=str(raw.get("config_id", "")),

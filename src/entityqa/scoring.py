@@ -98,11 +98,20 @@ class WordAverageProvider:
         return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
-        rows = [
-            self.vectors[tok]
-            for tok in (m.group(0).lower() for m in _TOKEN.finditer(text))
-            if tok in self.vectors
-        ]
+        """Mean of the rows of the text's lower-cased `_TOKEN` tokens.
+
+        ASCII text is lower-cased before one `findall`. This is exact: on
+        ASCII, `lower()` keeps each character's offset and word class, so
+        it finds the same tokens. Elsewhere it need not ("İ" lower-cases to
+        two characters, the second no word character), so each token is
+        lower-cased after matching.
+        """
+        if text.isascii():
+            tokens = _TOKEN.findall(text.lower())
+        else:
+            tokens = [m.group(0).lower() for m in _TOKEN.finditer(text)]
+        vectors = self.vectors
+        rows = [vectors[tok] for tok in tokens if tok in vectors]
         if rows:
             return np.mean(rows, axis=0)
         return np.zeros(self.dim)

@@ -17,10 +17,23 @@ Two independent assets are produced here:
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+# JSON values that are no question id, each with the repr an error shows.
+NOT_QUESTION_IDS = [(None, "None"), (True, "True"), (1.5, "1.5"),
+                    (["q"], "['q']"), ({"q": 1}, "{'q': 1}")]
+
+
+def question_id_error(name: str, line_no: int, shown: str) -> str:
+    """The message pattern of a bad question id on line `line_no` of the
+    file `name`."""
+    return (rf"{re.escape(name)}:{line_no}: question id must be a string "
+            rf"or an integer, not {re.escape(shown)}$")
+
 
 VERBS = ("founded", "built", "designed", "restored", "discovered", "painted",
          "composed", "directed", "established", "expanded")

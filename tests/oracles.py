@@ -17,7 +17,8 @@ and compares slices. The count-based metric oracles scan every group's
 (size, relevant) counts twice: once for the classical triple over the
 first five groups, once for the tie-aware triple with its tHit@5
 miss-probability product. The centroid oracle adds each labeled row to
-its class in a Python loop.
+its class in a Python loop. The word-average oracle matches each token on
+the text as given and lower-cases it on its own.
 """
 
 from __future__ import annotations
@@ -368,6 +369,19 @@ def reference_split_sentences(text: str, abbreviations: frozenset[str]) -> list[
         start = match.end(2)
     pieces.append(text[start:])
     return [p.strip() for p in pieces if p.strip()]
+
+
+def reference_word_average(text: str, vectors: dict[str, np.ndarray],
+                           dim: int) -> np.ndarray:
+    """Mean of the rows of the text's tokens, each found by `finditer` on
+    the text and then lower-cased; the zero vector when none has a row.
+    `vectors` is keyed by lower-cased words."""
+    rows = []
+    for match in _WORD.finditer(text):
+        token = match.group(0).lower()
+        if token in vectors:
+            rows.append(vectors[token])
+    return np.mean(rows, axis=0) if rows else np.zeros(dim)
 
 
 def reference_cosine(a, b) -> float:

@@ -32,6 +32,7 @@ from entityqa.corpus import (
 )
 from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
 
+from datagen import NOT_QUESTION_IDS, question_id_error
 from oracles import (reference_canonicalize, reference_fold_accents,
                      reference_preprocess_text, reference_split_sentences)
 
@@ -439,6 +440,17 @@ def test_load_questions_malformed_line(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
+def test_load_questions_takes_ids_as_strings_or_integers(tmp_path, value, shown):
+    path = tmp_path / "q.jsonl"
+    rows = [{"id": "q1", "text": "Who?"}, {"id": 7, "text": "Who?"}]
+    write_jsonl(path, rows)
+    assert [q.id for q in load_questions(path)] == ["q1", "7"]
+    write_jsonl(path, rows + [{"id": value, "text": "Who?"}])
+    with pytest.raises(ParseError, match=question_id_error("q.jsonl", 3, shown)):
+        load_questions(path)
+
+
 def test_read_jsonl_skips_blank_lines_and_rejects_non_objects(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"b": 2}\n[3]\n')
@@ -498,6 +510,18 @@ def test_load_documents_rejects_ranks_that_are_not_integers(tmp_path, ranks, bad
                             for rank in ranks))
     with pytest.raises(ParseError, match=rf"d\.jsonl:{bad_line}: question 'q1': "
                                          rf"rank must be an integer, not {re.escape(shown)}$"):
+        load_documents(path)
+
+
+@pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
+def test_load_documents_takes_ids_as_strings_or_integers(tmp_path, value, shown):
+    path = tmp_path / "d.jsonl"
+    rows = [{"question_id": "q1", "rank": 1, "text": "a."},
+            {"question_id": 7, "rank": 1, "text": "b."}]
+    write_jsonl(path, rows)
+    assert sorted(load_documents(path)) == ["7", "q1"]
+    write_jsonl(path, rows + [{"question_id": value, "rank": 2, "text": "c."}])
+    with pytest.raises(ParseError, match=question_id_error("d.jsonl", 3, shown)):
         load_documents(path)
 
 

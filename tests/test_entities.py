@@ -4,10 +4,10 @@ import re
 
 import pytest
 
-from datagen import random_mention_corpus
+from datagen import NOT_QUESTION_IDS, question_id_error, random_mention_corpus
 from oracles import brute_force_df, reference_gazetteer_scan
 
-from entityqa.corpus import Document, DocumentSet, segment_sentences
+from entityqa.corpus import Document, DocumentSet, segment_sentences, write_jsonl
 from entityqa.entities import (
     ONTONOTES_TAGS,
     AnnotationFileExtractor,
@@ -134,6 +134,18 @@ def test_annotation_file_rejects_ranks_that_are_not_integers(tmp_path, rank, sho
                             for qid, r in (("q1", 1), ("q7", rank))))
     with pytest.raises(ParseError, match=rf"ann\.jsonl:2: question 'q7': "
                                          rf"rank must be an integer, not {re.escape(shown)}$"):
+        AnnotationFileExtractor(path)
+
+
+@pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
+def test_annotation_file_takes_ids_as_strings_or_integers(tmp_path, value, shown):
+    path = tmp_path / "ann.jsonl"
+    rows = [{"question_id": "q1", "doc_rank": 1, "entities": []},
+            {"question_id": 7, "doc_rank": 1, "entities": []}]
+    write_jsonl(path, rows)
+    assert list(AnnotationFileExtractor(path).records) == ["q1", "7"]
+    write_jsonl(path, rows + [{"question_id": value, "doc_rank": 2, "entities": []}])
+    with pytest.raises(ParseError, match=question_id_error("ann.jsonl", 3, shown)):
         AnnotationFileExtractor(path)
 
 
@@ -275,6 +287,12 @@ _NOISY_WORDS = (
 )
 
 
+_UNDERSCORED_WORDS = (
+    "new", "york", "alpha", "beta", "o'neil", "x", "y", "_x", "x_", "_x_",
+    "_alpha_", "beta__", "__new", "x_y", "_", "3rd",
+)
+
+
 def _noisy(word, rng):
     roll = rng.random()
     if roll < 0.2:
@@ -335,6 +353,42 @@ def test_gazetteer_scan_matches_reference_on_random_corpora():
         _assert_scan_matches_reference(docset, lexicon)
         matched += len(GazetteerExtractor(lexicon).extract(docset))
     assert matched > 100  # the noisy corpora do exercise matching
+    # ASCII sentences whose tokens carry "_" at either end, which their
+    # canonical keys drop: "_X_" must still match the entry "x".
+    lexicon = {"alpha beta": "ORG", "x": "DATE", "new york": "GPE",
+               "x y": "PERSON", "o'neil": "PERSON"}
+    underscored = 0
+    for _ in range(100):
+        texts = [" ".join(_noisy(rng.choice(_UNDERSCORED_WORDS), rng)
+                          for _ in range(rng.randint(1, 12))) + "."
+                 for _ in range(rng.randint(1, 4))]
+        docset = _docset(texts)
+        assert all(s.isascii() for d in docset.documents for s in d.sentences)
+        _assert_scan_matches_reference(docset, lexicon)
+        underscored += sum("_" in m.surface
+                           for m in GazetteerExtractor(lexicon).extract(docset))
+    assert underscored > 50
+
+
+def test_gazetteer_scan_mixes_ascii_and_unicode_sentences_in_one_docset():
+    """ASCII and non-ASCII sentences of one docset share tokens, so the
+    one-call ASCII path and the per-docset memo both see "zoe" and
+    "o'neil", in either order. A curly apostrophe ends a token, so
+    "O\u2019Neil" is the two tokens "O" and "Neil"."""
+    lexicon = {"Zoë Café": "PERSON", "O'Neil": "PERSON", "zoe": "ORG", "x": "DATE"}
+    texts = ["Zoe cafe met ZOË Café. Zoe left. O\u2019Neil and o'neil met.",
+             "_x_ and x_ saw Zoë_ x. Then _x_ and x_ saw zoe_ x.",
+             "O'NEIL saw zoe CAFE. Zoë, O\u2019neil."]
+    docset = _docset(texts)
+    sentences = [s for d in docset.documents for s in d.sentences]
+    assert len(sentences) == 7
+    assert [s.isascii() for s in sentences] == [False, True, False, False, True,
+                                                True, False]
+    _assert_scan_matches_reference(docset, lexicon)
+    assert [m.surface for m in GazetteerExtractor(lexicon).extract(docset)] == [
+        "Zoe cafe", "ZOË Café", "Zoe", "o'neil",
+        "_x_", "x_", "Zoë_", "x", "_x_", "x_", "zoe_", "x",
+        "O'NEIL", "zoe CAFE", "Zoë"]
 
 
 def test_gazetteer_scan_prefix_entries_and_short_sentences():

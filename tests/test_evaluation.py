@@ -9,11 +9,12 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from datagen import NOT_QUESTION_IDS, question_id_error
 from oracles import (classical_from_counts, classical_reference,
                      enumerate_tie_metrics, mc_tie_metrics,
                      reference_match_answer, tie_aware_from_counts)
 
-from entityqa.corpus import Document, DocumentSet, write_documents
+from entityqa.corpus import Document, DocumentSet, write_documents, write_jsonl
 from entityqa.entities import EntityMention, write_annotations
 from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
@@ -190,6 +191,18 @@ def test_load_qrels_duplicate(tmp_path):
     with pytest.raises(ParseError) as err:
         load_qrels(path)
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
+def test_load_qrels_takes_ids_as_strings_or_integers(tmp_path, value, shown):
+    path = tmp_path / "qrels.jsonl"
+    rows = [{"question_id": "q1", "gold_answers": ["A"]},
+            {"question_id": 7, "gold_answers": ["B"]}]
+    write_jsonl(path, rows)
+    assert list(load_qrels(path)) == ["q1", "7"]
+    write_jsonl(path, rows + [{"question_id": value, "gold_answers": ["C"]}])
+    with pytest.raises(ParseError, match=question_id_error("qrels.jsonl", 3, shown)):
+        load_qrels(path)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from entityqa.experiments import (
     write_latency_json,
     write_significance_json,
 )
-from entityqa.pipeline import (PipelineConfig, aggregate_evidence,
+from entityqa.pipeline import (LoadedStages, PipelineConfig, aggregate_evidence,
                                load_stages, run_pipeline)
 from entityqa.ranking import ALPHA_BETA_GRID, TiedRun, rank_answers, write_runs
 
@@ -211,6 +211,26 @@ def test_ablation_reads_each_question_documents_once(monkeypatch, planted,
     assert extracted == entity_typed
     assert segmented == [d.doc_id for qid in entity_typed
                          for d in docsets[qid].documents]
+
+
+def test_ablation_predicts_each_question_once_per_classifier(
+        monkeypatch, planted, planted_config):
+    """The two SVM pairs share one classifier and its prediction; each
+    centroid pair has its own: three predictions per question, not four."""
+    questions, docsets = _inputs(planted)
+    predicted = []
+
+    def counting_predict(self, question):
+        predicted.append((self.config.classifier, question.id))
+        return predict_types(self, question)
+
+    predict_types = LoadedStages.predict_types
+    monkeypatch.setattr(LoadedStages, "predict_types", counting_predict)
+    run_ablation(PipelineConfig(**planted_config), questions, docsets,
+                 load_qrels(planted.qrels_path))
+    assert predicted == [(classifier, q.id) for q in questions
+                         for classifier in ("svm", "external-embedding",
+                                            "external-embedding")]
 
 
 def test_ablation_csv_write_is_atomic(tmp_path, ablation_rows):

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from datagen import NOT_QUESTION_IDS, question_id_error
+
+from entityqa.corpus import write_jsonl
 from entityqa.errors import ParseError
 from entityqa.ranking import (
     ALPHA_BETA_GRID,
@@ -181,6 +184,18 @@ def test_run_file_roundtrip(tmp_path):
     write_runs(path, runs)
     again = load_runs(path)
     assert again == runs
+
+
+@pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
+def test_load_runs_takes_ids_as_strings_or_integers(tmp_path, value, shown):
+    path = tmp_path / "runs.jsonl"
+    rows = [{"question_id": "q1", "groups": [], "scores": []},
+            {"question_id": 7, "groups": [], "scores": []}]
+    write_jsonl(path, rows)
+    assert [run.question_id for run in load_runs(path)] == ["q1", "7"]
+    write_jsonl(path, rows + [{"question_id": value, "groups": [], "scores": []}])
+    with pytest.raises(ParseError, match=question_id_error("runs.jsonl", 3, shown)):
+        load_runs(path)
 
 
 def test_load_runs_rejects_malformed(tmp_path):

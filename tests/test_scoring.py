@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_force_aggregate, reference_cosine
+from oracles import brute_force_aggregate, reference_cosine, reference_word_average
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import CandidateEntity, GazetteerExtractor, build_pool
@@ -57,6 +57,33 @@ def test_word_average_all_oov_is_zero_vector():
 def test_word_average_case_insensitive():
     p = _provider()
     assert np.allclose(p.embed("ALPHA"), p.embed("alpha"))
+
+
+_EMBED_WORDS = ("alpha", "Beta", "GAMMA", "İstanbul", "istanbul", "straße",
+                "STRASSE", "ſun", "sun", "o'neil", "O\u2019Neil", "x_y", "_x_",
+                "__", "café", "CAFE\u0301", "it's", "3rd")
+
+
+def test_word_average_matches_reference_on_unicode_text():
+    """Bit for bit, on ASCII text and on text where lower-casing first
+    would change the tokens ("İ" lower-cases to "i" and a combining dot)."""
+    rng = np.random.default_rng(5)
+    words = ("alpha", "gamma", "i\u0307stanbul", "i", "stanbul", "straße",
+             "strasse", "ſun", "o'neil", "o", "neil", "x_y", "_x_", "café",
+             "it's", "3rd")
+    vectors = {w: rng.standard_normal(3) for w in words}
+    provider = WordAverageProvider(vectors)
+    pick = random.Random(5)
+    ascii_texts = 0
+    for _ in range(2000):
+        text = "".join(
+            pick.choice(_EMBED_WORDS).swapcase() if pick.random() < 0.3
+            else pick.choice(_EMBED_WORDS) + pick.choice((" ", ", ", "\u2019", "'", "_"))
+            for _ in range(pick.randint(0, 8)))
+        ascii_texts += text.isascii()
+        want = reference_word_average(text, provider.vectors, provider.dim)
+        assert np.array_equal(provider.embed(text), want), text
+    assert 200 < ascii_texts < 1800
 
 
 def test_provider_from_file(tmp_path):
