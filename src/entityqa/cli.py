@@ -41,7 +41,7 @@ def _parse_overrides(pairs: Sequence[str] | None) -> dict:
         key, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long for int()
             value = raw
         overrides[key.strip()] = value
     return overrides

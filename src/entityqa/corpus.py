@@ -151,8 +151,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # also an integer too long for int()
+                raise ParseError(str(path), line_no,
+                                 f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(raw, dict):
                 raise ParseError(str(path), line_no, "expected a JSON object")
             yield line_no, raw
@@ -163,8 +164,9 @@ def read_json(path: str | Path) -> dict:
     of value is a ParseError naming the file and line."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # also an integer too long for int(): no line
+        raise ParseError(str(path), getattr(exc, "lineno", 0),
+                         f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, dict):
         raise ParseError(str(path), 1, "expected a JSON object")
     return raw
@@ -194,6 +196,15 @@ def parse_question_id(value, path: str | Path, line_no: int) -> str:
         return str(value)
     raise ParseError(str(path), line_no,
                      f"question id must be a string or an integer, not {value!r}")
+
+
+def parse_array(value, name: str, path: str | Path, line_no: int) -> list:
+    """A list field read from JSON: a JSON array. Any other value is a
+    ParseError naming the file, line and field (a string would otherwise
+    be read as its characters)."""
+    if isinstance(value, list):
+        return value
+    raise ParseError(str(path), line_no, f"{name} must be a JSON array, not {value!r}")
 
 
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
@@ -312,17 +323,11 @@ def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:
 # Curly single quotes normalised to ' so contraction keys match real text.
 _APOSTROPHES = re.compile("[‘’‚‛]")
 
-_contraction_cache: dict[str, str] | None = None
-# Contraction rules for the default table, built on first use.
-_default_rules: tuple[re.Pattern, dict[str, str], bool] | None = None
 
-
+@lru_cache(maxsize=1)
 def default_contractions() -> Mapping[str, str]:
-    global _contraction_cache
-    if _contraction_cache is None:
-        data = resources.files("entityqa.data").joinpath("contractions.json")
-        _contraction_cache = json.loads(data.read_text(encoding="utf-8"))
-    return _contraction_cache
+    data = resources.files("entityqa.data").joinpath("contractions.json")
+    return json.loads(data.read_text(encoding="utf-8"))
 
 
 def fold_accents(text: str) -> str:
@@ -335,28 +340,25 @@ def fold_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
 
 
-def _contraction_rules(table: Mapping[str, str]
-                       ) -> tuple[re.Pattern, dict[str, str], bool]:
-    """The table's pattern, its lower-cased lookup, and whether every key
-    contains an apostrophe (then text without one has nothing to expand:
-    no other character matches ' under re.IGNORECASE)."""
+@lru_cache(maxsize=1)
+def _contraction_rules() -> tuple[re.Pattern, dict[str, str]]:
+    """The default table's pattern and its lower-cased lookup."""
+    table = default_contractions()
     # Longest keys first so can't've wins over can't.
     keys = sorted(table, key=len, reverse=True)
     pattern = r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b"
     return (re.compile(pattern, re.IGNORECASE),
-            {k.lower(): v for k, v in table.items()},
-            all("'" in k for k in keys))
+            {k.lower(): v for k, v in table.items()})
 
 
 def preprocess_text(raw: str) -> str:
     """Accent-fold and expand contractions; idempotent on its own output."""
-    global _default_rules
     text = fold_accents(_APOSTROPHES.sub("'", raw))
-    if _default_rules is None:
-        _default_rules = _contraction_rules(default_contractions())
-    pattern, lowered, keys_need_apostrophe = _default_rules
-    if keys_need_apostrophe and "'" not in text:
+    # Every default key holds an apostrophe, and no other character matches
+    # ' under re.IGNORECASE: text without one has nothing to expand.
+    if "'" not in text:
         return text
+    pattern, lowered = _contraction_rules()
 
     def expand(match: re.Match) -> str:
         found = match.group(0)
@@ -392,20 +394,15 @@ def canonicalize(surface: str) -> str:
 # Sentence segmentation
 # ---------------------------------------------------------------------------
 
-_abbrev_cache: frozenset[str] | None = None
-
-
+@lru_cache(maxsize=1)
 def default_abbreviations() -> frozenset[str]:
-    global _abbrev_cache
-    if _abbrev_cache is None:
-        data = resources.files("entityqa.data").joinpath("abbreviations.txt")
-        entries = set()
-        for line in data.read_text(encoding="utf-8").splitlines():
-            line = line.strip().lower()
-            if line and not line.startswith("#"):
-                entries.add(line)
-        _abbrev_cache = frozenset(entries)
-    return _abbrev_cache
+    data = resources.files("entityqa.data").joinpath("abbreviations.txt")
+    entries = set()
+    for line in data.read_text(encoding="utf-8").splitlines():
+        line = line.strip().lower()
+        if line and not line.startswith("#"):
+            entries.add(line)
+    return frozenset(entries)
 
 
 # A boundary is a run of terminators, whitespace, and an upper-case,

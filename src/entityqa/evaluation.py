@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .corpus import (atomic_write_text, canonicalize, parse_question_id, read_jsonl,
-                     write_json)
+from .corpus import (atomic_write_text, canonicalize, parse_array, parse_question_id,
+                     read_jsonl, write_json)
 from .errors import DataError, ParseError
 from .ranking import TiedRun
 
@@ -64,7 +64,8 @@ def load_qrels(path: str | Path,
     for line_no, raw in read_jsonl(path):
         try:
             qid = parse_question_id(raw["question_id"], path, line_no)
-            golds = [str(g) for g in raw["gold_answers"]]
+            golds = [str(g) for g in parse_array(raw["gold_answers"], "gold_answers",
+                                                 path, line_no)]
         except (KeyError, TypeError) as exc:
             raise ParseError(str(path), line_no, f"invalid qrels record: {exc}") from exc
         if qid in out:

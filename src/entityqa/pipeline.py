@@ -23,8 +23,8 @@ from .entities import (DEFAULT_CANDIDATE_CAP, AnnotationFileExtractor,
                        filter_by_type)
 from .errors import ConfigError, ParseError, UnmappedTypeError
 from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
-                    RuleBasedAnnotator, load_labeled_questions,
-                    map_answer_types, train_embedding_classifier)
+                    load_labeled_questions, map_answer_types,
+                    train_embedding_classifier)
 from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
 from .ranking import (COMBINE_MODES, SCORE_DIGITS, RankingConfig, TiedRun,
                       rank_answers, write_runs)
@@ -33,9 +33,16 @@ from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,
 
 log = logging.getLogger(__name__)
 
-CLASSIFIER_KINDS = ("svm", "external-embedding")
-NER_BACKENDS = ("annotations", "gazetteer")
-PROVIDER_KINDS = ("word-avg", "cache")
+# Each stage's variants, and the config field naming the data file that
+# variant reads.
+STAGE_FILES = {
+    "classifier": {"svm": "model_path", "external-embedding": "labeled_path"},
+    "ner_backend": {"annotations": "annotations_path",
+                    "gazetteer": "gazetteer_path"},
+    "embedding_provider": {"word-avg": "vectors_path", "cache": "cache_path"},
+}
+CLASSIFIER_KINDS = tuple(STAGE_FILES["classifier"])
+PROVIDER_KINDS = tuple(STAGE_FILES["embedding_provider"])
 AVGMAX_DENOMINATORS = ("containing_docs", "all_docs")
 
 
@@ -68,9 +75,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         checks = (
-            ("classifier", CLASSIFIER_KINDS),
-            ("ner_backend", NER_BACKENDS),
-            ("embedding_provider", PROVIDER_KINDS),
+            *((stage, tuple(variants)) for stage, variants in STAGE_FILES.items()),
             ("aggregation", AGGREGATION_MODES),
             ("combine", COMBINE_MODES),
             ("avgmax_denominator", AVGMAX_DENOMINATORS),
@@ -105,27 +110,12 @@ class PipelineConfig:
             object.__setattr__(self, "_config_id", cached)
         return cached
 
-    def required_paths(self) -> dict[str, str]:
-        required = {
-            "questions_path": self.questions_path,
-            "documents_path": self.documents_path,
-        }
-        if self.classifier == "svm":
-            required["model_path"] = self.model_path
-        else:
-            required["labeled_path"] = self.labeled_path
-        if self.ner_backend == "gazetteer":
-            required["gazetteer_path"] = self.gazetteer_path
-        else:
-            required["annotations_path"] = self.annotations_path
-        if self.embedding_provider == "word-avg":
-            required["vectors_path"] = self.vectors_path
-        else:
-            required["cache_path"] = self.cache_path
-        return required
-
     def validate_paths(self) -> None:
-        for key, value in self.required_paths().items():
+        required = ("questions_path", "documents_path",
+                    *(variants[getattr(self, stage)]
+                      for stage, variants in STAGE_FILES.items()))
+        for key in required:
+            value = getattr(self, key)
             if not value:
                 raise ConfigError(f"{key} is required by this configuration")
             files = (QuestionClassifier.files(value) if key == "model_path"
@@ -185,8 +175,7 @@ class LoadedStages:
 
     def predict_types(self, question: Question) -> tuple[str, str]:
         if self.config.classifier == "svm":
-            return self.classifier.predict(
-                RuleBasedAnnotator().annotate(question.text))
+            return self.classifier.predict(question.text)
         return self.classifier.predict_vector(
             self.provider.embed(preprocess_text(question.text)))
 

@@ -1,7 +1,7 @@
 """Lightweight linguistic annotation of question strings.
 
 The classifier consumes token/lemma/POS layers plus a list of named
-entities found in the question. A rule-based annotator keeps the package
+entities found in the question. Rule-based annotation keeps the package
 self-contained and fully deterministic.
 """
 
@@ -15,7 +15,6 @@ from ..corpus import preprocess_text
 
 @dataclass(frozen=True)
 class QuestionAnnotation:
-    text: str
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
     pos_tags: tuple[str, ...]
@@ -140,34 +139,30 @@ def _entity_tag(token: str, position: int, pos_tag: str) -> str | None:
     return None
 
 
-class RuleBasedAnnotator:
-    """Deterministic heuristic annotator; no models, no external processes.
+def annotate(text: str) -> QuestionAnnotation:
+    """Heuristic annotation; no models, no external processes.
 
     Adjacent tokens carrying the same entity tag are merged into a single
     multi-word named entity.
     """
-
-    def annotate(self, text: str) -> QuestionAnnotation:
-        prepared = preprocess_text(text)
-        tokens = tuple(m.group(0) for m in _TOKEN.finditer(prepared))
-        lemmas = tuple(_lemma(t) for t in tokens)
-        pos_tags = tuple(_pos(t, i) for i, t in enumerate(tokens))
-        spans = [
-            _entity_tag(t, i, p) for i, (t, p) in enumerate(zip(tokens, pos_tags))
-        ]
-        entities: list[tuple[str, str]] = []
-        i = 0
-        while i < len(tokens):
-            tag = spans[i]
-            if tag is None:
-                i += 1
-                continue
-            j = i
-            while j + 1 < len(tokens) and spans[j + 1] == tag:
-                j += 1
-            entities.append((" ".join(tokens[i:j + 1]), tag))
-            i = j + 1
-        return QuestionAnnotation(
-            text=text, tokens=tokens, lemmas=lemmas,
-            pos_tags=pos_tags, named_entities=tuple(entities),
-        )
+    prepared = preprocess_text(text)
+    tokens = tuple(m.group(0) for m in _TOKEN.finditer(prepared))
+    lemmas = tuple(_lemma(t) for t in tokens)
+    pos_tags = tuple(_pos(t, i) for i, t in enumerate(tokens))
+    spans = [
+        _entity_tag(t, i, p) for i, (t, p) in enumerate(zip(tokens, pos_tags))
+    ]
+    entities: list[tuple[str, str]] = []
+    i = 0
+    while i < len(tokens):
+        tag = spans[i]
+        if tag is None:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(tokens) and spans[j + 1] == tag:
+            j += 1
+        entities.append((" ".join(tokens[i:j + 1]), tag))
+        i = j + 1
+    return QuestionAnnotation(tokens=tokens, lemmas=lemmas, pos_tags=pos_tags,
+                              named_entities=tuple(entities))

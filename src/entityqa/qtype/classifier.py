@@ -24,7 +24,7 @@ import numpy as np
 
 from ..corpus import atomic_write_bytes, atomic_write_text, read_json
 from ..errors import ParseError, TrainingError
-from .annotate import QuestionAnnotation, RuleBasedAnnotator
+from .annotate import annotate
 from .features import FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
 from .taxonomy import default_taxonomy
@@ -47,7 +47,7 @@ def load_labeled_questions(path: str | Path) -> list[LabeledQuestion]:
     Lines without a tab fall back to splitting on the first space, the
     other common distribution format of this data.
     """
-    tax = default_taxonomy()
+    taxonomy = default_taxonomy()
     out: list[LabeledQuestion] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -64,7 +64,7 @@ def load_labeled_questions(path: str | Path) -> list[LabeledQuestion]:
             if ":" not in label:
                 raise ParseError(str(path), line_no, f"label {label!r} lacks a fine part")
             coarse, fine = label.split(":", 1)
-            if not tax.validate_pair(coarse, fine):
+            if fine not in taxonomy.get(coarse, ()):
                 raise TrainingError(
                     f"{path}:{line_no}: unknown question label {label!r}"
                 )
@@ -87,6 +87,18 @@ def split_labeled(labeled: Sequence[LabeledQuestion], train_fraction: float = 0.
     return order[:cut], order[cut:]
 
 
+def _pick_types(coarse_classes: Sequence[str], coarse_scores: np.ndarray,
+                fine_classes: Sequence[str], fine_scores: np.ndarray
+                ) -> tuple[str, str]:
+    """The best coarse class and the best fine class, picked independently;
+    the fine one loses its coarse prefix. np.argmax keeps the first maximum,
+    so a tie goes to the smallest class (classes are stored sorted)."""
+    coarse = coarse_classes[int(np.argmax(coarse_scores))]
+    qualified = fine_classes[int(np.argmax(fine_scores))]
+    fine = qualified.split(":", 1)[1] if ":" in qualified else qualified
+    return coarse, fine
+
+
 # The arrays of a saved model's .npz file.
 _ARRAY_NAMES = ("coarse_weights", "coarse_bias", "fine_weights", "fine_bias")
 
@@ -98,12 +110,11 @@ class QuestionClassifier:
     fine_model: LinearModel
     hyperparams: dict
 
-    def predict(self, ann: QuestionAnnotation) -> tuple[str, str]:
-        active = self.space.extract(ann)
-        coarse = self.coarse_model.classes[self.coarse_model.predict_index(active)]
-        qualified = self.fine_model.classes[self.fine_model.predict_index(active)]
-        fine = qualified.split(":", 1)[1] if ":" in qualified else qualified
-        return coarse, fine
+    def predict(self, text: str) -> tuple[str, str]:
+        active = self.space.extract(annotate(text))
+        return _pick_types(
+            self.coarse_model.classes, self.coarse_model.decision_scores(active),
+            self.fine_model.classes, self.fine_model.decision_scores(active))
 
     @staticmethod
     def files(path: str | Path) -> tuple[Path, Path]:
@@ -150,7 +161,7 @@ class QuestionClassifier:
             raise ParseError(str(npz_path), 0, f"invalid model arrays: {exc}") from exc
         meta = read_json(meta_path)
         try:
-            space = FeatureSpace.from_dict(meta["vocab"])
+            space = FeatureSpace.from_vocab(meta["vocab"])
             coarse_classes = tuple(meta["coarse_classes"])
             fine_classes = tuple(meta["fine_classes"])
         except (AttributeError, KeyError, TypeError) as exc:
@@ -177,8 +188,7 @@ def train_classifier(labeled: Sequence[LabeledQuestion], *,
     """Train independent coarse and fine models over one feature space."""
     if not labeled:
         raise TrainingError("no training samples")
-    annotator = RuleBasedAnnotator()
-    annotations = [annotator.annotate(q.text) for q in labeled]
+    annotations = [annotate(q.text) for q in labeled]
     space = FeatureSpace.build(annotations)
     actives = [space.extract(a) for a in annotations]
 
@@ -207,10 +217,9 @@ def classifier_accuracy(classifier: QuestionClassifier,
     """(coarse, fine) accuracy of a trained model on labeled questions."""
     if not labeled:
         raise ValueError("no evaluation samples")
-    annotator = RuleBasedAnnotator()
     coarse_hits = fine_hits = 0
     for q in labeled:
-        coarse, fine = classifier.predict(annotator.annotate(q.text))
+        coarse, fine = classifier.predict(q.text)
         coarse_hits += coarse == q.coarse
         fine_hits += coarse == q.coarse and fine == q.fine
     return coarse_hits / len(labeled), fine_hits / len(labeled)
@@ -247,10 +256,8 @@ class EmbeddingClassifier:
     def predict_vector(self, vector: np.ndarray) -> tuple[str, str]:
         norm = float(np.linalg.norm(vector))
         v = vector / norm if norm > 0 else vector
-        coarse = self.coarse_classes[int(np.argmax(self.coarse_centroids @ v))]
-        qualified = self.fine_classes[int(np.argmax(self.fine_centroids @ v))]
-        fine = qualified.split(":", 1)[1] if ":" in qualified else qualified
-        return coarse, fine
+        return _pick_types(self.coarse_classes, self.coarse_centroids @ v,
+                           self.fine_classes, self.fine_centroids @ v)
 
 
 def _centroids(classes: tuple[str, ...], labels: Sequence[str],

@@ -76,8 +76,3 @@ class FeatureSpace:
 
     def to_dict(self) -> dict:
         return {ns: list(values) for ns, values in self.vocab.items()}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FeatureSpace":
-        return cls.from_vocab({ns: tuple(v) for ns, v in raw.items()})
-

@@ -32,11 +32,6 @@ class LinearModel:
             scores = self.bias.copy()
         return scores
 
-    def predict_index(self, active: Sequence[int]) -> int:
-        # np.argmax keeps the first maximum, so score ties resolve to the
-        # lexicographically smallest class (classes are stored sorted).
-        return int(np.argmax(self.decision_scores(active)))
-
 
 def train_one_vs_rest(samples: Sequence[tuple[Sequence[int], int]],
                       classes: Sequence[str], dimension: int, *,

@@ -19,14 +19,6 @@ from ..errors import ParseError, UnmappedTypeError
 
 
 @dataclass(frozen=True)
-class Taxonomy:
-    coarse_to_fine: dict[str, tuple[str, ...]]
-
-    def validate_pair(self, coarse: str, fine: str) -> bool:
-        return fine in self.coarse_to_fine.get(coarse, ())
-
-
-@dataclass(frozen=True)
 class AnswerTypeMap:
     coarse: dict[str, frozenset[str]]
     fine: dict[str, frozenset[str]]
@@ -38,27 +30,23 @@ def _load_packaged_json(name: str):
 
 
 @lru_cache(maxsize=1)
-def default_taxonomy() -> Taxonomy:
+def default_taxonomy() -> dict[str, tuple[str, ...]]:
+    """Each coarse class and its fine classes."""
     raw = _load_packaged_json("taxonomy.json")
-    return Taxonomy(coarse_to_fine={k: tuple(v) for k, v in raw.items()})
+    return {k: tuple(v) for k, v in raw.items()}
 
 
 def _freeze_map(raw: dict) -> AnswerTypeMap:
-    coarse = {}
-    for label, tags in raw.get("coarse", {}).items():
-        tagset = frozenset(tags)
-        bad = tagset - ONTONOTES_TAGS
-        if bad:
-            raise ValueError(f"coarse {label!r} lists unknown tags {sorted(bad)}")
-        coarse[label] = tagset
-    fine = {}
-    for label, tags in raw.get("fine", {}).items():
-        tagset = frozenset(tags)
-        bad = tagset - ONTONOTES_TAGS
-        if bad:
-            raise ValueError(f"fine {label!r} lists unknown tags {sorted(bad)}")
-        fine[label] = tagset
-    return AnswerTypeMap(coarse=coarse, fine=fine)
+    levels: dict[str, dict[str, frozenset[str]]] = {}
+    for level in ("coarse", "fine"):
+        levels[level] = {}
+        for label, tags in raw.get(level, {}).items():
+            tagset = frozenset(tags)
+            bad = tagset - ONTONOTES_TAGS
+            if bad:
+                raise ValueError(f"{level} {label!r} lists unknown tags {sorted(bad)}")
+            levels[level][label] = tagset
+    return AnswerTypeMap(**levels)
 
 
 @lru_cache(maxsize=1)

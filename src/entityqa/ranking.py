@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import parse_question_id, read_jsonl, write_jsonl
+from .corpus import parse_array, parse_question_id, read_jsonl, write_jsonl
 from .errors import ParseError
 
 # In the order the ablation grid reports its combine cells.
@@ -143,8 +143,10 @@ def load_runs(path: str | Path) -> list[TiedRun]:
         try:
             runs.append(TiedRun(
                 question_id=parse_question_id(raw["question_id"], path, line_no),
-                groups=tuple(frozenset(map(str, g)) for g in raw["groups"]),
-                scores=tuple(float(s) for s in raw["scores"]),
+                groups=tuple(frozenset(map(str, parse_array(g, "a group", path, line_no)))
+                             for g in parse_array(raw["groups"], "groups", path, line_no)),
+                scores=tuple(float(s) for s in
+                             parse_array(raw["scores"], "scores", path, line_no)),
                 config_id=str(raw.get("config_id", "")),
             ))
         except (KeyError, TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import DocumentSet, read_jsonl, write_jsonl
+from .corpus import DocumentSet, parse_array, read_jsonl, write_jsonl
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -138,7 +138,8 @@ class CacheProvider:
         for line_no, raw in read_jsonl(path):
             try:
                 digest = str(raw["sha256"])
-                values = [float(x) for x in raw["vector"]]
+                values = [float(x) for x in
+                          parse_array(raw["vector"], "vector", self.path, line_no)]
                 provider_ids.add(str(raw["provider_id"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc

@@ -158,6 +158,31 @@ def test_gazetteer_tag_outside_the_tagset_is_a_data_error(tmp_path, config_file,
     assert not out.exists() and not Path(f"{out}.config.json").exists()
 
 
+def test_oversized_integer_in_a_documents_line_is_a_data_error(tmp_path, config_file,
+                                                              capsys):
+    # An integer of more digits than int() converts (4,300 by default)
+    # raises a plain ValueError in the JSON parser, not a JSONDecodeError.
+    bad = tmp_path / "documents.jsonl"
+    bad.write_text('{"question_id": ' + "7" * 5000 + ', "rank": 1, "text": "A."}\n',
+                   encoding="utf-8")
+    cfg = config_file({"documents_path": str(bad)})
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:1: invalid JSON: ")
+    assert "Traceback" not in err
+
+
+def test_oversized_integer_in_set_is_a_config_error(tmp_path, config_file, capsys):
+    # Kept as the raw string, like any other value that is not JSON.
+    assert main(["run", "--config", str(config_file()),
+                 "--out", str(tmp_path / "r.jsonl"),
+                 "--set", "candidate_cap=" + "5" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_bad_set_syntax_exits_2(tmp_path, config_file):
     cfg = config_file()
     assert main(["run", "--config", str(cfg),
@@ -442,6 +467,11 @@ def _broken_model(model: Path, saved: str, case: str) -> Path:
         del raw["fine_classes"]
         meta_path.write_text(json.dumps(raw))
         return meta_path
+    if case == "meta-vocab-list":
+        raw = json.loads(meta.read_text())
+        raw["vocab"] = list(raw["vocab"])
+        meta_path.write_text(json.dumps(raw))
+        return meta_path
     if case == "npz-garbage":
         model.write_bytes(b"\x00not an npz archive\xff" * 8)
         return model
@@ -452,7 +482,8 @@ def _broken_model(model: Path, saved: str, case: str) -> Path:
 
 
 @pytest.mark.parametrize("case", ["meta-empty-object", "meta-without-fine-classes",
-                                  "npz-garbage", "npz-without-fine-bias"])
+                                  "meta-vocab-list", "npz-garbage",
+                                  "npz-without-fine-bias"])
 def test_broken_model_file_is_a_data_error(tmp_path, config_file, planted_config,
                                            capsys, case):
     model = tmp_path / "model.npz"

@@ -193,6 +193,17 @@ def test_load_qrels_duplicate(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
+    # A string would be read as its characters: the gold set {r, o, m, e}.
+    path = tmp_path / "qrels.jsonl"
+    write_jsonl(path, [{"question_id": "q1", "gold_answers": ["Paris"]},
+                       {"question_id": "q2", "gold_answers": "Rome"}])
+    with pytest.raises(ParseError) as err:
+        load_qrels(path)
+    assert str(err.value) == (f"{path}:2: gold_answers must be a JSON array, "
+                              f"not 'Rome'")
+
+
 @pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
 def test_load_qrels_takes_ids_as_strings_or_integers(tmp_path, value, shown):
     path = tmp_path / "qrels.jsonl"

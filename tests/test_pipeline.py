@@ -149,6 +149,26 @@ def test_validate_paths_names_missing_file(tmp_path, planted_config):
     assert "absent.tsv" in str(err.value)
 
 
+@pytest.mark.parametrize("stage, variant, key, other_key", [
+    ("classifier", "svm", "model_path", "labeled_path"),
+    ("classifier", "external-embedding", "labeled_path", "model_path"),
+    ("ner_backend", "gazetteer", "gazetteer_path", "annotations_path"),
+    ("ner_backend", "annotations", "annotations_path", "gazetteer_path"),
+    ("embedding_provider", "word-avg", "vectors_path", "cache_path"),
+    ("embedding_provider", "cache", "cache_path", "vectors_path"),
+])
+def test_each_stage_variant_needs_exactly_its_own_file(
+        tmp_path, planted_config, stage, variant, key, other_key):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("")
+    merged = dict(planted_config, annotations_path=str(annotations),
+                  **{stage: variant})
+    PipelineConfig(**dict(merged, **{other_key: ""})).validate_paths()
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig(**dict(merged, **{key: ""})).validate_paths()
+    assert str(err.value) == f"{key} is required by this configuration"
+
+
 # ---------------------------------------------------------------------------
 # end-to-end behaviour on the planted corpus
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from entityqa.qtype import (
     FeatureSpace,
     LabeledQuestion,
     QuestionClassifier,
-    RuleBasedAnnotator,
+    annotate,
     classifier_accuracy,
     default_answer_type_map,
     default_taxonomy,
@@ -33,22 +33,19 @@ from entityqa.qtype import (
 )
 
 
-ANN = RuleBasedAnnotator()
-
-
 # ---------------------------------------------------------------------------
 # annotation + features
 # ---------------------------------------------------------------------------
 
 def test_annotation_layers_aligned():
-    ann = ANN.annotate("Who founded the famous bridge in Ostenfell?")
+    ann = annotate("Who founded the famous bridge in Ostenfell?")
     assert len(ann.tokens) == len(ann.lemmas) == len(ann.pos_tags)
 
 
 def test_toy_question_feature_count():
     # "Who won?" yields exactly six features: two lemmas, one lemma
     # bigram, two POS tags, one POS bigram, and no named entities.
-    ann = ANN.annotate("Who won?")
+    ann = annotate("Who won?")
     feats = set(feature_templates(ann))
     assert feats == {
         ("lem", "who"), ("lem", "win"), ("lem2", "who_win"),
@@ -64,33 +61,33 @@ def test_namespaces_fixed():
 
 
 def test_oov_features_dropped():
-    space = FeatureSpace.build([ANN.annotate("Who won?")])
-    other = ANN.annotate("Where is the castle?")
+    space = FeatureSpace.build([annotate("Who won?")])
+    other = annotate("Where is the castle?")
     active = space.extract(other)
     assert all(0 <= i < space.total_dim for i in active)
     # nothing from the unseen question except possibly shared templates
-    shared = set(feature_templates(other)) & set(feature_templates(ANN.annotate("Who won?")))
+    shared = set(feature_templates(other)) & set(feature_templates(annotate("Who won?")))
     assert len(active) == len({space.index[f] for f in shared})
 
 
 def test_feature_indices_sorted_and_unique():
-    ann = ANN.annotate("Who won the war that Napoleon won?")
+    ann = annotate("Who won the war that Napoleon won?")
     space = FeatureSpace.build([ann])
     active = space.extract(ann)
     assert list(active) == sorted(set(active))
 
 
 def test_feature_space_roundtrip():
-    anns = [ANN.annotate(t) for t in
+    anns = [annotate(t) for t in
             ("Who won?", "Where was the treaty signed?", "How many ran?")]
     space = FeatureSpace.build(anns)
-    again = FeatureSpace.from_dict(space.to_dict())
+    again = FeatureSpace.from_vocab(space.to_dict())
     assert again.index == space.index
     assert again.total_dim == space.total_dim
 
 
 def test_named_entity_features_present():
-    ann = ANN.annotate("Who won in March 1990?")
+    ann = annotate("Who won in March 1990?")
     feats = set(feature_templates(ann))
     assert any(ns == "ne" for ns, _ in feats)
 
@@ -203,8 +200,8 @@ def test_unmapped_types_raise():
 
 def test_taxonomy_shape():
     tax = default_taxonomy()
-    assert len(tax.coarse_to_fine) == 6
-    assert sum(map(len, tax.coarse_to_fine.values())) == 50
+    assert len(tax) == 6
+    assert sum(map(len, tax.values())) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +252,7 @@ def test_classifier_roundtrip_and_predictions(tmp_path, svm_classifier,
     again = QuestionClassifier.load(path)
     _, heldout = svm_split
     for lq in heldout[:50]:
-        ann = ANN.annotate(lq.text)
-        assert again.predict(ann) == svm_classifier.predict(ann)
+        assert again.predict(lq.text) == svm_classifier.predict(lq.text)
 
 
 @pytest.mark.parametrize("name", ["model", "model.npz"])
@@ -266,11 +262,11 @@ def test_classifier_save_load_same_path(tmp_path, svm_classifier, svm_split,
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "model.npz", "model.npz.meta.json"]
     _, heldout = svm_split
-    anns = [ANN.annotate(lq.text) for lq in heldout[:20]]
-    want = [svm_classifier.predict(ann) for ann in anns]
+    texts = [lq.text for lq in heldout[:20]]
+    want = [svm_classifier.predict(text) for text in texts]
     for path in (tmp_path / name, tmp_path / "model.npz"):
         again = QuestionClassifier.load(path)
-        assert [again.predict(ann) for ann in anns] == want
+        assert [again.predict(text) for text in texts] == want
 
 
 def test_classifier_beats_majority(svm_classifier, svm_split):

@@ -198,6 +198,22 @@ def test_load_runs_takes_ids_as_strings_or_integers(tmp_path, value, shown):
         load_runs(path)
 
 
+@pytest.mark.parametrize("field, groups, scores", [
+    ("groups", "ab", [0.9, 0.1]),
+    ("a group", ["ab"], [0.9]),
+    ("scores", [["a"], ["b"]], "91"),
+])
+def test_load_runs_rejects_a_string_for_a_list(tmp_path, field, groups, scores):
+    # A string would be read as its characters: "ab" as the groups {a}
+    # and {b}, "91" as the scores (9.0, 1.0).
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, [{"question_id": "q1", "groups": [], "scores": []},
+                       {"question_id": "q2", "groups": groups, "scores": scores}])
+    with pytest.raises(ParseError) as err:
+        load_runs(path)
+    assert str(err.value).startswith(f"{path}:2: {field} must be a JSON array, not '")
+
+
 def test_load_runs_rejects_malformed(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text('{"question_id": "q1", "groups": [["a"]], "scores": []}\n')

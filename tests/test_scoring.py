@@ -183,6 +183,15 @@ def test_cache_rejects_non_finite_component_with_line_number(tmp_path, bad):
     assert f"{path}:2: non-finite component" in str(err.value)
 
 
+def test_cache_rejects_a_string_for_the_vector(tmp_path):
+    # A string would be read as its characters: "123" as [1.0, 2.0, 3.0].
+    path = _cache_file(tmp_path / "cache.jsonl",
+                       [("alpha", [1.0, 0.0, 0.0], "x"), ("beta", "123", "x")])
+    with pytest.raises(ParseError) as err:
+        CacheProvider(path)
+    assert str(err.value) == f"{path}:2: vector must be a JSON array, not '123'"
+
+
 def test_cache_accepts_components_whose_sum_overflows(tmp_path):
     path = _cache_file(tmp_path / "cache.jsonl", [("alpha", [1e308, 1e308], "x")])
     assert CacheProvider(path).embed("alpha")[0] == 1e308
