@@ -113,7 +113,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, not {value}")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _at_least_one("--iterations", args.iterations)
     config = load_config(args.config, _parse_overrides(args.set))
     questions, docsets = _load_inputs(config)
     report = run_latency_bench(config, questions, docsets,
@@ -156,9 +162,10 @@ def _cmd_sample_strata(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_qc(args: argparse.Namespace) -> int:
-    labeled = load_labeled_questions(args.labeled)
+    _at_least_one("--epochs", args.epochs)
     if not (0.0 <= args.heldout_fraction < 1.0):
         raise ConfigError("--heldout-fraction must be in [0, 1)")
+    labeled = load_labeled_questions(args.labeled)
     train_set, heldout = split_labeled(
         labeled, train_fraction=1.0 - args.heldout_fraction,
         seed=args.split_seed)

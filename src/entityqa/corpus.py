@@ -15,6 +15,7 @@ import json
 import os
 import random
 import re
+import reprlib
 import tempfile
 import unicodedata
 from dataclasses import dataclass
@@ -127,14 +128,12 @@ def load_strata_spec(path: str | Path) -> StrataSpec:
     raw = read_json(path)
     try:
         return StrataSpec(
-            name=raw["name"],
-            x1=int(raw["x1"]),
-            x2=int(raw["x2"]),
-            x3=int(raw["x3"]),
-            sample_size=int(raw.get("size", 10)),
-            seed=int(raw.get("seed", 0)),
+            read_field(raw, "name", "string", path, 1),
+            *(read_field(raw, x, "integer", path, 1) for x in ("x1", "x2", "x3")),
+            sample_size=read_field(raw, "size", "integer", path, 1, default=10),
+            seed=read_field(raw, "seed", "integer", path, 1, default=0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(str(path), 1, f"invalid strata spec: {exc}") from exc
 
 
@@ -172,39 +171,57 @@ def read_json(path: str | Path) -> dict:
     return raw
 
 
-def parse_rank(value, path: str | Path, line_no: int, question_id: str) -> int:
-    """A rank field read from JSON: an int, a float with no fractional
-    part, or a string that `int()` accepts. A bool, a fractional number
-    or any other value is a ParseError naming the file, line and question."""
-    if not isinstance(value, bool) and not (isinstance(value, float)
-                                            and not value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ParseError(str(path), line_no,
-                     f"question {question_id!r}: rank must be an integer, not {value!r}")
+# Each kind of JSON field: the phrase its errors use, and the JSON types it takes as they are.
+_KINDS = {"string": ("a string", {str}), "id": ("a string or an integer", {str}),
+          "integer": ("an integer", {int}), "number": ("a number", {float}),
+          "object": ("a JSON object", {dict}), "array": ("a JSON array", {list})}
+_MISSING = object()
 
 
-def parse_question_id(value, path: str | Path, line_no: int) -> str:
-    """A question id read from JSON: a string, or an integer that is not a
-    bool, read as its decimal string. Any other value is a ParseError
-    naming the file, line and value."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise ParseError(str(path), line_no,
-                     f"question id must be a string or an integer, not {value!r}")
-
-
-def parse_array(value, name: str, path: str | Path, line_no: int) -> list:
-    """A list field read from JSON: a JSON array. Any other value is a
-    ParseError naming the file, line and field (a string would otherwise
-    be read as its characters)."""
-    if isinstance(value, list):
-        return value
-    raise ParseError(str(path), line_no, f"{name} must be a JSON array, not {value!r}")
+def read_field(raw, key, kind: str | list, path: str | Path, line_no: int,
+               question_id: str | None = None, *, name: str | None = None,
+               record: str = "record", default=_MISSING):
+    """Field `key` of the JSON object (or array) `raw`, read as `kind`: a key
+    of `_KINDS`, or `[k]` for an array of `k`. An id reads an integer as its
+    decimal string, a number an integer as a float, and an integer a whole
+    float or a string that `int()` accepts; none reads a bool. A missing key
+    reads as `default`, if given; it, or a value of another kind, is a
+    ParseError `file:line: [question 'q': ]<name> must be <kind>, not
+    <value>`, `name` being the key unless given and the value's repr
+    abbreviated by `reprlib`."""
+    try:
+        value = raw[key]
+    except KeyError:
+        if default is not _MISSING:
+            return default
+        reason = f"{record} without key {key!r}"
+    else:
+        if kind.__class__ is str and value.__class__ in _KINDS[kind][1]:
+            return value
+        name = key if name is None else name
+        if kind.__class__ is list:
+            if value.__class__ is not list:
+                reason = f"{name} must be a JSON array, not {reprlib.repr(value)}"
+            elif _KINDS[kind[0]][1].issuperset(map(type, value)):
+                return value
+            else:  # a loop: a comprehension would make this function's locals cells
+                read = []
+                for i in range(len(value)):
+                    read.append(read_field(value, i, kind[0], path, line_no, question_id,
+                                           name=f"element {i} of {name}"))
+                return read
+        else:
+            try:
+                if type(value) is int and kind in ("id", "number"):
+                    return str(value) if kind == "id" else float(value)
+                if kind == "integer" and type(value) is not bool and not (
+                        type(value) is float and not value.is_integer()):
+                    return int(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+            reason = f"{name} must be {_KINDS[kind][0]}, not {reprlib.repr(value)}"
+    about = "" if question_id is None else f"question {question_id!r}: "
+    raise ParseError(str(path), line_no, about + reason)
 
 
 def load_questions(path: str | Path, source_set: str = "custom") -> list[Question]:
@@ -218,18 +235,16 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
     questions: list[Question] = []
     seen: dict[str, int] = {}
     for line_no, raw in read_jsonl(path):
-        if "id" not in raw or "text" not in raw:
-            raise ParseError(str(path), line_no, "record must have 'id' and 'text'")
-        qid = parse_question_id(raw["id"], path, line_no)
+        qid = read_field(raw, "id", "id", path, line_no, name="question id")
         if qid in seen:
             raise ParseError(str(path), line_no,
                              f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
         seen[qid] = line_no
         try:
             questions.append(Question(
-                id=qid,
-                text=str(raw["text"]),
-                source_set=str(raw.get("set", source_set)),
+                id=qid, text=read_field(raw, "text", "string", path, line_no, qid),
+                source_set=read_field(raw, "set", "string", path, line_no, qid,
+                                      default=source_set),
             ))
         except ValueError as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
@@ -247,15 +262,13 @@ def load_documents(path: str | Path) -> dict[str, list[Document]]:
     by_question: dict[str, list[Document]] = {}
     seen: dict[tuple[str, int], int] = {}
     for line_no, raw in read_jsonl(path):
+        qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
         try:
-            qid = parse_question_id(raw["question_id"], path, line_no)
-            doc = Document(
-                question_id=qid,
-                original_rank=parse_rank(raw["rank"], path, line_no, qid),
-                text=str(raw["text"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(path), line_no, f"invalid document record: {exc}") from exc
+            doc = Document(question_id=qid,
+                           original_rank=read_field(raw, "rank", "integer", path, line_no, qid),
+                           text=read_field(raw, "text", "string", path, line_no, qid))
+        except ValueError as exc:
+            raise ParseError(str(path), line_no, f"question {qid!r}: {exc}") from exc
         key = (doc.question_id, doc.original_rank)
         if key in seen:
             raise ParseError(str(path), line_no,

@@ -12,8 +12,7 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (DocumentSet, canonicalize, parse_question_id, parse_rank,
-                     read_jsonl, write_jsonl)
+from .corpus import DocumentSet, canonicalize, read_field, read_jsonl, write_jsonl
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -176,12 +175,9 @@ class AnnotationFileExtractor:
         # (line, surface, tag, sent_idx, start, end).
         self.records: dict[str, dict[int, tuple[int, list[tuple]]]] = {}
         for line_no, raw in read_jsonl(path):
-            try:
-                qid = parse_question_id(raw["question_id"], self.path, line_no)
-                rank = parse_rank(raw["doc_rank"], self.path, line_no, qid)
-                ents = raw["entities"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(self.path, line_no, f"invalid annotation record: {exc}") from exc
+            qid = read_field(raw, "question_id", "id", self.path, line_no, name="question id")
+            rank = read_field(raw, "doc_rank", "integer", self.path, line_no, qid, name="rank")
+            ents = read_field(raw, "entities", ["object"], self.path, line_no, qid)
             by_rank = self.records.setdefault(qid, {})
             if rank not in by_rank:
                 by_rank[rank] = (line_no, [])
@@ -191,22 +187,20 @@ class AnnotationFileExtractor:
         def fail(reason: str) -> ParseError:
             return ParseError(self.path, line_no, f"question {qid!r}: {reason}")
 
-        checked = []
-        try:
-            for ent in ents:
-                surface, tag = str(ent["surface"]), str(ent["tag"])
-                sent_idx, start, end = int(ent["sent_idx"]), int(ent["start"]), int(ent["end"])
-                if tag not in ONTONOTES_TAGS:
-                    raise fail(f"unknown entity tag {tag!r}")
-                if sent_idx < 0:
-                    raise fail(f"negative sentence index {sent_idx}")
-                if not 0 <= start < end:
-                    raise fail(f"bad span [{start}, {end})")
-                checked.append((line_no, surface, tag, sent_idx, start, end))
-        except KeyError as exc:
-            raise fail(f"entity without key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise fail(f"invalid entity: {exc}") from exc
+        path, checked = self.path, []
+        for ent in ents:
+            surface = read_field(ent, "surface", "string", path, line_no, qid, record="entity")
+            tag = read_field(ent, "tag", "string", path, line_no, qid, record="entity")
+            sent_idx = read_field(ent, "sent_idx", "integer", path, line_no, qid, record="entity")
+            start = read_field(ent, "start", "integer", path, line_no, qid, record="entity")
+            end = read_field(ent, "end", "integer", path, line_no, qid, record="entity")
+            if tag not in ONTONOTES_TAGS:
+                raise fail(f"unknown entity tag {tag!r}")
+            if sent_idx < 0:
+                raise fail(f"negative sentence index {sent_idx}")
+            if not 0 <= start < end:
+                raise fail(f"bad span [{start}, {end})")
+            checked.append((line_no, surface, tag, sent_idx, start, end))
         return checked
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:

@@ -22,8 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .corpus import (atomic_write_text, canonicalize, parse_array, parse_question_id,
-                     read_jsonl, write_json)
+from .corpus import atomic_write_text, canonicalize, read_field, read_jsonl, write_json
 from .errors import DataError, ParseError
 from .ranking import TiedRun
 
@@ -62,12 +61,8 @@ def load_qrels(path: str | Path,
     """Read {"question_id", "gold_answers"} JSONL into Judgment objects."""
     out: dict[str, Judgment] = {}
     for line_no, raw in read_jsonl(path):
-        try:
-            qid = parse_question_id(raw["question_id"], path, line_no)
-            golds = [str(g) for g in parse_array(raw["gold_answers"], "gold_answers",
-                                                 path, line_no)]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(str(path), line_no, f"invalid qrels record: {exc}") from exc
+        qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
+        golds = read_field(raw, "gold_answers", ["string"], path, line_no)
         if qid in out:
             raise ParseError(str(path), line_no, f"duplicate question id {qid!r}")
         try:

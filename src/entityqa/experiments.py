@@ -31,8 +31,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from .corpus import DocumentSet, Question, read_json, write_json
-from .errors import DataError, ParseError
+from .corpus import DocumentSet, Question, read_field, read_json, write_json
+from .errors import DataError
 from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
                          run_metrics, write_csv)
@@ -289,12 +289,9 @@ class LatencyReport:
 def _comparison_means(path: str | Path) -> dict[str, float]:
     """The "mean_seconds" object of an earlier latency report; one that is
     not an object of numbers is a ParseError naming the file."""
-    means = read_json(path).get("mean_seconds", {})
-    if not isinstance(means, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in means.values()):
-        raise ParseError(str(path), 1, '"mean_seconds" must be an object of numbers')
-    return means
+    means = read_field(read_json(path), "mean_seconds", "object", path, 1, default={})
+    return {key: read_field(means, key, "number", path, 1, name=f"mean_seconds.{key}")
+            for key in means}
 
 
 def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],

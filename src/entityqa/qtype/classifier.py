@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import atomic_write_bytes, atomic_write_text, read_json
+from ..corpus import atomic_write_bytes, atomic_write_text, read_field, read_json
 from ..errors import ParseError, TrainingError
 from .annotate import annotate
-from .features import FeatureSpace
+from .features import NAMESPACES, FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
 from .taxonomy import default_taxonomy
 
@@ -160,26 +160,28 @@ class QuestionClassifier:
                 AttributeError, TypeError) as exc:  # the last two: not an .npz archive
             raise ParseError(str(npz_path), 0, f"invalid model arrays: {exc}") from exc
         meta = read_json(meta_path)
-        try:
-            space = FeatureSpace.from_vocab(meta["vocab"])
-            coarse_classes = tuple(meta["coarse_classes"])
-            fine_classes = tuple(meta["fine_classes"])
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ParseError(str(meta_path), 1, f"invalid model metadata: {exc!r}") from exc
-        return cls(
-            space=space,
-            coarse_model=LinearModel(
-                classes=coarse_classes,
-                weights=arrays["coarse_weights"],
-                bias=arrays["coarse_bias"],
-            ),
-            fine_model=LinearModel(
-                classes=fine_classes,
-                weights=arrays["fine_weights"],
-                bias=arrays["fine_bias"],
-            ),
-            hyperparams=meta.get("hyperparams", {}),
-        )
+        vocab = read_field(meta, "vocab", "object", meta_path, 1)
+        space = FeatureSpace.from_vocab({
+            ns: read_field(vocab, ns, ["string"], meta_path, 1, name=f"vocab.{ns}", default=())
+            for ns in NAMESPACES})
+        models = []
+        for level in ("coarse", "fine"):
+            model = LinearModel(
+                classes=tuple(read_field(meta, f"{level}_classes", ["string"], meta_path, 1)),
+                weights=arrays[f"{level}_weights"],
+                bias=arrays[f"{level}_bias"],
+            )
+            if (model.weights.shape != (len(model.classes), space.total_dim)
+                    or model.bias.shape != (len(model.classes),)):
+                raise ParseError(
+                    str(meta_path), 1,
+                    f"{len(model.classes)} {level}_classes over {space.total_dim} features "
+                    f"do not fit {level} weights of shape {model.weights.shape} "
+                    f"and bias of shape {model.bias.shape}")
+            models.append(model)
+        return cls(space=space, coarse_model=models[0], fine_model=models[1],
+                   hyperparams=read_field(meta, "hyperparams", "object", meta_path, 1,
+                                          default={}))
 
 
 def train_classifier(labeled: Sequence[LabeledQuestion], *,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import parse_array, parse_question_id, read_jsonl, write_jsonl
+from .corpus import read_field, read_jsonl, write_jsonl
 from .errors import ParseError
 
 # In the order the ablation grid reports its combine cells.
@@ -140,15 +140,17 @@ def write_runs(path: str | Path, runs: Sequence[TiedRun]) -> None:
 def load_runs(path: str | Path) -> list[TiedRun]:
     runs: list[TiedRun] = []
     for line_no, raw in read_jsonl(path):
+        groups = read_field(raw, "groups", "array", path, line_no)
         try:
             runs.append(TiedRun(
-                question_id=parse_question_id(raw["question_id"], path, line_no),
-                groups=tuple(frozenset(map(str, parse_array(g, "a group", path, line_no)))
-                             for g in parse_array(raw["groups"], "groups", path, line_no)),
-                scores=tuple(float(s) for s in
-                             parse_array(raw["scores"], "scores", path, line_no)),
-                config_id=str(raw.get("config_id", "")),
+                question_id=read_field(raw, "question_id", "id", path, line_no,
+                                       name="question id"),
+                groups=tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
+                                                  name="a group"))
+                             for i in range(len(groups))),
+                scores=tuple(read_field(raw, "scores", ["number"], path, line_no)),
+                config_id=read_field(raw, "config_id", "string", path, line_no, default=""),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(str(path), line_no, f"invalid run record: {exc}") from exc
     return runs

@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import DocumentSet, parse_array, read_jsonl, write_jsonl
+from .corpus import DocumentSet, read_field, read_jsonl, write_jsonl
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -37,15 +38,33 @@ class Provider(Protocol):
 _TOKEN = re.compile(r"\w+(?:'\w+)?")
 
 
-def _all_finite(values: list[float]) -> bool:
-    """No NaN or infinity among `values`.
+_SMALLEST, _LARGEST = sys.float_info.min, sys.float_info.max
 
-    A NaN cosine would pass the [-1, 1] clamp as 1.0, the best score, so
-    the loaders reject such vectors. A NaN or an infinity makes the sum
-    non-finite; finite components overflow the sum only past about 1e308,
-    so only then are they checked one by one.
+
+def _magnitude_fault(values: list[float]) -> str | None:
+    """Why `build_evidence` could not score the vector `values`, or None.
+
+    Its squared norm, taken as `build_evidence` takes it, must be finite,
+    or the cosine is NaN and passes the [-1, 1] clamp as 1.0, the best
+    score; and, for a nonzero vector, at least the smallest normal float,
+    or the cosine loses its sign or its precision. Word vectors that pass
+    also average without overflow. `math.hypot` gives the norm to within
+    an ulp and never overflows, so a norm in [1e-153, 1e153] settles it;
+    only other norms, the zero vector's aside, need the squared norm.
     """
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    norm = math.hypot(*values)
+    if norm == 0.0 or 1e-153 <= norm <= 1e153:
+        return None
+    vec = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):
+        squared = vec.dot(vec)
+    if _SMALLEST <= squared <= _LARGEST:
+        return None
+    if not np.isfinite(vec).all():
+        return "non-finite component"
+    if squared > _LARGEST:
+        return "squared norm overflows"
+    return "squared norm of a nonzero vector underflows"
 
 
 class WordAverageProvider:
@@ -84,8 +103,9 @@ class WordAverageProvider:
                     values = [float(x) for x in parts[1:]]
                 except ValueError as exc:
                     raise ParseError(str(path), line_no, f"bad float: {exc}") from exc
-                if not _all_finite(values):
-                    raise ParseError(str(path), line_no, "non-finite component")
+                fault = _magnitude_fault(values)
+                if fault:
+                    raise ParseError(str(path), line_no, fault)
                 vec = np.array(values, dtype=float)
                 if dim is None:
                     dim = vec.size
@@ -136,19 +156,17 @@ class CacheProvider:
         provider_ids: set[str] = set()
         dims: set[int] = set()
         for line_no, raw in read_jsonl(path):
-            try:
-                digest = str(raw["sha256"])
-                values = [float(x) for x in
-                          parse_array(raw["vector"], "vector", self.path, line_no)]
-                provider_ids.add(str(raw["provider_id"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(self.path, line_no, f"invalid cache record: {exc}") from exc
+            digest = read_field(raw, "sha256", "string", self.path, line_no)
+            values = read_field(raw, "vector", ["number"], self.path, line_no)
+            provider_ids.add(read_field(raw, "provider_id", "string", self.path, line_no))
             if not values:
                 raise ParseError(self.path, line_no, "empty vector")
-            if not _all_finite(values):
-                raise ParseError(self.path, line_no, "non-finite component")
+            fault = _magnitude_fault(values)
+            if fault:
+                raise ParseError(self.path, line_no, fault)
             vec = np.array(values, dtype=float)
-            if "text" in raw and text_sha256(str(raw["text"])) != digest:
+            text = read_field(raw, "text", "string", self.path, line_no, default=None)
+            if text is not None and text_sha256(text) != digest:
                 raise ParseError(self.path, line_no, "sha256 does not match text")
             dims.add(vec.size)
             self.entries[digest] = vec

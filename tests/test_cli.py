@@ -124,7 +124,10 @@ def test_run_duplicate_document_is_a_data_error(tmp_path, config_file, capsys):
     ({"tag": "CITY"}, "unknown entity tag 'CITY'"),
     ({"end": None}, "entity without key 'end'"),
     ({"start": 5}, "bad span [5, 5)"),
-    ({"sent_idx": "one"}, "invalid entity: invalid literal for int()"),
+    ({"sent_idx": "one"}, "sent_idx must be an integer, not 'one'"),
+    ({"sent_idx": True, "start": 0.9, "end": 2.7}, "sent_idx must be an integer, not True"),
+    ({"start": 0.9, "end": 2.7}, "start must be an integer, not 0.9"),
+    ({"surface": 7}, "surface must be a string, not 7"),
 ])
 def test_malformed_annotation_is_a_data_error_at_load(
         tmp_path, config_file, capsys, entity, reason):
@@ -419,6 +422,9 @@ _MALFORMED = {
     "type-map-list": ("type_map.json", '[["HUMAN", "PERSON"]]'),
     "type-map-unknown-tag": ("type_map.json", '{"coarse": {"HUMAN": ["BOGUS"]}}'),
     "strata-spec-invalid-json": ("spec.json", '{"name": "mine", "x1": 60,,}'),
+    # Read as 60 and 10, the percentages would pass the sum-to-100 check.
+    "strata-spec-fractional-percent": ("spec.json",
+                                       '{"name": "mine", "x1": 60.9, "x2": 30, "x3": 10.4}'),
     "bench-comparison-invalid-json": ("other.json", '{"mean_seconds": '),
     "model-meta-invalid-json": ("model.npz.meta.json", '{"vocab": '),
 }
@@ -472,6 +478,22 @@ def _broken_model(model: Path, saved: str, case: str) -> Path:
         raw["vocab"] = list(raw["vocab"])
         meta_path.write_text(json.dumps(raw))
         return meta_path
+    if case == "meta-classes-string":
+        # A string of as many letters as there are classes.
+        raw = json.loads(meta.read_text())
+        raw["coarse_classes"] = "".join(c[0] for c in raw["coarse_classes"])
+        meta_path.write_text(json.dumps(raw))
+        return meta_path
+    if case == "meta-one-class-too-few":
+        raw = json.loads(meta.read_text())
+        raw["fine_classes"] = raw["fine_classes"][:-1]
+        meta_path.write_text(json.dumps(raw))
+        return meta_path
+    if case == "meta-one-feature-too-many":
+        raw = json.loads(meta.read_text())
+        raw["vocab"]["lem"].append("zzz-unseen")
+        meta_path.write_text(json.dumps(raw))
+        return meta_path
     if case == "npz-garbage":
         model.write_bytes(b"\x00not an npz archive\xff" * 8)
         return model
@@ -483,7 +505,8 @@ def _broken_model(model: Path, saved: str, case: str) -> Path:
 
 @pytest.mark.parametrize("case", ["meta-empty-object", "meta-without-fine-classes",
                                   "meta-vocab-list", "npz-garbage",
-                                  "npz-without-fine-bias"])
+                                  "npz-without-fine-bias", "meta-classes-string",
+                                  "meta-one-class-too-few", "meta-one-feature-too-many"])
 def test_broken_model_file_is_a_data_error(tmp_path, config_file, planted_config,
                                            capsys, case):
     model = tmp_path / "model.npz"
@@ -552,6 +575,22 @@ def test_train_qc_model_without_suffix_runs(tmp_path, config_file):
     out = tmp_path / "runs.jsonl"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 12
+
+
+@pytest.mark.parametrize("command, count", [("bench", "--iterations"),
+                                            ("train-qc", "--epochs")])
+def test_zero_count_is_a_config_error_before_any_input_is_read(tmp_path, capsys,
+                                                              command, count):
+    # The inputs do not exist: reading one would be a data error (exit 1).
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    inputs = (["--config", missing, "--out", str(out)] if command == "bench"
+              else ["--labeled", missing, "--model-out", str(out)])
+    assert main([command, *inputs, count, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {count} must be at least 1, not 0")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_qc_bad_labels_exit_1(tmp_path):

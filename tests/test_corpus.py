@@ -513,6 +513,17 @@ def test_load_documents_rejects_ranks_that_are_not_integers(tmp_path, ranks, bad
         load_documents(path)
 
 
+@pytest.mark.parametrize("text, shown", [(None, "None"), (7, "7"), (["a."], "['a.']")])
+def test_load_documents_rejects_text_that_is_not_a_string(tmp_path, text, shown):
+    # null would be read as the text "None".
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(json.dumps({"question_id": "q1", "rank": rank, "text": t}) + "\n"
+                            for rank, t in ((1, "a."), (2, text))))
+    with pytest.raises(ParseError, match=rf"d\.jsonl:2: question 'q1': "
+                                         rf"text must be a string, not {re.escape(shown)}$"):
+        load_documents(path)
+
+
 @pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
 def test_load_documents_takes_ids_as_strings_or_integers(tmp_path, value, shown):
     path = tmp_path / "d.jsonl"

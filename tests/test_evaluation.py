@@ -194,14 +194,17 @@ def test_load_qrels_duplicate(tmp_path):
 
 
 def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
-    # A string would be read as its characters: the gold set {r, o, m, e}.
+    # A string would be read as its characters: the gold set {r, o, m, e};
+    # and a gold answer is a string, not null ("none") or a number.
     path = tmp_path / "qrels.jsonl"
-    write_jsonl(path, [{"question_id": "q1", "gold_answers": ["Paris"]},
-                       {"question_id": "q2", "gold_answers": "Rome"}])
-    with pytest.raises(ParseError) as err:
-        load_qrels(path)
-    assert str(err.value) == (f"{path}:2: gold_answers must be a JSON array, "
-                              f"not 'Rome'")
+    for golds, reason in [("Rome", "gold_answers must be a JSON array, not 'Rome'"),
+                          ([None, 7], "element 0 of gold_answers must be a string, not None"),
+                          (["Rome", 7], "element 1 of gold_answers must be a string, not 7")]:
+        write_jsonl(path, [{"question_id": "q1", "gold_answers": ["Paris"]},
+                           {"question_id": "q2", "gold_answers": golds}])
+        with pytest.raises(ParseError) as err:
+            load_qrels(path)
+        assert str(err.value) == f"{path}:2: {reason}"
 
 
 @pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)

@@ -198,20 +198,25 @@ def test_load_runs_takes_ids_as_strings_or_integers(tmp_path, value, shown):
         load_runs(path)
 
 
-@pytest.mark.parametrize("field, groups, scores", [
-    ("groups", "ab", [0.9, 0.1]),
-    ("a group", ["ab"], [0.9]),
-    ("scores", [["a"], ["b"]], "91"),
-])
-def test_load_runs_rejects_a_string_for_a_list(tmp_path, field, groups, scores):
+@pytest.mark.parametrize("groups, scores, reason", [
+    ("ab", [0.9, 0.1], "groups must be a JSON array, not 'ab'"),
+    (["ab"], [0.9], "a group must be a JSON array, not 'ab'"),
+    ([["a"], ["b"]], "91", "scores must be a JSON array, not '91'"),
+    ([[None, ["a"]]], [0.9], "element 0 of a group must be a string, not None"),
+    ([["a"]], ["0.9"], "element 0 of scores must be a number, not '0.9'"),
+    ([["a"]], [True], "element 0 of scores must be a number, not True"),
+], ids=["groups-ab-scores0", "a group-groups1-scores1", "scores-groups2-91",
+        "member-null", "score-string", "score-bool"])
+def test_load_runs_rejects_a_string_for_a_list(tmp_path, groups, scores, reason):
     # A string would be read as its characters: "ab" as the groups {a}
-    # and {b}, "91" as the scores (9.0, 1.0).
+    # and {b}, "91" as the scores (9.0, 1.0). A member is a string, not
+    # null ("None") or a list ("['a']"), and a score is a number.
     path = tmp_path / "runs.jsonl"
     write_jsonl(path, [{"question_id": "q1", "groups": [], "scores": []},
                        {"question_id": "q2", "groups": groups, "scores": scores}])
     with pytest.raises(ParseError) as err:
         load_runs(path)
-    assert str(err.value).startswith(f"{path}:2: {field} must be a JSON array, not '")
+    assert str(err.value) == f"{path}:2: {reason}"
 
 
 def test_load_runs_rejects_malformed(tmp_path):

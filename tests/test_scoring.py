@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -102,20 +103,52 @@ def test_provider_from_file_rejects_ragged_rows(tmp_path):
     assert ":2:" in str(err.value)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
-def test_provider_from_file_rejects_non_finite_component(tmp_path, bad):
-    # A NaN cosine would clamp to 1.0, the best evidence score.
+@pytest.mark.parametrize("line, reason", [
+    ("beta 0.0 nan", "non-finite component"),
+    ("beta 0.0 inf", "non-finite component"),
+    ("beta 0.0 -Infinity", "non-finite component"),
+    ("w 1.5e308 0", "squared norm overflows"),
+    ("beta 1e308 1e308", "squared norm overflows"),
+    ("beta 1e-170 0", "squared norm of a nonzero vector underflows"),
+], ids=["nan", "inf", "-Infinity", "1.5e308", "1e308-1e308", "1e-170"])
+def test_provider_from_file_rejects_non_finite_component(tmp_path, line, reason):
+    # A NaN cosine would clamp to 1.0, the best evidence score. So would
+    # the cosine of finite rows whose squares overflow, and the mean of
+    # two such rows may overflow; squares that underflow lose the sign.
     path = tmp_path / "vectors.txt"
-    path.write_text(f"alpha 1.0 0.0\nbeta 0.0 {bad}\n")
+    path.write_text(f"alpha 1.0 0.0\n{line}\n")
     with pytest.raises(ParseError) as err:
         WordAverageProvider.from_file(path)
-    assert f"{path}:2: non-finite component" in str(err.value)
+    assert str(err.value) == f"{path}:2: {reason}"
 
 
-def test_provider_from_file_accepts_components_whose_sum_overflows(tmp_path):
+def test_vectors_load_exactly_where_the_squared_norm_is_a_normal_float(tmp_path):
+    # The loaders settle most vectors by their `math.hypot` norm. Around both
+    # ends of the range they must still accept exactly the vectors whose
+    # v.dot(v), the squared norm `build_evidence` takes, is a normal float,
+    # and the zero vector.
+    rng = random.Random(5)
+    ends = (math.sqrt(sys.float_info.min), 1e-153, 1.0, 1e153, math.sqrt(sys.float_info.max))
     path = tmp_path / "vectors.txt"
-    path.write_text("alpha 1e308 1e308\n")
-    assert WordAverageProvider.from_file(path).vectors["alpha"][0] == 1e308
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        direction = np.array([rng.uniform(-1, 1) * rng.choice((0, 1, 1))
+                              for _ in range(rng.randint(1, 5))])
+        norm = float(np.linalg.norm(direction)) or 1.0
+        vec = direction / norm * rng.choice(ends) * rng.uniform(0.7, 1.4)
+        with np.errstate(over="ignore"):
+            squared = vec.dot(vec)
+        expected = bool(sys.float_info.min <= squared <= sys.float_info.max or not vec.any())
+        path.write_text("w " + " ".join(map(repr, vec.tolist())) + "\n")
+        try:
+            loaded = WordAverageProvider.from_file(path).vectors["w"]
+        except ParseError:
+            assert not expected, vec.tolist()
+        else:
+            assert expected, vec.tolist()
+            assert np.array_equal(loaded, vec)
+        seen[expected] += 1
+    assert min(seen.values()) > 50, seen
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +205,36 @@ def test_cache_rejects_empty_vector_with_line_number(tmp_path):
     assert f"{path}:2: empty vector" in str(err.value)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "nan"])
-def test_cache_rejects_non_finite_component_with_line_number(tmp_path, bad):
+@pytest.mark.parametrize("vector, reason", [
+    ([float("nan"), 1.0, 0.0], "non-finite component"),
+    ([float("-inf"), 1.0, 0.0], "non-finite component"),
+    (["nan", 1.0, 0.0], "element 0 of vector must be a number, not 'nan'"),
+    ([1e200, 0, 0], "squared norm overflows"),
+    ([1e308, 1e308, 0.0], "squared norm overflows"),
+    ([1e-170, 0, 0], "squared norm of a nonzero vector underflows"),
+], ids=["nan0", "-inf", "nan1", "1e+200", "1e308-1e308", "1e-170"])
+def test_cache_rejects_non_finite_component_with_line_number(tmp_path, vector, reason):
     # NaN and -Infinity are JSON constants to the parser; a string "nan"
-    # passes float().
+    # is no number. The cosine of finite components whose squares overflow
+    # would be NaN too, and squares that underflow lose the sign.
     path = _cache_file(tmp_path / "cache.jsonl",
-                       [("alpha", [1.0, 0.0], "x"), ("beta", [bad, 1.0], "x")])
+                       [("alpha", [1.0, 0.0, 0.0], "x"), ("beta", vector, "x")])
     with pytest.raises(ParseError) as err:
         CacheProvider(path)
-    assert f"{path}:2: non-finite component" in str(err.value)
+    assert str(err.value) == f"{path}:2: {reason}"
 
 
 def test_cache_rejects_a_string_for_the_vector(tmp_path):
-    # A string would be read as its characters: "123" as [1.0, 2.0, 3.0].
-    path = _cache_file(tmp_path / "cache.jsonl",
-                       [("alpha", [1.0, 0.0, 0.0], "x"), ("beta", "123", "x")])
-    with pytest.raises(ParseError) as err:
-        CacheProvider(path)
-    assert str(err.value) == f"{path}:2: vector must be a JSON array, not '123'"
-
-
-def test_cache_accepts_components_whose_sum_overflows(tmp_path):
-    path = _cache_file(tmp_path / "cache.jsonl", [("alpha", [1e308, 1e308], "x")])
-    assert CacheProvider(path).embed("alpha")[0] == 1e308
+    # A string would be read as its characters: "123" as [1.0, 2.0, 3.0];
+    # and a component is a number, not a bool or a string of digits.
+    for vector, reason in [("123", "vector must be a JSON array, not '123'"),
+                           ([True, "2", 0.0], "element 0 of vector must be a number, not True"),
+                           ([1.0, "2", 0.0], "element 1 of vector must be a number, not '2'")]:
+        path = _cache_file(tmp_path / "cache.jsonl",
+                           [("alpha", [1.0, 0.0, 0.0], "x"), ("beta", vector, "x")])
+        with pytest.raises(ParseError) as err:
+            CacheProvider(path)
+        assert str(err.value) == f"{path}:2: {reason}"
 
 
 def test_cache_rejects_mixed_provider_ids(tmp_path):
@@ -324,6 +364,7 @@ def _random_evidence_case(rng: random.Random):
 def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
     rng = random.Random(41)
     seen = {"zero": 0, "tiny": 0, "other": 0}
+    cache_loads = {True: 0, False: 0}
     for case in range(60):
         docset, pool, question, word_avg = _random_evidence_case(rng)
         texts = [s for doc in docset.documents for s in doc.sentences]
@@ -331,7 +372,15 @@ def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
         write_cache(cache_path, texts + [question], word_avg)
         sentence = {(doc.doc_id, i): s for doc in docset.documents
                     for i, s in enumerate(doc.sentences)}
-        for provider in (word_avg, CacheProvider(cache_path)):
+        # The cache takes no nonzero vector whose squared norm is below the
+        # smallest normal float, as the square of a tiny word's vector is.
+        loads = all(v.dot(v) >= sys.float_info.min or not v.any()
+                    for v in map(word_avg.embed, texts + [question]))
+        cache_loads[loads] += 1
+        if not loads:
+            with pytest.raises(ParseError, match="squared norm of a nonzero vector underflows"):
+                CacheProvider(cache_path)
+        for provider in (word_avg, CacheProvider(cache_path)) if loads else (word_avg,):
             q_vec = provider.embed(question)
             for ev in build_evidence(pool, docset, question, provider):
                 for key, score in zip(ev.entity.sentence_keys, ev.scores):
@@ -344,6 +393,7 @@ def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
                     else:
                         seen["other"] += 1
     assert all(seen.values()), seen
+    assert all(cache_loads.values()), cache_loads
 
 
 class _TableProvider:
