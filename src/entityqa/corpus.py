@@ -403,6 +403,22 @@ def canonicalize(surface: str) -> str:
     return " ".join(folded.split()).strip(_OUTER_PUNCT)
 
 
+# A gazetteer or word-vector token: word characters, at most one inner apostrophe.
+WORD = re.compile(r"\w+(?:'\w+)?")
+
+# Each byte of ASCII text: a word character lower-cased, any other a space.
+_ASCII_WORD_BYTES = bytes(ord(ch.lower()) if ch.isascii() and WORD.fullmatch(ch) else 32
+                          for ch in map(chr, range(256)))
+
+
+def ascii_lower_words(text: str) -> list[str]:
+    """`WORD.findall(text.lower())` for ASCII `text`. Without an apostrophe
+    a token is a maximal run of word characters: a run that the table keeps."""
+    if "'" in text:
+        return WORD.findall(text.lower())
+    return text.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
+
+
 # ---------------------------------------------------------------------------
 # Sentence segmentation
 # ---------------------------------------------------------------------------

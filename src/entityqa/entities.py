@@ -8,11 +8,11 @@ extractor used as a self-contained baseline and in tests.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import DocumentSet, canonicalize, read_field, read_jsonl, write_jsonl
+from .corpus import (WORD, DocumentSet, ascii_lower_words, canonicalize, read_field,
+                     read_jsonl, write_jsonl)
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -49,9 +49,6 @@ class CandidatePool(NamedTuple):
 # ---------------------------------------------------------------------------
 # Gazetteer backend
 # ---------------------------------------------------------------------------
-
-_WORD = re.compile(r"\w+(?:'\w+)?")
-
 
 class GazetteerExtractor:
     """Longest-match lexicon tagger over segmented sentences.
@@ -98,26 +95,25 @@ class GazetteerExtractor:
         """Every gazetteer match in the document set, in document and
         sentence order.
 
-        An ASCII sentence without "_" takes its canonical keys from one
-        `findall` on its lower-cased text. This is exact: on ASCII a token
-        can carry only "_" of the outer punctuation at either end, so its
-        canonical form is its lower case, and `lower()` keeps every
-        character's offset and word class. Every other sentence
-        canonicalises each distinct token once per document set.
+        An ASCII sentence without "_" takes its canonical keys from
+        `ascii_lower_words`. This is exact: on ASCII a token can carry only
+        "_" of the outer punctuation at either end, so its canonical form is
+        its lower case, and `lower()` keeps every character's offset and
+        word class. Every other sentence canonicalises each distinct token
+        once per document set.
         """
         mentions: list[EntityMention] = []
         # Canonical form per raw token, for this docset only, so memory
         # does not grow with the vocabulary of the whole corpus.
         canonical: dict[str, str] = {}
-        findall = _WORD.findall
         starts = self.longest_from.keys()
         for doc in docset.documents:
             doc_id = doc.doc_id
             for index, sentence in enumerate(doc.sentences):
                 if sentence.isascii() and "_" not in sentence:
-                    keys = findall(sentence.lower())
+                    keys = ascii_lower_words(sentence)
                 else:
-                    tokens = findall(sentence)
+                    tokens = WORD.findall(sentence)
                     keys = list(map(canonical.get, tokens))
                     if None in keys:  # a token not yet canonicalised here
                         for tok in tokens:
@@ -132,9 +128,9 @@ class GazetteerExtractor:
     def _longest_matches(self, text: str, keys: list[str], doc_id: str,
                          sent_idx: int) -> list[EntityMention]:
         """The left-to-right longest matches over the sentence's keys, one
-        key per `_WORD` token of `text`."""
+        key per `WORD` token of `text`."""
         longest_from = self.longest_from
-        spans = [m.span() for m in _WORD.finditer(text)]
+        spans = [m.span() for m in WORD.finditer(text)]
         found: list[EntityMention] = []
         n = len(keys)
         i = 0

@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from ..corpus import read_json
+from ..corpus import read_field, read_json
 from ..entities import ONTONOTES_TAGS
 from ..errors import ParseError, UnmappedTypeError
 
@@ -36,31 +36,32 @@ def default_taxonomy() -> dict[str, tuple[str, ...]]:
     return {k: tuple(v) for k, v in raw.items()}
 
 
-def _freeze_map(raw: dict) -> AnswerTypeMap:
+def _freeze_map(raw: dict, path: str) -> AnswerTypeMap:
+    """The type map in `raw`, read from `path`: each level an object of
+    string arrays, each tag from the inventory, or a ParseError."""
     levels: dict[str, dict[str, frozenset[str]]] = {}
     for level in ("coarse", "fine"):
+        rows = read_field(raw, level, "object", path, 1, default={})
         levels[level] = {}
-        for label, tags in raw.get(level, {}).items():
-            tagset = frozenset(tags)
+        for label in rows:
+            name = f"{level} {label!r}"
+            tagset = frozenset(read_field(rows, label, ["string"], path, 1, name=name))
             bad = tagset - ONTONOTES_TAGS
             if bad:
-                raise ValueError(f"{level} {label!r} lists unknown tags {sorted(bad)}")
+                raise ParseError(path, 1, f"{name} lists unknown tags {sorted(bad)}")
             levels[level][label] = tagset
     return AnswerTypeMap(**levels)
 
 
 @lru_cache(maxsize=1)
 def default_answer_type_map() -> AnswerTypeMap:
-    return _freeze_map(_load_packaged_json("answer_type_map.json"))
+    name = "answer_type_map.json"
+    return _freeze_map(_load_packaged_json(name), name)
 
 
 def load_answer_type_map(path: str | Path) -> AnswerTypeMap:
     """Read a type-map file: {"coarse": {LABEL: [TAGS]}, "fine": {...}}."""
-    raw = read_json(path)
-    try:
-        return _freeze_map(raw)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), 1, f"invalid answer-type map: {exc}") from exc
+    return _freeze_map(read_json(path), str(path))
 
 
 def map_answer_types(coarse: str, fine: str | None = None,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import DocumentSet, read_field, read_jsonl, write_jsonl
+from .corpus import WORD, DocumentSet, ascii_lower_words, read_field, read_jsonl, write_jsonl
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -33,9 +32,6 @@ class Provider(Protocol):
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
-
-
-_TOKEN = re.compile(r"\w+(?:'\w+)?")
 
 
 _SMALLEST, _LARGEST = sys.float_info.min, sys.float_info.max
@@ -118,18 +114,18 @@ class WordAverageProvider:
         return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
-        """Mean of the rows of the text's lower-cased `_TOKEN` tokens.
+        """Mean of the rows of the text's lower-cased `WORD` tokens.
 
-        ASCII text is lower-cased before one `findall`. This is exact: on
-        ASCII, `lower()` keeps each character's offset and word class, so
-        it finds the same tokens. Elsewhere it need not ("İ" lower-cases to
-        two characters, the second no word character), so each token is
-        lower-cased after matching.
+        ASCII text takes `ascii_lower_words`, which lower-cases before
+        matching. This is exact: on ASCII, `lower()` keeps each character's
+        offset and word class, so it finds the same tokens. Elsewhere it
+        need not ("İ" lower-cases to two characters, the second no word
+        character), so each token is lower-cased after matching.
         """
         if text.isascii():
-            tokens = _TOKEN.findall(text.lower())
+            tokens = ascii_lower_words(text)
         else:
-            tokens = [m.group(0).lower() for m in _TOKEN.finditer(text)]
+            tokens = [m.group(0).lower() for m in WORD.finditer(text)]
         vectors = self.vectors
         rows = [vectors[tok] for tok in tokens if tok in vectors]
         if rows:

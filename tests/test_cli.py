@@ -421,12 +421,21 @@ _MALFORMED = {
     "type-map-invalid-json": ("type_map.json", '{"coarse": {'),
     "type-map-list": ("type_map.json", '[["HUMAN", "PERSON"]]'),
     "type-map-unknown-tag": ("type_map.json", '{"coarse": {"HUMAN": ["BOGUS"]}}'),
+    # Read as a set, "" would be no tags, "PERSON" its letters and 7 a tag.
+    "type-map-empty-string": ("type_map.json", '{"coarse": {"HUMAN": ""}}'),
+    "type-map-string": ("type_map.json", '{"coarse": {"HUMAN": "PERSON"}}'),
+    "type-map-integer-tag": ("type_map.json", '{"coarse": {"HUMAN": [7]}}'),
     "strata-spec-invalid-json": ("spec.json", '{"name": "mine", "x1": 60,,}'),
     # Read as 60 and 10, the percentages would pass the sum-to-100 check.
     "strata-spec-fractional-percent": ("spec.json",
                                        '{"name": "mine", "x1": 60.9, "x2": 30, "x3": 10.4}'),
     "bench-comparison-invalid-json": ("other.json", '{"mean_seconds": '),
     "model-meta-invalid-json": ("model.npz.meta.json", '{"vocab": '),
+}
+# case -> what its error must say, where another error would also name the file
+_MALFORMED_REASON = {
+    "type-map-string": "coarse 'HUMAN' must be a JSON array, not 'PERSON'",
+    "type-map-integer-tag": "element 0 of coarse 'HUMAN' must be a string, not 7",
 }
 
 
@@ -455,7 +464,9 @@ def test_malformed_json_object_input_is_a_data_error(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {bad}:")
+    assert _MALFORMED_REASON.get(case, "") in err
     assert "Traceback" not in err
+    assert not Path(out).exists()
 
 
 def _broken_model(model: Path, saved: str, case: str) -> Path:

@@ -11,6 +11,7 @@ from entityqa.corpus import (
     Document,
     DocumentSet,
     StrataSpec,
+    ascii_lower_words,
     canonicalize,
     collection_spec,
     default_abbreviations,
@@ -132,6 +133,24 @@ def test_regex_and_str_split_whitespace_are_one_set():
     assert regex == {ch for ch in every_char if ch.isspace()}
     assert regex == {ch for ch in every_char if len(f"a{ch}b".split()) == 2}
     assert all(re.fullmatch(r"\s", ch) for ch in regex)
+
+
+def test_ascii_lower_words_matches_findall_on_random_ascii():
+    # Every ASCII code point, weighted toward the apostrophe (the regex
+    # fallback), the word characters that are not letters, and the
+    # separators that str.split() and bytes.split() treat differently.
+    word = re.compile(r"\w+(?:'\w+)?")
+    every_ascii = "".join(map(chr, range(128)))
+    edges = "'_0123456789\x0b\x0c\x1c\x1d\x1e\x1f\x7f"
+    rng = random.Random(19)
+    inner_apostrophes = 0
+    for _ in range(100_000):
+        text = "".join(rng.choice(every_ascii if rng.random() < 0.6 else edges)
+                       for _ in range(rng.randint(0, 16)))
+        want = word.findall(text.lower())
+        assert ascii_lower_words(text) == want, text
+        inner_apostrophes += any("'" in token for token in want)
+    assert inner_apostrophes > 2_000
 
 
 # ---------------------------------------------------------------------------

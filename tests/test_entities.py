@@ -372,23 +372,25 @@ def test_gazetteer_scan_matches_reference_on_random_corpora():
 
 def test_gazetteer_scan_mixes_ascii_and_unicode_sentences_in_one_docset():
     """ASCII and non-ASCII sentences of one docset share tokens, so the
-    one-call ASCII path and the per-docset memo both see "zoe" and
+    ASCII byte-table path and the per-docset memo both see "zoe" and
     "o'neil", in either order. A curly apostrophe ends a token, so
-    "O\u2019Neil" is the two tokens "O" and "Neil"."""
-    lexicon = {"Zoë Café": "PERSON", "O'Neil": "PERSON", "zoe": "ORG", "x": "DATE"}
+    "O\u2019Neil" is the two tokens "O" and "Neil"; a hyphen ends one too,
+    and digits stay in theirs ("x-3rd")."""
+    lexicon = {"Zoë Café": "PERSON", "O'Neil": "PERSON", "zoe": "ORG", "x": "DATE",
+               "3rd x": "DATE"}
     texts = ["Zoe cafe met ZOË Café. Zoe left. O\u2019Neil and o'neil met.",
              "_x_ and x_ saw Zoë_ x. Then _x_ and x_ saw zoe_ x.",
-             "O'NEIL saw zoe CAFE. Zoë, O\u2019neil."]
+             "O'NEIL saw zoe CAFE. Zoë, O\u2019neil. Zoe x-3rd X, 3RD-x."]
     docset = _docset(texts)
     sentences = [s for d in docset.documents for s in d.sentences]
-    assert len(sentences) == 7
+    assert len(sentences) == 8
     assert [s.isascii() for s in sentences] == [False, True, False, False, True,
-                                                True, False]
+                                                True, False, True]
     _assert_scan_matches_reference(docset, lexicon)
     assert [m.surface for m in GazetteerExtractor(lexicon).extract(docset)] == [
         "Zoe cafe", "ZOË Café", "Zoe", "o'neil",
         "_x_", "x_", "Zoë_", "x", "_x_", "x_", "zoe_", "x",
-        "O'NEIL", "zoe CAFE", "Zoë"]
+        "O'NEIL", "zoe CAFE", "Zoë", "Zoe", "x", "3rd X", "3RD-x"]
 
 
 def test_gazetteer_scan_prefix_entries_and_short_sentences():

@@ -87,6 +87,28 @@ def test_word_average_matches_reference_on_unicode_text():
     assert 200 < ascii_texts < 1800
 
 
+def test_word_average_matches_reference_on_a_mixed_docset():
+    """Bit for bit, on the sentences of one docset: plain ASCII, ASCII
+    with an apostrophe or "_", and not ASCII."""
+    rng = np.random.default_rng(11)
+    words = ("it's", "it", "s", "o'neil", "o", "neil", "x_y", "_x_", "x",
+             "zoë", "zoe", "alpha", "beta", "3rd")
+    provider = WordAverageProvider({w: rng.standard_normal(3) for w in words})
+    docset = DocumentSet(question_id="q1", documents=tuple(
+        segment_sentences(Document("q1", rank, text)) for rank, text in enumerate((
+            "Alpha beta 3rd. It's O'NEIL, o'neil. X_Y met _x_ and x.",
+            "Zoë met ZOE. O\u2019Neil, it\u2019s alpha. Beta x-3rd.",
+        ), start=1)))
+    sentences = [s for doc in docset.documents for s in doc.sentences]
+    assert [s.isascii() for s in sentences] == [True, True, True, False, False, True]
+    assert ["'" in s for s in sentences] == [False, True, False, False, False, False]
+    assert ["_" in s for s in sentences] == [False, False, True, False, False, False]
+    for sentence in sentences:
+        want = reference_word_average(sentence, provider.vectors, provider.dim)
+        assert want.any()
+        assert np.array_equal(provider.embed(sentence), want), sentence
+
+
 def test_provider_from_file(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("alpha 1.0 0.0\nbeta 0.0 1.0\n")
