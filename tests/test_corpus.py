@@ -137,8 +137,9 @@ def test_regex_and_str_split_whitespace_are_one_set():
 
 def test_ascii_lower_words_matches_findall_on_random_ascii():
     # Every ASCII code point, weighted toward the apostrophe (the regex
-    # fallback), the word characters that are not letters, and the
-    # separators that str.split() and bytes.split() treat differently.
+    # fallback), the word characters that are not letters, the controls
+    # that str.split() takes for whitespace and bytes.split() does not,
+    # and DEL.
     word = re.compile(r"\w+(?:'\w+)?")
     every_ascii = "".join(map(chr, range(128)))
     edges = "'_0123456789\x0b\x0c\x1c\x1d\x1e\x1f\x7f"
