@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+import reprlib
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
@@ -44,6 +45,12 @@ STAGE_FILES = {
 CLASSIFIER_KINDS = tuple(STAGE_FILES["classifier"])
 PROVIDER_KINDS = tuple(STAGE_FILES["embedding_provider"])
 AVGMAX_DENOMINATORS = ("containing_docs", "all_docs")
+# Each declared type of a config field: the phrase its errors use, and the
+# value types it takes. A bool is none of the others; a float field also
+# takes an int, kept as given so that its config_id stays the same; every
+# int field is a count of at least 1.
+_FIELD_KINDS = {"str": ("a string", str), "bool": ("true or false", bool),
+                "int": ("a positive integer", int), "float": ("a number", (int, float))}
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,12 @@ class PipelineConfig:
     type_map_path: str = ""
 
     def __post_init__(self):
+        for spec in fields(self):
+            phrase, types = _FIELD_KINDS[spec.type]
+            value = getattr(self, spec.name)
+            if (not isinstance(value, types) or isinstance(value, bool) != (spec.type == "bool")
+                    or spec.type == "int" and value < 1):
+                raise ConfigError(f"{spec.name} must be {phrase}, not {reprlib.repr(value)}")
         checks = (
             *((stage, tuple(variants)) for stage, variants in STAGE_FILES.items()),
             ("aggregation", AGGREGATION_MODES),
@@ -86,8 +99,6 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{field_name} must be one of {allowed}, got {value!r}"
                 )
-        if self.candidate_cap < 1:
-            raise ConfigError("candidate_cap must be >= 1")
         try:
             ranking = RankingConfig(
                 combine_mode=self.combine, alpha=self.alpha, beta=self.beta,
@@ -139,10 +150,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    try:
-        return PipelineConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return PipelineConfig(**raw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,16 @@
-"""Lightweight linguistic annotation of question strings.
+"""The features of a question string for its answer-type classifier.
 
-The classifier consumes token/lemma/POS layers plus a list of named
-entities found in the question. Rule-based annotation keeps the package
+Each question is tokenized, lemmatized and POS-tagged once by rules, and
+each token that names an entity is tagged; the classifier sees these
+layers only as features. Rule-based annotation keeps the package
 self-contained and fully deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..corpus import preprocess_text
-
-
-@dataclass(frozen=True)
-class QuestionAnnotation:
-    tokens: tuple[str, ...]
-    lemmas: tuple[str, ...]
-    pos_tags: tuple[str, ...]
-    named_entities: tuple[tuple[str, str], ...]  # (surface, tag) pairs
-
-    def __post_init__(self):
-        if not (len(self.tokens) == len(self.lemmas) == len(self.pos_tags)):
-            raise ValueError("token, lemma and POS layers must be aligned")
-
 
 _TOKEN = re.compile(r"\w+(?:'\w+)?|[$%]")
 
@@ -139,30 +126,18 @@ def _entity_tag(token: str, position: int, pos_tag: str) -> str | None:
     return None
 
 
-def annotate(text: str) -> QuestionAnnotation:
-    """Heuristic annotation; no models, no external processes.
-
-    Adjacent tokens carrying the same entity tag are merged into a single
-    multi-word named entity.
-    """
-    prepared = preprocess_text(text)
-    tokens = tuple(m.group(0) for m in _TOKEN.finditer(prepared))
-    lemmas = tuple(_lemma(t) for t in tokens)
-    pos_tags = tuple(_pos(t, i) for i, t in enumerate(tokens))
-    spans = [
-        _entity_tag(t, i, p) for i, (t, p) in enumerate(zip(tokens, pos_tags))
-    ]
-    entities: list[tuple[str, str]] = []
-    i = 0
-    while i < len(tokens):
-        tag = spans[i]
-        if tag is None:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(tokens) and spans[j + 1] == tag:
-            j += 1
-        entities.append((" ".join(tokens[i:j + 1]), tag))
-        i = j + 1
-    return QuestionAnnotation(tokens=tokens, lemmas=lemmas, pos_tags=pos_tags,
-                              named_entities=tuple(entities))
+def question_features(text: str) -> set[tuple[str, str]]:
+    """The (namespace, value) features of one question: each lemma and
+    POS tag, each adjacent pair of them, and the tag of each token that
+    names an entity. Heuristic; no models, no external processes."""
+    tokens = _TOKEN.findall(preprocess_text(text))
+    lemmas = [_lemma(t) for t in tokens]
+    tags = [_pos(t, i) for i, t in enumerate(tokens)]
+    entity_tags = (_entity_tag(t, i, p) for i, (t, p) in enumerate(zip(tokens, tags)))
+    return {
+        *(("lem", lem) for lem in lemmas),
+        *(("lem2", f"{a}_{b}") for a, b in zip(lemmas, lemmas[1:])),
+        *(("pos", tag) for tag in tags),
+        *(("pos2", f"{a}_{b}") for a, b in zip(tags, tags[1:])),
+        *(("ne", tag) for tag in entity_tags if tag is not None),
+    }

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..corpus import atomic_write_bytes, atomic_write_text, read_field, read_json
 from ..errors import ParseError, TrainingError
-from .annotate import annotate
+from .annotate import question_features
 from .features import NAMESPACES, FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
 from .taxonomy import default_taxonomy
@@ -111,7 +111,7 @@ class QuestionClassifier:
     hyperparams: dict
 
     def predict(self, text: str) -> tuple[str, str]:
-        active = self.space.extract(annotate(text))
+        active = self.space.extract(question_features(text))
         return _pick_types(
             self.coarse_model.classes, self.coarse_model.decision_scores(active),
             self.fine_model.classes, self.fine_model.decision_scores(active))
@@ -190,9 +190,9 @@ def train_classifier(labeled: Sequence[LabeledQuestion], *,
     """Train independent coarse and fine models over one feature space."""
     if not labeled:
         raise TrainingError("no training samples")
-    annotations = [annotate(q.text) for q in labeled]
-    space = FeatureSpace.build(annotations)
-    actives = [space.extract(a) for a in annotations]
+    feature_sets = [question_features(q.text) for q in labeled]
+    space = FeatureSpace.build(feature_sets)
+    actives = [space.extract(f) for f in feature_sets]
 
     coarse_classes = tuple(sorted({q.coarse for q in labeled}))
     fine_classes = tuple(sorted({q.fine_qualified for q in labeled}))

@@ -10,26 +10,9 @@ yields the same feature space regardless of input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-from .annotate import QuestionAnnotation
+from typing import Iterable
 
 NAMESPACES = ("lem", "lem2", "ne", "pos", "pos2")
-
-
-def feature_templates(ann: QuestionAnnotation) -> Iterator[tuple[str, str]]:
-    """Yield (namespace, value) pairs for one annotated question."""
-    for lem in ann.lemmas:
-        yield "lem", lem.lower()
-    lows = [lem.lower() for lem in ann.lemmas]
-    for a, b in zip(lows, lows[1:]):
-        yield "lem2", f"{a}_{b}"
-    for tag in ann.pos_tags:
-        yield "pos", tag
-    for a, b in zip(ann.pos_tags, ann.pos_tags[1:]):
-        yield "pos2", f"{a}_{b}"
-    for _surface, tag in ann.named_entities:
-        yield "ne", tag
 
 
 @dataclass(frozen=True)
@@ -42,11 +25,11 @@ class FeatureSpace:
         assert self.total_dim == sum(len(v) for v in self.vocab.values())
 
     @classmethod
-    def build(cls, annotations: Iterable[QuestionAnnotation]) -> "FeatureSpace":
-        """Every feature that occurs in the annotations."""
+    def build(cls, feature_sets: Iterable[Iterable[tuple[str, str]]]) -> "FeatureSpace":
+        """Every feature that occurs in the feature sets."""
         per_ns: dict[str, set[str]] = {ns: set() for ns in NAMESPACES}
-        for ann in annotations:
-            for ns, value in feature_templates(ann):
+        for features in feature_sets:
+            for ns, value in features:
                 per_ns[ns].add(value)
         return cls.from_vocab(per_ns)
 
@@ -61,18 +44,14 @@ class FeatureSpace:
                 i += 1
         return cls(vocab=frozen, index=index, total_dim=i)
 
-    def extract(self, ann: QuestionAnnotation) -> list[int]:
-        """Active feature indices, sorted and de-duplicated.
+    def extract(self, features: Iterable[tuple[str, str]]) -> list[int]:
+        """Active indices of (namespace, value) features, sorted and
+        de-duplicated.
 
-        Out-of-vocabulary items are dropped; an empty annotation activates
-        nothing (the zero vector).
+        Out-of-vocabulary features are dropped; an empty feature set
+        activates nothing (the zero vector).
         """
-        active = {
-            self.index[pair]
-            for pair in feature_templates(ann)
-            if pair in self.index
-        }
-        return sorted(active)
+        return sorted({self.index[pair] for pair in features if pair in self.index})
 
     def to_dict(self) -> dict:
         return {ns: list(values) for ns, values in self.vocab.items()}

@@ -71,6 +71,22 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, text, reason):
     assert capsys.readouterr().err.startswith(f"config error: {cfg}{reason}")
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("df_any_tag", "false", "df_any_tag must be true or false, not 'false'"),
+    ("candidate_cap", 2.5, "candidate_cap must be a positive integer, not 2.5"),
+    ("questions_path", 7, "questions_path must be a string, not 7"),
+])
+def test_run_config_value_of_another_kind_exits_2(tmp_path, config_file, capsys,
+                                                  key, value, reason):
+    cfg = config_file({key: value})
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {reason}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_run_missing_input_file_exits_2(tmp_path, config_file):
     cfg = config_file({"gazetteer_path": str(tmp_path / "missing.tsv")})
     assert main(["run", "--config", str(cfg),

@@ -49,6 +49,12 @@ ABLATE_GOLDEN = {
     "ablation.json":
         "8fe23637fdb6bf05d7ce95f625e94f725dd142631ca87dc8758f7ef8bf81c33c",
 }
+# The fixture SVM's feature space: its dimension and the sha256 of its
+# vocabulary as sorted-key JSON. A change to the question features that
+# flips none of the planted predictions still shows here. The weights are
+# not digested: their float sums may differ between numpy builds.
+SVM_SPACE_GOLDEN = (
+    1645, "0bd9366e9ac3121e54a04e6aa503752e9269b29d4fde07204ffadb80e586a9ac")
 # A config_id as an ablation CSV cell or a JSON string.
 _ABLATION_CONFIG_ID = re.compile(r'(?<=[,"])[0-9a-f]{12}(?=[,"])')
 
@@ -135,3 +141,9 @@ def test_planted_ablation_outputs_match_golden_digests(tmp_path, planted,
         assert n == 24
         digests[name] = _sha256(text)
     assert digests == ABLATE_GOLDEN
+
+
+def test_svm_feature_space_matches_golden_digest(svm_classifier):
+    space = svm_classifier.space
+    assert (space.total_dim,
+            _sha256(json.dumps(space.to_dict(), sort_keys=True))) == SVM_SPACE_GOLDEN

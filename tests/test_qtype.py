@@ -17,15 +17,14 @@ from entityqa.qtype import (
     FeatureSpace,
     LabeledQuestion,
     QuestionClassifier,
-    annotate,
     classifier_accuracy,
     default_answer_type_map,
     default_taxonomy,
-    feature_templates,
     hinge_objective,
     load_labeled_questions,
     majority_baseline,
     map_answer_types,
+    question_features,
     split_labeled,
     train_classifier,
     train_embedding_classifier,
@@ -34,26 +33,20 @@ from entityqa.qtype import (
 
 
 # ---------------------------------------------------------------------------
-# annotation + features
+# question features
 # ---------------------------------------------------------------------------
-
-def test_annotation_layers_aligned():
-    ann = annotate("Who founded the famous bridge in Ostenfell?")
-    assert len(ann.tokens) == len(ann.lemmas) == len(ann.pos_tags)
-
 
 def test_toy_question_feature_count():
     # "Who won?" yields exactly six features: two lemmas, one lemma
     # bigram, two POS tags, one POS bigram, and no named entities.
-    ann = annotate("Who won?")
-    feats = set(feature_templates(ann))
+    feats = question_features("Who won?")
     assert feats == {
         ("lem", "who"), ("lem", "win"), ("lem2", "who_win"),
         ("pos", "WP"), ("pos", "VBD"), ("pos2", "WP_VBD"),
     }
-    space = FeatureSpace.build([ann])
+    space = FeatureSpace.build([feats])
     assert space.total_dim == 6
-    assert len(space.extract(ann)) == 6
+    assert len(space.extract(feats)) == 6
 
 
 def test_namespaces_fixed():
@@ -61,35 +54,51 @@ def test_namespaces_fixed():
 
 
 def test_oov_features_dropped():
-    space = FeatureSpace.build([annotate("Who won?")])
-    other = annotate("Where is the castle?")
+    space = FeatureSpace.build([question_features("Who won?")])
+    other = question_features("Where is the castle?")
     active = space.extract(other)
     assert all(0 <= i < space.total_dim for i in active)
     # nothing from the unseen question except possibly shared templates
-    shared = set(feature_templates(other)) & set(feature_templates(annotate("Who won?")))
+    shared = other & question_features("Who won?")
     assert len(active) == len({space.index[f] for f in shared})
 
 
 def test_feature_indices_sorted_and_unique():
-    ann = annotate("Who won the war that Napoleon won?")
-    space = FeatureSpace.build([ann])
-    active = space.extract(ann)
+    feats = question_features("Who won the war that Napoleon won?")
+    space = FeatureSpace.build([feats])
+    active = space.extract(feats)
     assert list(active) == sorted(set(active))
 
 
 def test_feature_space_roundtrip():
-    anns = [annotate(t) for t in
-            ("Who won?", "Where was the treaty signed?", "How many ran?")]
-    space = FeatureSpace.build(anns)
+    space = FeatureSpace.build(question_features(t) for t in
+                               ("Who won?", "Where was the treaty signed?", "How many ran?"))
     again = FeatureSpace.from_vocab(space.to_dict())
     assert again.index == space.index
     assert again.total_dim == space.total_dim
 
 
 def test_named_entity_features_present():
-    ann = annotate("Who won in March 1990?")
-    feats = set(feature_templates(ann))
+    feats = question_features("Who won in March 1990?")
     assert any(ns == "ne" for ns, _ in feats)
+
+
+def test_multi_token_entities_give_one_feature_per_tag():
+    # "March 1990" and "May 1991" are two DATE entities of two tokens each
+    # ("May" is tagged MD, as the modal is); the tag is one "ne" feature.
+    assert question_features("Who won in March 1990 and May 1991?") == {
+        ("lem", "1990"), ("lem", "1991"), ("lem", "and"), ("lem", "in"),
+        ("lem", "march"), ("lem", "may"), ("lem", "who"), ("lem", "win"),
+        ("lem2", "1990_and"), ("lem2", "and_may"), ("lem2", "in_march"),
+        ("lem2", "march_1990"), ("lem2", "may_1991"), ("lem2", "who_win"),
+        ("lem2", "win_in"),
+        ("ne", "DATE"),
+        ("pos", "CC"), ("pos", "CD"), ("pos", "IN"), ("pos", "MD"),
+        ("pos", "NNP"), ("pos", "VBD"), ("pos", "WP"),
+        ("pos2", "CC_MD"), ("pos2", "CD_CC"), ("pos2", "IN_NNP"),
+        ("pos2", "MD_CD"), ("pos2", "NNP_CD"), ("pos2", "VBD_IN"),
+        ("pos2", "WP_VBD"),
+    }
 
 
 # ---------------------------------------------------------------------------
