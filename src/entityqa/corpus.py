@@ -394,10 +394,16 @@ def canonicalize(surface: str) -> str:
     The result is its tokens joined by single spaces, with no whitespace
     at either end: str.split() splits on exactly the characters that
     `\s` matches, and the final strip set holds the space.
+
+    Printable ASCII has no whitespace but the space, so where it holds no
+    double space, split/join would drop only an outer space, which the
+    strip drops too: that case skips the split.
     """
     if surface.isascii():
         # The curly apostrophes are not ASCII, and the fold leaves ASCII as it is.
         folded = surface.lower()
+        if folded.isprintable() and "  " not in folded:
+            return folded.strip(_OUTER_PUNCT)
     else:
         folded = fold_accents(_APOSTROPHES.sub("'", surface)).lower()
     return " ".join(folded.split()).strip(_OUTER_PUNCT)

@@ -16,7 +16,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -189,7 +188,11 @@ class MetricReport:
 def evaluate_run(runs: Sequence[TiedRun], judgments: Mapping[str, Judgment],
                  run_id: str = "",
                  tmrr_mode: str = "expected_reciprocal") -> MetricReport:
-    """Score every run in order; every question must carry a judgment."""
+    """Score every run in order; every question must carry a judgment.
+
+    Members are matched group by group, up to the first group that holds
+    a match: run_metrics reads nothing past that group.
+    """
     ids: list[str] = []
     rows: list[tuple[float, ...]] = []
     seen: set[str] = set()
@@ -200,7 +203,11 @@ def evaluate_run(runs: Sequence[TiedRun], judgments: Mapping[str, Judgment],
         judgment = judgments.get(run.question_id)
         if judgment is None:
             raise DataError(f"no judgment for question {run.question_id!r}")
-        relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+        relevant = frozenset()
+        for group in run.groups:
+            relevant = matching_surfaces(group, judgment)
+            if relevant:
+                break
         rows.append(run_metrics(run.groups, relevant, tmrr_mode))
         ids.append(run.question_id)
     if not ids:

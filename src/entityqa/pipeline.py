@@ -140,17 +140,25 @@ class PipelineConfig:
 
 def load_config(path: str | Path, overrides: Mapping[str, object] | None = None
                 ) -> PipelineConfig:
-    """Read a JSON config file, applying CLI overrides on top."""
+    """Read a JSON config file, applying CLI overrides on top.
+
+    A key or value error names the file, and says "with --set" when
+    overrides were given.
+    """
     try:
         raw = read_json(path)
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     raw.update(overrides or {})
+    source = f"{path} with --set" if overrides else str(path)
     known = set(PipelineConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return PipelineConfig(**raw)
+        raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
+    try:
+        return PipelineConfig(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,8 @@ def test_run_unknown_config_key_exits_2(tmp_path, config_file, capsys):
         cfg = config_file({key: 1})
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "r.jsonl")]) == 2
-        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}: unknown config keys ['{key}']")
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -82,8 +83,19 @@ def test_run_config_value_of_another_kind_exits_2(tmp_path, config_file, capsys,
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "r.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {reason}")
+    assert err.startswith(f"config error: {cfg}: {reason}")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_run_set_value_of_another_kind_names_the_file_and_set(tmp_path, config_file,
+                                                              capsys):
+    cfg = config_file()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.jsonl"),
+                 "--set", 'df_any_tag="false"']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg} with --set: "
+                          "df_any_tag must be true or false, not 'false'")
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -225,8 +237,9 @@ def test_bad_ranking_rules_exit_2_before_any_question(
     for override in overrides:
         args += ["--set", override]
     assert main(args) == 2
-    assert f"config error: {reason}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+    cfg = tmp_path / "config.json"
+    assert capsys.readouterr().err.startswith(f"config error: {cfg} with --set: {reason}")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # ---------------------------------------------------------------------------

@@ -107,21 +107,29 @@ def test_canonicalize():
                  "O\u2019Neil", "x\u0327 y", "\u00c5ngstr\u00f6m"):
         assert fold_accents(text) == reference_fold_accents(text)
         assert canonicalize(text) == reference_canonicalize(text)
-    # Random strings over ASCII (the fast path) and mixed alphabets: curly
-    # and straight apostrophes, precomposed and combining accents, ASCII
-    # and Unicode whitespace, and outer punctuation.
-    ascii_alphabet = "aZq09 _-'\".,;:!?()\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
-    mixed_alphabet = ascii_alphabet + ("\u2018\u2019\u201a\u201b\u00e9\u0301\u0308"
-                                       "\u00c5\u0130\u00df\u00a0\u0085\u2003\u2009"
-                                       "\u3000\u2028\u00ab\u00bb")
+    # Random strings over printable ASCII (the path without split/join),
+    # ASCII with the controls (the ASCII whitespace other than the space,
+    # and DEL), and mixed alphabets: curly and straight apostrophes,
+    # precomposed and combining accents, Unicode whitespace. Each draws
+    # runs of spaces and every outer punctuation character.
+    printable = [*"aZq09_'\".,;:!?()-[]{}<>/\\|~*&^%$#@+=`", " ", " ", "  ", "   "]
+    controls = [*"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x7f"]
+    unicode = [*"\u2018\u2019\u201a\u201b\u00e9\u0301\u0308\u00c5\u0130\u00df"
+               "\u00a0\u0085\u2003\u2009\u3000\u2028\u00ab\u00bb"]
+    alphabets = (printable, printable + controls, printable + controls + unicode)
     rng = random.Random(23)
-    for _ in range(4000):
-        alphabet = rng.choice((ascii_alphabet, mixed_alphabet))
+    paths = {"printable": 0, "split": 0}
+    for _ in range(12_000):
+        alphabet = rng.choice(alphabets)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
         canonical = canonicalize(text)
-        assert canonical == reference_canonicalize(text)
+        assert canonical == reference_canonicalize(text), repr(text)
         assert canonical == " ".join(canonical.split())
         assert canonicalize(canonical) == canonical
+        if text.isascii():
+            paths["printable" if text.isprintable() and "  " not in text
+                  else "split"] += 1
+    assert min(paths.values()) > 3_000, paths
 
 
 def test_regex_and_str_split_whitespace_are_one_set():

@@ -14,7 +14,8 @@ from oracles import (classical_from_counts, classical_reference,
                      enumerate_tie_metrics, mc_tie_metrics,
                      reference_match_answer, tie_aware_from_counts)
 
-from entityqa.corpus import Document, DocumentSet, write_documents, write_jsonl
+from entityqa.corpus import (Document, DocumentSet, canonicalize, write_documents,
+                             write_jsonl)
 from entityqa.entities import EntityMention, write_annotations
 from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
@@ -419,7 +420,7 @@ def test_evaluate_run_means():
     assert report.question_ids == ("q1", "q2")
 
 
-def test_evaluate_run_matches_each_group_member_once(monkeypatch):
+def test_evaluate_run_matches_members_up_to_first_relevant_group(monkeypatch):
     import entityqa.evaluation as evaluation
 
     calls = []
@@ -433,11 +434,66 @@ def test_evaluate_run_matches_each_group_member_once(monkeypatch):
     run1, judgment1 = _labeled_run([3, 2, 4], [0, 1, 2], qid="q1")
     run2, judgment2 = _labeled_run([1, 5], [0, 0], qid="q2")
     report = evaluate_run([run1, run2], {"q1": judgment1, "q2": judgment2})
-    members = [m for run in (run1, run2) for g in run.groups for m in g]
+    # q1's first relevant group is its second: its third group is not
+    # matched. q2 has no relevant group, so every member is matched.
+    members = [*chain.from_iterable(run1.groups[:2]),
+               *chain.from_iterable(run2.groups)]
+    assert len(members) == 11
     assert sorted(calls) == sorted(members)
     assert report.series("tP@1") == (0.0, 0.0)
     assert report.series("P@1") == (0.0, 0.0)
     assert report.series("MRR") == (0.5, 0.0)
+
+
+def test_evaluate_run_equals_run_metrics_of_every_match_on_random_runs():
+    # Surfaces of one to three tokens from a small vocabulary, in outer
+    # punctuation and spacing, next to members whose canonical form is
+    # empty; gold answers from the same tokens. The rows of evaluate_run,
+    # which stops matching at the first relevant group, must equal those
+    # computed from the matches of every member.
+    vocab = ["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op", "qr"]
+    empties = ["", " ", "--", "?!", " ' ", "\t.\n"]
+    rng = random.Random(41)
+    first_ranks: set[int | None] = set()
+    policies, modes = set(), set()
+    empty_members = 0
+    for _ in range(400):
+        policy = rng.choice(("exact", "containment"))
+        mode = rng.choice(("expected_reciprocal", "reciprocal_expected"))
+        golds = frozenset(" ".join(rng.sample(vocab, rng.randint(1, 3)))
+                          for _ in range(rng.randint(1, 2)))
+        judgment = Judgment(question_id="q", gold_answers=golds,
+                            match_policy=policy)
+        seen: set[str] = set()
+        groups = []
+        for _g in range(rng.randint(1, 8)):
+            group = set()
+            for _m in range(rng.randint(1, 5)):
+                if rng.random() < 0.15:
+                    surface = rng.choice(empties) * rng.randint(1, 2)
+                else:
+                    surface = " ".join(rng.sample(vocab, rng.randint(1, 3)))
+                    surface = (rng.choice(("", " ", '"', "(")) + surface.upper()
+                               + rng.choice(("", ".", "  ", ")")))
+                if surface not in seen:
+                    seen.add(surface)
+                    group.add(surface)
+            if group:
+                groups.append(group)
+        run = _run(groups, qid="q")
+        relevant = matching_surfaces(chain.from_iterable(run.groups), judgment)
+        want = run_metrics(run.groups, relevant, mode)
+        report = evaluate_run([run], {"q": judgment}, tmrr_mode=mode)
+        assert tuple(report.series(m)[0] for m in METRICS) == want
+        first_ranks.add(next((g for g, group in enumerate(run.groups, start=1)
+                              if group & relevant), None))
+        policies.add(policy)
+        modes.add(mode)
+        empty_members += sum(not canonicalize(s) for s in seen)
+    assert first_ranks >= {None, 1, 2, 3, 4, 5, 6}
+    assert policies == {"exact", "containment"}
+    assert modes == {"expected_reciprocal", "reciprocal_expected"}
+    assert empty_members > 100
 
 
 def test_evaluate_run_rejects_duplicates_and_unjudged():

@@ -101,6 +101,14 @@ def test_multi_token_entities_give_one_feature_per_tag():
     }
 
 
+def test_dollar_and_percent_are_symbol_tokens():
+    # "$" and "%" are tokens of their own: each is tagged SYM, and "$"
+    # names a MONEY entity though no currency word is in the question.
+    feats = question_features("What cost $5 in 1990, and what share paid 7%?")
+    assert {("pos", "SYM"), ("ne", "MONEY"), ("lem", "$"), ("lem", "%"),
+            ("lem2", "$_5"), ("lem2", "7_%"), ("pos2", "CD_SYM")} <= feats
+
+
 # ---------------------------------------------------------------------------
 # linear trainer
 # ---------------------------------------------------------------------------
