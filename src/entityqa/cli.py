@@ -276,10 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
 

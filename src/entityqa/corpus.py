@@ -115,12 +115,12 @@ class StrataSpec:
         return tuple(counts)
 
 
-def collection_spec(name: str, sample_size: int = 10, seed: int = 0) -> StrataSpec:
+def collection_spec(name: str, seed: int = 0) -> StrataSpec:
     """Build a StrataSpec for one of the named document collections."""
     if name not in COLLECTION_SPECS:
         raise KeyError(f"unknown collection {name!r}; known: {sorted(COLLECTION_SPECS)}")
     x1, x2, x3 = COLLECTION_SPECS[name]
-    return StrataSpec(name=name, x1=x1, x2=x2, x3=x3, sample_size=sample_size, seed=seed)
+    return StrataSpec(name=name, x1=x1, x2=x2, x3=x3, seed=seed)
 
 
 def load_strata_spec(path: str | Path) -> StrataSpec:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (WORD, DocumentSet, ascii_lower_words, canonicalize, read_field,
-                     read_jsonl, write_jsonl)
+from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, canonicalize,
+                     read_field, read_jsonl)
 from .errors import IngestionError, ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -99,8 +99,10 @@ class GazetteerExtractor:
         `ascii_lower_words`. This is exact: on ASCII a token can carry only
         "_" of the outer punctuation at either end, so its canonical form is
         its lower case, and `lower()` keeps every character's offset and
-        word class. Every other sentence canonicalises each distinct token
-        once per document set.
+        word class. Every other sentence is tokenized with its curly
+        apostrophes straightened, as `canonicalize` does (one code point for
+        one, so offsets hold), and canonicalises each distinct token once
+        per document set.
         """
         mentions: list[EntityMention] = []
         # Canonical form per raw token, for this docset only, so memory
@@ -111,9 +113,11 @@ class GazetteerExtractor:
             doc_id = doc.doc_id
             for index, sentence in enumerate(doc.sentences):
                 if sentence.isascii() and "_" not in sentence:
+                    text = sentence
                     keys = ascii_lower_words(sentence)
                 else:
-                    tokens = WORD.findall(sentence)
+                    text = _APOSTROPHES.sub("'", sentence)
+                    tokens = WORD.findall(text)
                     keys = list(map(canonical.get, tokens))
                     if None in keys:  # a token not yet canonicalised here
                         for tok in tokens:
@@ -121,14 +125,15 @@ class GazetteerExtractor:
                                 canonical[tok] = canonicalize(tok)
                         keys = list(map(canonical.get, tokens))
                 if not starts.isdisjoint(keys):
-                    mentions.extend(self._longest_matches(sentence, keys,
+                    mentions.extend(self._longest_matches(sentence, text, keys,
                                                           doc_id, index))
         return mentions
 
-    def _longest_matches(self, text: str, keys: list[str], doc_id: str,
-                         sent_idx: int) -> list[EntityMention]:
+    def _longest_matches(self, sentence: str, text: str, keys: list[str],
+                         doc_id: str, sent_idx: int) -> list[EntityMention]:
         """The left-to-right longest matches over the sentence's keys, one
-        key per `WORD` token of `text`."""
+        key per `WORD` token of `text`, the sentence as it was tokenized;
+        each surface is sliced from `sentence` itself."""
         longest_from = self.longest_from
         spans = [m.span() for m in WORD.finditer(text)]
         found: list[EntityMention] = []
@@ -140,7 +145,7 @@ class GazetteerExtractor:
                 if tag is not None:
                     start = spans[i][0]
                     end = spans[i + length - 1][1]
-                    found.append(EntityMention(text[start:end], tag, doc_id,
+                    found.append(EntityMention(sentence[start:end], tag, doc_id,
                                                sent_idx, start, end))
                     i += length
                     break
@@ -228,22 +233,6 @@ class AnnotationFileExtractor:
                 mentions.append(EntityMention(surface, tag, doc_id, sent_idx,
                                               start, end))
         return mentions
-
-
-def write_annotations(path: str | Path, docset: DocumentSet,
-                      mentions: Iterable[EntityMention]) -> None:
-    """Write mentions in the annotation-file format (inverse of ingestion)."""
-    by_doc: dict[str, list[EntityMention]] = {}
-    for m in mentions:
-        by_doc.setdefault(m.doc_id, []).append(m)
-    write_jsonl(path, ({
-        "question_id": doc.question_id,
-        "doc_rank": doc.original_rank,
-        "entities": [{
-            "surface": m.surface, "tag": m.tag, "sent_idx": m.sentence_index,
-            "start": m.start, "end": m.end,
-        } for m in by_doc.get(doc.doc_id, [])],
-    } for doc in docset.documents))
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,10 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
              for classifier in CLASSIFIER_KINDS for provider in PROVIDER_KINDS]
     for pair in pairs:
         pair.validate_paths()
-    extractor = load_extractor(base_config)
     # The pairs prepare a question one after another, so a memo of the last
     # document set runs its document step once for all of them.
-    read_documents = lru_cache(maxsize=1)(partial(document_step,
-                                                  extractor=extractor))
+    read_documents = lru_cache(maxsize=1)(partial(
+        document_step, extractor=load_extractor(base_config)))
     type_map = load_type_map(base_config)
     labeled = load_labeled_texts(base_config)
     providers: dict[str, Provider] = {}
@@ -110,8 +109,7 @@ def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
         if key not in classifiers:
             classifiers[key] = load_classifier(pair, provider, labeled)
         stages.append(LoadedStages(config=pair, classifier=classifiers[key],
-                                   provider=provider, extractor=extractor,
-                                   type_map=type_map,
+                                   provider=provider, type_map=type_map,
                                    read_documents=read_documents))
     return stages
 

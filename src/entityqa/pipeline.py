@@ -13,6 +13,7 @@ import json
 import logging
 import reprlib
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
@@ -179,15 +180,15 @@ def document_step(docset: DocumentSet,
 
 @dataclass(frozen=True)
 class LoadedStages:
+    """The loaded stages of one config. `read_documents` is the one
+    document hook: `document_step` with the config's extractor, which
+    stages that share an extractor may share."""
     config: PipelineConfig
     classifier: QuestionClassifier | EmbeddingClassifier
     provider: Provider
-    extractor: GazetteerExtractor | AnnotationFileExtractor
     type_map: AnswerTypeMap
-    # Runs the document step in place of `document_step` with this
-    # extractor: stages that share an extractor may share the step.
     read_documents: Callable[[DocumentSet],
-                             tuple[DocumentSet, list[EntityMention]]] | None = None
+                             tuple[DocumentSet, list[EntityMention]]]
 
     def predict_types(self, question: Question) -> tuple[str, str]:
         if self.config.classifier == "svm":
@@ -213,9 +214,7 @@ class LoadedStages:
             # Non-entity question types (definition/abbreviation style)
             # cannot be answered by entity ranking: empty run.
             return None
-        segmented, all_mentions = (
-            self.read_documents(docset) if self.read_documents
-            else document_step(docset, self.extractor))
+        segmented, all_mentions = self.read_documents(docset)
         typed = filter_by_type(all_mentions, accepted)
         pool = build_pool(
             typed,
@@ -228,12 +227,10 @@ class LoadedStages:
         return pool, evidence, segmented.k
 
     def answer(self, question: Question, docset: DocumentSet) -> TiedRun:
-        prepared = self.prepare(question, docset)
+        """The question's run. One `rank_answers` call ranks every
+        question: a non-entity type ranks no candidates, an empty run."""
+        _pool, evidence, n_docs = self.prepare(question, docset) or (None, [], 0)
         config = self.config
-        if prepared is None:
-            return TiedRun(question_id=question.id, groups=(), scores=(),
-                           config_id=config.config_id)
-        _pool, evidence, n_docs = prepared
         return rank_answers(
             question.id, [ev.entity.canonical_surface for ev in evidence],
             aggregate_evidence(evidence, n_docs, config),
@@ -302,7 +299,7 @@ def load_stages(config: PipelineConfig) -> tuple[LoadedStages, float]:
         config=config,
         classifier=load_classifier(config, provider),
         provider=provider,
-        extractor=load_extractor(config),
+        read_documents=partial(document_step, extractor=load_extractor(config)),
         type_map=load_type_map(config),
     )
     return stages, perf_counter() - started

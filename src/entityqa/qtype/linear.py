@@ -26,11 +26,7 @@ class LinearModel:
     bias: np.ndarray     # shape (C,)
 
     def decision_scores(self, active: Sequence[int]) -> np.ndarray:
-        if active:
-            scores = self.weights[:, list(active)].sum(axis=1) + self.bias
-        else:
-            scores = self.bias.copy()
-        return scores
+        return self.weights[:, list(active)].sum(axis=1) + self.bias
 
 
 def train_one_vs_rest(samples: Sequence[tuple[Sequence[int], int]],
@@ -73,31 +69,14 @@ def train_one_vs_rest(samples: Sequence[tuple[Sequence[int], int]],
             eta = learning_rate / (1.0 + learning_rate * l2 * step)
             targets = np.full(n_classes, -1.0)
             targets[label] = 1.0
-            if idx:
-                margins = targets * (scale * w[:, idx].sum(axis=1) + bias)
-            else:
-                margins = targets * bias
+            margins = targets * (scale * w[:, idx].sum(axis=1) + bias)
             scale *= 1.0 - eta * l2
             if scale < 1e-9:
                 w *= scale
                 scale = 1.0
             violating = np.flatnonzero(margins < 1.0)
             if violating.size:
-                if idx:
-                    w[np.ix_(violating, idx)] += (eta / scale) * targets[violating, None]
+                w[np.ix_(violating, idx)] += (eta / scale) * targets[violating, None]
                 bias[violating] += eta * targets[violating]
     return LinearModel(classes=class_list, weights=w * scale, bias=bias)
 
-
-def hinge_objective(model: LinearModel,
-                    samples: Sequence[tuple[Sequence[int], int]],
-                    l2: float = 1e-4) -> float:
-    """Mean multiclass one-vs-rest hinge loss plus the L2 penalty."""
-    total = 0.0
-    for active, label in samples:
-        scores = model.decision_scores(active)
-        targets = np.full(len(model.classes), -1.0)
-        targets[label] = 1.0
-        total += float(np.maximum(0.0, 1.0 - targets * scores).sum())
-    penalty = 0.5 * l2 * float((model.weights ** 2).sum())
-    return total / len(samples) + penalty

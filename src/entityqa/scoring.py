@@ -13,11 +13,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from .corpus import WORD, DocumentSet, ascii_lower_words, read_field, read_jsonl, write_jsonl
+from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, read_field,
+                     read_jsonl)
 from .entities import CandidateEntity, CandidatePool
 from .errors import CacheMissError, EmptyInputError, ParseError
 
@@ -114,7 +115,8 @@ class WordAverageProvider:
         return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
-        """Mean of the rows of the text's lower-cased `WORD` tokens.
+        """Mean of the rows of the text's lower-cased `WORD` tokens, found
+        with curly apostrophes straightened, so "it’s" is the token "it's".
 
         ASCII text takes `ascii_lower_words`, which lower-cases before
         matching. This is exact: on ASCII, `lower()` keeps each character's
@@ -125,7 +127,8 @@ class WordAverageProvider:
         if text.isascii():
             tokens = ascii_lower_words(text)
         else:
-            tokens = [m.group(0).lower() for m in WORD.finditer(text)]
+            tokens = [m.group(0).lower()
+                      for m in WORD.finditer(_APOSTROPHES.sub("'", text))]
         vectors = self.vectors
         rows = [vectors[tok] for tok in tokens if tok in vectors]
         if rows:
@@ -184,22 +187,6 @@ class CacheProvider:
                 f"{self.path}: no cached embedding for sha256 {digest}"
             )
         return vec
-
-
-def write_cache(path: str | Path, texts: Iterable[str], provider: Provider) -> int:
-    """Embed texts with `provider` and persist them in cache format."""
-    records: dict[str, dict] = {}
-    for text in texts:
-        digest = text_sha256(text)
-        if digest not in records:
-            records[digest] = {
-                "sha256": digest,
-                "text": text,
-                "vector": [float(x) for x in provider.embed(text)],
-                "provider_id": provider.provider_id,
-            }
-    write_jsonl(path, records.values())
-    return len(records)
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def generate_planted_fixture(root: str | Path, seed: int = 23,
     the cache-backed provider can also serve the question classifier.
     """
     from entityqa.corpus import Document, preprocess_text, segment_sentences
-    from entityqa.scoring import WordAverageProvider, write_cache
+    from entityqa.scoring import WordAverageProvider
 
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -453,6 +453,46 @@ def base_config_dict(fixture: PlantedFixture, model_path: str,
         "cache_path": fixture.cache_path,
         "gazetteer_path": fixture.gazetteer_path,
     }
+
+
+# ---------------------------------------------------------------------------
+# Writers of the annotation-file and embedding-cache formats
+# ---------------------------------------------------------------------------
+
+def write_annotations(path: str | Path, docset, mentions) -> None:
+    """Write mentions in the annotation-file format (inverse of ingestion)."""
+    from entityqa.corpus import write_jsonl
+
+    by_doc: dict[str, list] = {}
+    for m in mentions:
+        by_doc.setdefault(m.doc_id, []).append(m)
+    write_jsonl(path, ({
+        "question_id": doc.question_id,
+        "doc_rank": doc.original_rank,
+        "entities": [{
+            "surface": m.surface, "tag": m.tag, "sent_idx": m.sentence_index,
+            "start": m.start, "end": m.end,
+        } for m in by_doc.get(doc.doc_id, [])],
+    } for doc in docset.documents))
+
+
+def write_cache(path: str | Path, texts, provider) -> int:
+    """Embed texts with `provider` and persist them in cache format."""
+    from entityqa.corpus import write_jsonl
+    from entityqa.scoring import text_sha256
+
+    records: dict[str, dict] = {}
+    for text in texts:
+        digest = text_sha256(text)
+        if digest not in records:
+            records[digest] = {
+                "sha256": digest,
+                "text": text,
+                "vector": [float(x) for x in provider.embed(text)],
+                "provider_id": provider.provider_id,
+            }
+    write_jsonl(path, records.values())
+    return len(records)
 
 
 # ---------------------------------------------------------------------------

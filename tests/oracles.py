@@ -18,7 +18,8 @@ and compares slices. The count-based metric oracles scan every group's
 first five groups, once for the tie-aware triple with its tHit@5
 miss-probability product. The centroid oracle adds each labeled row to
 its class in a Python loop. The word-average oracle matches each token on
-the text as given and lower-cases it on its own.
+the text with its curly apostrophes straightened and lower-cases it on its
+own. The hinge objective sums one sample's losses at a time.
 """
 
 from __future__ import annotations
@@ -313,9 +314,10 @@ def reference_gazetteer_scan(text: str, lexicon: dict[str, str]
     """Longest-match gazetteer scan of one sentence, as (surface, tag,
     start, end) in text order.
 
-    Every token is canonicalised on its own, and at every token every span
-    length up to the longest entry is tried, longest first; a match skips
-    the tokens it covers.
+    Tokens are found with curly apostrophes straightened, and each surface
+    is sliced from `text` as given. Every token is canonicalised on its
+    own, and at every token every span length up to the longest entry is
+    tried, longest first; a match skips the tokens it covers.
     """
     entries: dict[tuple[str, ...], str] = {}
     for surface, tag in lexicon.items():
@@ -323,7 +325,8 @@ def reference_gazetteer_scan(text: str, lexicon: dict[str, str]
         if key:
             entries[key] = tag
     max_len = max((len(k) for k in entries), default=0)
-    tokens = [(m.group(0), m.start(), m.end()) for m in _WORD.finditer(text)]
+    straight = _APOSTROPHES.sub("'", text)
+    tokens = [(m.group(0), m.start(), m.end()) for m in _WORD.finditer(straight)]
     keys = [reference_canonicalize(tok) for tok, _, _ in tokens]
     found: list[tuple[str, str, int, int]] = []
     i = 0
@@ -374,10 +377,11 @@ def reference_split_sentences(text: str, abbreviations: frozenset[str]) -> list[
 def reference_word_average(text: str, vectors: dict[str, np.ndarray],
                            dim: int) -> np.ndarray:
     """Mean of the rows of the text's tokens, each found by `finditer` on
-    the text and then lower-cased; the zero vector when none has a row.
-    `vectors` is keyed by lower-cased words."""
+    the text with curly apostrophes straightened and then lower-cased; the
+    zero vector when none has a row. `vectors` is keyed by lower-cased
+    words."""
     rows = []
-    for match in _WORD.finditer(text):
+    for match in _WORD.finditer(_APOSTROPHES.sub("'", text)):
         token = match.group(0).lower()
         if token in vectors:
             rows.append(vectors[token])
@@ -488,3 +492,17 @@ def reference_centroids(classes: tuple[str, ...], labels: Sequence[str],
     nonzero = norms > 0
     out[nonzero] /= norms[nonzero, None]
     return out
+
+
+def hinge_objective(model, samples: Sequence[tuple[Sequence[int], int]],
+                    l2: float = 1e-4) -> float:
+    """Mean multiclass one-vs-rest hinge loss of a linear model (its
+    `classes`, `weights` and `bias`) plus the L2 penalty."""
+    total = 0.0
+    for active, label in samples:
+        scores = model.weights[:, list(active)].sum(axis=1) + model.bias
+        targets = np.full(len(model.classes), -1.0)
+        targets[label] = 1.0
+        total += float(np.maximum(0.0, 1.0 - targets * scores).sum())
+    penalty = 0.5 * l2 * float((model.weights ** 2).sum())
+    return total / len(samples) + penalty

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from datagen import NOT_QUESTION_IDS, question_id_error, random_mention_corpus
+from datagen import (NOT_QUESTION_IDS, question_id_error, random_mention_corpus,
+                     write_annotations)
 from oracles import brute_force_df, reference_gazetteer_scan
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences, write_jsonl
@@ -16,7 +17,6 @@ from entityqa.entities import (
     GazetteerExtractor,
     build_pool,
     filter_by_type,
-    write_annotations,
 )
 from entityqa.errors import IngestionError, ParseError
 
@@ -373,9 +373,9 @@ def test_gazetteer_scan_matches_reference_on_random_corpora():
 def test_gazetteer_scan_mixes_ascii_and_unicode_sentences_in_one_docset():
     """ASCII and non-ASCII sentences of one docset share tokens, so the
     ASCII byte-table path and the per-docset memo both see "zoe" and
-    "o'neil", in either order. A curly apostrophe ends a token, so
-    "O\u2019Neil" is the two tokens "O" and "Neil"; a hyphen ends one too,
-    and digits stay in theirs ("x-3rd")."""
+    "o'neil", in either order. A curly apostrophe is read as "'", so
+    "O\u2019Neil" is the one token "o'neil"; a hyphen ends a token, and
+    digits stay in theirs ("x-3rd")."""
     lexicon = {"Zoë Café": "PERSON", "O'Neil": "PERSON", "zoe": "ORG", "x": "DATE",
                "3rd x": "DATE"}
     texts = ["Zoe cafe met ZOË Café. Zoe left. O\u2019Neil and o'neil met.",
@@ -388,9 +388,20 @@ def test_gazetteer_scan_mixes_ascii_and_unicode_sentences_in_one_docset():
                                                 True, False, True]
     _assert_scan_matches_reference(docset, lexicon)
     assert [m.surface for m in GazetteerExtractor(lexicon).extract(docset)] == [
-        "Zoe cafe", "ZOË Café", "Zoe", "o'neil",
+        "Zoe cafe", "ZOË Café", "Zoe", "O\u2019Neil", "o'neil",
         "_x_", "x_", "Zoë_", "x", "_x_", "x_", "zoe_", "x",
-        "O'NEIL", "zoe CAFE", "Zoë", "Zoe", "x", "3rd X", "3RD-x"]
+        "O'NEIL", "zoe CAFE", "Zoë", "O\u2019neil", "Zoe", "x", "3rd X", "3RD-x"]
+
+
+def test_gazetteer_matches_an_entry_across_a_curly_apostrophe():
+    """The entry "O'Neil" matches "O\u2019Neil" in a document: one mention,
+    whose surface and span are the sentence's own, pooled under the key
+    that `canonicalize` gives the entry."""
+    docset = _docset(["Then O\u2019Neil came."])
+    mentions = GazetteerExtractor({"O'Neil": "PERSON"}).extract(docset)
+    assert mentions == [EntityMention("O\u2019Neil", "PERSON", "q1#1", 0, 5, 11)]
+    pool = build_pool(mentions)
+    assert [c.canonical_surface for c in pool.candidates] == ["o'neil"]
 
 
 def test_gazetteer_scan_prefix_entries_and_short_sentences():

@@ -3,10 +3,8 @@ import json
 import math
 import random
 from dataclasses import asdict, replace
-from functools import partial
 from itertools import chain
 
-import numpy as np
 import pytest
 
 from datagen import NOT_QUESTION_IDS, question_id_error
@@ -16,7 +14,6 @@ from oracles import (classical_from_counts, classical_reference,
 
 from entityqa.corpus import (Document, DocumentSet, canonicalize, write_documents,
                              write_jsonl)
-from entityqa.entities import EntityMention, write_annotations
 from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
     METRICS,
@@ -42,7 +39,6 @@ from entityqa.experiments import (AblationRow, LatencyReport,
 from entityqa.pipeline import PipelineConfig, PipelineResult, write_run_file
 from entityqa.qtype import LabeledQuestion, train_classifier
 from entityqa.ranking import TiedRun, write_runs
-from entityqa.scoring import WordAverageProvider, write_cache
 
 
 def _judgment(*gold, policy="containment"):
@@ -629,11 +625,6 @@ def _docset(qid, *texts):
         for rank, text in enumerate(texts, start=1)))
 
 
-def _texts_then_fail():
-    yield "alpha"
-    raise RuntimeError("input ended early")
-
-
 class _Unarrayable:
     """Raises when numpy converts it to an array."""
 
@@ -654,10 +645,6 @@ def _classifier(broken=False):
 
 def _save(path, classifier):
     classifier.save(path)
-
-
-def _write_annotations(path, docset_and_mentions):
-    write_annotations(path, *docset_and_mentions)
 
 
 def _ablation_row(config_id):
@@ -684,12 +671,6 @@ def _pipeline_result(error=None):
                           errors=(("q2", error),) if error is not None else ())
 
 
-def _annotated(qid, text, surface):
-    docset = _docset(qid, text, text)
-    return docset, [EntityMention(surface, "PERSON", f"{qid}#{rank}", 0, 0, 1)
-                    for rank in (1, 2)]
-
-
 @pytest.mark.parametrize("writer, good, bad", [
     (write_report_csv,
      lambda: [_report({"q1": 1.0}, "sysA")],
@@ -709,12 +690,6 @@ def _annotated(qid, text, surface):
     (write_documents,
      lambda: [_docset("q1", "A.")],
      lambda: [_docset("q2", "B.", object())]),
-    pytest.param(
-        partial(write_cache, provider=WordAverageProvider(
-            {"alpha": np.array([1.0, 0.0]), "beta": np.array([0.0, 1.0])})),
-        lambda: ["beta"], _texts_then_fail, id="write_cache"),
-    pytest.param(_write_annotations, lambda: _annotated("q1", "A.", "A"),
-                 lambda: _annotated("q2", "B.", object()), id="write_annotations"),
     # Writes out.npz and out.npz.meta.json.
     pytest.param(_save, _classifier, lambda: _classifier(broken=True),
                  id="QuestionClassifier.save"),

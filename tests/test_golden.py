@@ -14,7 +14,9 @@ import pytest
 from entityqa.cli import main
 from entityqa.corpus import (DocumentSet, load_documents, load_questions,
                              segment_sentences)
-from entityqa.entities import GazetteerExtractor, write_annotations
+from datagen import write_annotations
+
+from entityqa.entities import GazetteerExtractor
 from entityqa.pipeline import PipelineConfig, run_pipeline, write_run_file
 
 _CONFIG_ID = re.compile(r', "config_id": "[0-9a-f]{12}"')

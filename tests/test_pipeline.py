@@ -397,7 +397,7 @@ def test_answer_matches_reference_rank(monkeypatch):
                                 score_digits=digits)
         prepared = None, evidence, n_docs
         stages = LoadedStages(config=config, classifier=None, provider=None,
-                              extractor=None, type_map=None)
+                              type_map=None, read_documents=None)
         run = stages.answer(question, None)
         groups, scores = reference_rank(plain, n_docs, aggregation,
                                         denominator, combine, alpha, beta,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_centroids
+from oracles import hinge_objective, reference_centroids
 
 from entityqa.corpus import Question
 from entityqa.errors import TrainingError, UnmappedTypeError
@@ -20,7 +20,6 @@ from entityqa.qtype import (
     classifier_accuracy,
     default_answer_type_map,
     default_taxonomy,
-    hinge_objective,
     load_labeled_questions,
     majority_baseline,
     map_answer_types,
@@ -180,6 +179,23 @@ def test_objective_improves_over_zero_model():
                              weights=np.zeros_like(trained.weights),
                              bias=np.zeros_like(trained.bias))
     assert hinge_objective(trained, samples) < hinge_objective(zero, samples)
+
+
+def test_featureless_question_trains_and_scores_by_the_bias_alone():
+    """A question with no feature ("???") trains through the same numpy
+    update as any other, and scores as the bias: a featureless text
+    predicts the bias argmax of each model."""
+    labeled = [LabeledQuestion("HUMAN", "individual", "Who won the race?"),
+               LabeledQuestion("LOCATION", "city", "Where is the arena?"),
+               LabeledQuestion("NUMERIC", "count", "???"),
+               LabeledQuestion("NUMERIC", "count", "!!")]
+    assert [question_features(q.text) for q in labeled[2:]] == [set(), set()]
+    clf = train_classifier(labeled, epochs=3)
+    for model in (clf.coarse_model, clf.fine_model):
+        assert np.array_equal(model.decision_scores([]), model.bias)
+    coarse = clf.coarse_model.classes[int(np.argmax(clf.coarse_model.bias))]
+    fine = clf.fine_model.classes[int(np.argmax(clf.fine_model.bias))]
+    assert clf.predict("...") == (coarse, fine.split(":", 1)[1])
 
 
 # ---------------------------------------------------------------------------

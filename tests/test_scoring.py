@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from datagen import write_cache
 from oracles import brute_force_aggregate, reference_cosine, reference_word_average
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
@@ -18,7 +19,6 @@ from entityqa.scoring import (
     aggregate,
     build_evidence,
     text_sha256,
-    write_cache,
 )
 
 
@@ -107,6 +107,15 @@ def test_word_average_matches_reference_on_a_mixed_docset():
         want = reference_word_average(sentence, provider.vectors, provider.dim)
         assert want.any()
         assert np.array_equal(provider.embed(sentence), want), sentence
+
+
+def test_word_average_reads_a_curly_apostrophe_as_straight():
+    """"it\u2019s" is the one token "it's", not "it" and "s"."""
+    rng = np.random.default_rng(5)
+    provider = WordAverageProvider({w: rng.standard_normal(3)
+                                    for w in ("it's", "it", "s", "zoë")})
+    assert np.array_equal(provider.embed("it\u2019s"), provider.embed("it's"))
+    assert np.array_equal(provider.embed("Zoë: it\u2019s"), provider.embed("Zoë: it's"))
 
 
 def test_provider_from_file(tmp_path):
