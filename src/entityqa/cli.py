@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -163,6 +164,11 @@ def _cmd_sample_strata(args: argparse.Namespace) -> int:
 
 def _cmd_train_qc(args: argparse.Namespace) -> int:
     _at_least_one("--epochs", args.epochs)
+    if not (0.0 < args.learning_rate < math.inf):
+        raise ConfigError(f"--learning-rate must be finite and positive, "
+                          f"not {args.learning_rate}")
+    if not (0.0 <= args.l2 < math.inf):
+        raise ConfigError(f"--l2 must be finite and at least 0, not {args.l2}")
     if not (0.0 <= args.heldout_fraction < 1.0):
         raise ConfigError("--heldout-fraction must be in [0, 1)")
     labeled = load_labeled_questions(args.labeled)

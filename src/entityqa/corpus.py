@@ -98,6 +98,8 @@ class StrataSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.x1, self.x2, self.x3) < 0:
+            raise ValueError("band percentages must not be negative")
         if self.x1 + self.x2 + self.x3 != 100:
             raise ValueError("band percentages must sum to 100")
         if self.sample_size < 1:

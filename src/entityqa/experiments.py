@@ -241,7 +241,8 @@ def evaluate_run_files(run_paths: Sequence[str | Path],
                        tmrr_mode: str = "expected_reciprocal"
                        ) -> tuple[list[MetricReport],
                                   list[tuple[str, str, list[SignificanceResult]]]]:
-    """Score each run file; pairwise t-tests when two or more are given."""
+    """Score each run file; pairwise t-tests when two or more are given,
+    which need at least two questions in every run."""
     if not run_paths:
         raise DataError("no run files given")
     reports: list[MetricReport] = []
@@ -254,6 +255,11 @@ def evaluate_run_files(run_paths: Sequence[str | Path],
             raise DataError(f"{path}: question ids missing from qrels: {unknown}")
         reports.append(evaluate_run(runs, judgments,
                                     run_id=Path(path).stem, tmrr_mode=tmrr_mode))
+    short = [str(path) for path, report in zip(run_paths, reports)
+             if len(report.question_ids) < 2]
+    if len(reports) > 1 and short:
+        raise DataError(f"runs {', '.join(short)} hold fewer than two questions: "
+                        f"paired t-tests between runs need at least two questions")
     significance: list[tuple[str, str, list[SignificanceResult]]] = []
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):

@@ -24,10 +24,10 @@ from .entities import (DEFAULT_CANDIDATE_CAP, AnnotationFileExtractor,
                        EntityMention, GazetteerExtractor, build_pool,
                        filter_by_type)
 from .errors import ConfigError, ParseError, UnmappedTypeError
-from .qtype import (EmbeddingClassifier, LabeledQuestion, QuestionClassifier,
-                    load_labeled_questions, map_answer_types,
-                    train_embedding_classifier)
-from .qtype.taxonomy import AnswerTypeMap, default_answer_type_map, load_answer_type_map
+from .qtype import (AnswerTypeMap, EmbeddingClassifier, LabeledQuestion,
+                    QuestionClassifier, default_answer_type_map,
+                    load_answer_type_map, load_labeled_questions,
+                    map_answer_types, train_embedding_classifier)
 from .ranking import (COMBINE_MODES, SCORE_DIGITS, RankingConfig, TiedRun,
                       rank_answers, write_runs)
 from .scoring import (AGGREGATION_MODES, CacheProvider, EvidenceSet, Provider,

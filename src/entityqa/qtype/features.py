@@ -17,12 +17,11 @@ NAMESPACES = ("lem", "lem2", "ne", "pos", "pos2")
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    vocab: dict[str, tuple[str, ...]]  # namespace -> sorted feature values
-    index: dict[tuple[str, str], int]
-    total_dim: int
+    index: dict[tuple[str, str], int]  # in NAMESPACES order, values sorted
 
-    def __post_init__(self):
-        assert self.total_dim == sum(len(v) for v in self.vocab.values())
+    @property
+    def total_dim(self) -> int:
+        return len(self.index)
 
     @classmethod
     def build(cls, feature_sets: Iterable[Iterable[tuple[str, str]]]) -> "FeatureSpace":
@@ -35,14 +34,9 @@ class FeatureSpace:
 
     @classmethod
     def from_vocab(cls, vocab: dict[str, Iterable[str]]) -> "FeatureSpace":
-        frozen = {ns: tuple(sorted(vocab.get(ns, ()))) for ns in NAMESPACES}
-        index: dict[tuple[str, str], int] = {}
-        i = 0
-        for ns in NAMESPACES:
-            for value in frozen[ns]:
-                index[(ns, value)] = i
-                i += 1
-        return cls(vocab=frozen, index=index, total_dim=i)
+        pairs = [(ns, value) for ns in NAMESPACES
+                 for value in sorted(set(vocab.get(ns, ())))]
+        return cls(index={pair: i for i, pair in enumerate(pairs)})
 
     def extract(self, features: Iterable[tuple[str, str]]) -> list[int]:
         """Active indices of (namespace, value) features, sorted and
@@ -54,4 +48,7 @@ class FeatureSpace:
         return sorted({self.index[pair] for pair in features if pair in self.index})
 
     def to_dict(self) -> dict:
-        return {ns: list(values) for ns, values in self.vocab.items()}
+        vocab: dict[str, list[str]] = {ns: [] for ns in NAMESPACES}
+        for ns, value in self.index:
+            vocab[ns].append(value)
+        return vocab

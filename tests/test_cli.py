@@ -321,6 +321,22 @@ def test_evaluate_unknown_diff_metric_rejected(tmp_path, planted, run_file):
     assert list(tmp_path.glob("x.*")) == []
 
 
+def test_evaluate_two_runs_of_one_question_is_a_data_error(tmp_path, capsys):
+    qrels = tmp_path / "qrels.jsonl"
+    qrels.write_text(json.dumps({"question_id": "q1", "gold_answers": ["Rome"]}) + "\n")
+    runs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for run in runs:
+        run.write_text(json.dumps({"question_id": "q1", "groups": [["Rome"]],
+                                   "scores": [0.5]}) + "\n")
+    prefix = tmp_path / "x"
+    assert main(["evaluate", *map(str, runs), "--qrels", str(qrels),
+                 "--out-prefix", str(prefix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: runs {runs[0]}, {runs[1]} hold fewer than two")
+    assert "t-tests" in err and "Traceback" not in err
+    assert list(tmp_path.glob("x.*")) == []
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -423,6 +439,21 @@ def test_sample_strata_spec_file(tmp_path, ranked_documents_file):
     assert main(["sample-strata", "--documents", str(ranked_documents_file),
                  "--spec", str(spec_path), "--out", str(out)]) == 0
     assert all(len(docs) == 10 for docs in load_documents(out).values())
+
+
+@pytest.mark.parametrize("percents", [{"x1": -10, "x2": 60, "x3": 50},
+                                      {"x1": 110, "x2": -20, "x3": 10}])
+def test_sample_strata_negative_percentage_is_a_data_error(
+        tmp_path, ranked_documents_file, capsys, percents):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"name": "mine", **percents}))
+    out = tmp_path / "sampled.jsonl"
+    assert main(["sample-strata", "--documents", str(ranked_documents_file),
+                 "--spec", str(spec_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {spec_path}:1: invalid strata spec: "
+                          "band percentages must not be negative")
+    assert not out.exists()
 
 
 def test_sample_strata_unknown_spec_exits_2(tmp_path, ranked_documents_file):
@@ -629,6 +660,27 @@ def test_zero_count_is_a_config_error_before_any_input_is_read(tmp_path, capsys,
     assert main([command, *inputs, count, "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {count} must be at least 1, not 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--learning-rate", "nan", "finite and positive"),
+    ("--learning-rate", "inf", "finite and positive"),
+    ("--learning-rate", "-0.5", "finite and positive"),
+    ("--learning-rate", "0", "finite and positive"),
+    ("--l2", "-1", "finite and at least 0"),
+    ("--l2", "nan", "finite and at least 0"),
+    ("--l2", "inf", "finite and at least 0"),
+])
+def test_train_qc_untrainable_rate_is_a_config_error_before_any_input_is_read(
+        tmp_path, capsys, flag, value, rule):
+    # The labeled file does not exist: reading it would be a data error.
+    out = tmp_path / "m.npz"
+    assert main(["train-qc", "--labeled", str(tmp_path / "missing"),
+                 "--model-out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be {rule}, not {float(value)}")
     assert "Traceback" not in err
     assert not out.exists()
 

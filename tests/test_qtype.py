@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from oracles import hinge_objective, reference_centroids
 
 from entityqa.corpus import Question
-from entityqa.errors import TrainingError, UnmappedTypeError
+from entityqa.errors import ParseError, TrainingError, UnmappedTypeError
 from entityqa.pipeline import PipelineConfig, load_classifier, load_provider, load_stages
 from entityqa.qtype.classifier import _centroids
 from entityqa.qtype import (
@@ -300,6 +301,25 @@ def test_classifier_save_load_same_path(tmp_path, svm_classifier, svm_split,
     for path in (tmp_path / name, tmp_path / "model.npz"):
         again = QuestionClassifier.load(path)
         assert [again.predict(text) for text in texts] == want
+
+
+def test_load_rejects_a_meta_vocab_that_repeats_a_value(tmp_path, svm_classifier):
+    # The weights get the one extra column that counting the repeat would
+    # ask for; no feature could reach it, so the vocab does not fit them.
+    path = tmp_path / "model.npz"
+    svm_classifier.save(path)
+    npz, meta = QuestionClassifier.files(path)
+    raw = json.loads(meta.read_text())
+    raw["vocab"]["lem"].append(raw["vocab"]["lem"][0])
+    meta.write_text(json.dumps(raw))
+    with np.load(npz) as saved:
+        arrays = {name: saved[name] for name in saved.files}
+    for level in ("coarse", "fine"):
+        weights = arrays[f"{level}_weights"]
+        arrays[f"{level}_weights"] = np.hstack([weights, np.zeros((len(weights), 1))])
+    np.savez(npz, **arrays)
+    with pytest.raises(ParseError, match="features do not fit"):
+        QuestionClassifier.load(path)
 
 
 def test_classifier_beats_majority(svm_classifier, svm_split):
