@@ -27,7 +27,7 @@ from .evaluation import (MATCH_POLICIES, METRICS, TMRR_MODES, load_qrels,
 from .experiments import (evaluate_run_files, run_ablation, run_latency_bench,
                           write_ablation_csv, write_ablation_json,
                           write_latency_json, write_significance_json)
-from .pipeline import PipelineConfig, load_config, run_pipeline, write_run_file
+from .pipeline import load_config, run_pipeline, write_run_file
 from .qtype import (classifier_accuracy, load_labeled_questions,
                     majority_baseline, split_labeled, train_classifier)
 
@@ -48,19 +48,19 @@ def _parse_overrides(pairs: Sequence[str] | None) -> dict:
     return overrides
 
 
-def _load_inputs(config: PipelineConfig):
+def _load_inputs(args: argparse.Namespace):
+    config = load_config(args.config, _parse_overrides(args.set))
     questions = load_questions(config.questions_path, config.source_set)
     by_question = load_documents(config.documents_path)
     docsets = {
         qid: DocumentSet(question_id=qid, documents=tuple(docs))
         for qid, docs in by_question.items()
     }
-    return questions, docsets
+    return config, questions, docsets
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config, _parse_overrides(args.set))
-    questions, docsets = _load_inputs(config)
+    config, questions, docsets = _load_inputs(args)
     result = run_pipeline(config, questions, docsets)
     write_run_file(args.out, result, config)
     print(f"wrote {len(result.runs)} runs to {args.out} "
@@ -74,13 +74,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    config = load_config(args.config, _parse_overrides(args.set))
-    questions, docsets = _load_inputs(config)
+    config, questions, docsets = _load_inputs(args)
     judgments = load_qrels(args.qrels, args.match_policy)
     rows = run_ablation(config, questions, docsets, judgments,
                         tmrr_mode=args.tmrr_mode)
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     write_ablation_csv(f"{prefix}.csv", rows)
     write_ablation_json(f"{prefix}.json", rows)
     print(f"wrote {len(rows)} ablation rows to {prefix}.csv / {prefix}.json")
@@ -97,7 +95,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     reports, significance = evaluate_run_files(args.runs, judgments,
                                                tmrr_mode=args.tmrr_mode)
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(f"{prefix}.csv", reports)
     write_report_json(f"{prefix}.json", reports)
     if significance:
@@ -121,8 +118,7 @@ def _at_least_one(flag: str, value: int) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     _at_least_one("--iterations", args.iterations)
-    config = load_config(args.config, _parse_overrides(args.set))
-    questions, docsets = _load_inputs(config)
+    config, questions, docsets = _load_inputs(args)
     report = run_latency_bench(config, questions, docsets,
                                iterations=args.iterations,
                                comparison_path=args.comparison,
@@ -205,45 +201,42 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log progress details")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="answer questions, write a run file")
-    p_run.add_argument("--config", required=True)
+    config_options = argparse.ArgumentParser(add_help=False)
+    config_options.add_argument("--config", required=True)
+    config_options.add_argument("--set", action="append", metavar="KEY=VALUE",
+                                help="override a config key (repeatable)")
+    evaluation_options = argparse.ArgumentParser(add_help=False)
+    evaluation_options.add_argument("--qrels", required=True)
+    evaluation_options.add_argument("--out-prefix", required=True)
+    evaluation_options.add_argument("--match-policy", default="containment",
+                                 choices=MATCH_POLICIES)
+    evaluation_options.add_argument("--tmrr-mode", default="expected_reciprocal",
+                                 choices=TMRR_MODES)
+
+    p_run = sub.add_parser("run", parents=[config_options],
+                           help="answer questions, write a run file")
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
     p_run.set_defaults(func=_cmd_run)
 
-    p_ablate = sub.add_parser("ablate", help="evaluate all stage combinations")
-    p_ablate.add_argument("--config", required=True)
-    p_ablate.add_argument("--qrels", required=True)
-    p_ablate.add_argument("--out-prefix", required=True)
-    p_ablate.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_ablate.add_argument("--match-policy", default="containment",
-                          choices=MATCH_POLICIES)
-    p_ablate.add_argument("--tmrr-mode", default="expected_reciprocal",
-                          choices=TMRR_MODES)
+    p_ablate = sub.add_parser("ablate", parents=[config_options, evaluation_options],
+                              help="evaluate all stage combinations")
     p_ablate.set_defaults(func=_cmd_ablate)
 
-    p_eval = sub.add_parser("evaluate", help="score run files against qrels")
+    p_eval = sub.add_parser("evaluate", parents=[evaluation_options],
+                            help="score run files against qrels")
     p_eval.add_argument("runs", nargs="+", help="run files (JSONL)")
-    p_eval.add_argument("--qrels", required=True)
-    p_eval.add_argument("--out-prefix", required=True)
-    p_eval.add_argument("--match-policy", default="containment",
-                        choices=MATCH_POLICIES)
-    p_eval.add_argument("--tmrr-mode", default="expected_reciprocal",
-                        choices=TMRR_MODES)
     p_eval.add_argument("--diff-metric", default=None,
                         help="write per-query diff CSV for this metric "
                              "(requires exactly two runs)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_bench = sub.add_parser("bench", help="per-question latency benchmark")
-    p_bench.add_argument("--config", required=True)
+    p_bench = sub.add_parser("bench", parents=[config_options],
+                             help="per-question latency benchmark")
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--iterations", type=int, default=5)
     p_bench.add_argument("--comparison", default=None,
                          help="timings JSON of another system, for speedups")
     p_bench.add_argument("--label", default="this-work")
-    p_bench.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_strata = sub.add_parser("sample-strata",

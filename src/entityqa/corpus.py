@@ -300,7 +300,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def _atomic_write(path: str | Path, data: str | bytes, mode: str,
                   **open_args) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent,
                                prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, mode, **open_args) as fh:

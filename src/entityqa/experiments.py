@@ -26,7 +26,6 @@ the level it depends on:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -36,13 +35,11 @@ from .errors import DataError
 from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
                          run_metrics, write_csv)
-from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, LoadedStages,
-                       PipelineConfig, aggregate_evidence, document_step,
-                       load_classifier, load_extractor, load_labeled_texts,
-                       load_provider, load_stages, load_type_map)
+from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, PipelineConfig,
+                       aggregate_evidence, load_shared_stages, load_stages)
 from .ranking import (ALPHA_BETA_GRID, COMBINE_MODES, RankingConfig,
                       load_runs, rank_answers)
-from .scoring import AGGREGATION_MODES, Provider
+from .scoring import AGGREGATION_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -78,42 +75,6 @@ def _check_coverage(questions: Sequence[Question],
         raise DataError(f"questions without judgments: {unjudged}")
 
 
-def _load_pair_stages(base_config: PipelineConfig) -> list[LoadedStages]:
-    """Stages of every classifier/provider pair, each data file read once.
-
-    The SVM reads only the question text, so both providers share it; a
-    centroid classifier is trained in its own provider's embedding space,
-    from labeled questions parsed and preprocessed once for both. The
-    pairs share one extractor and its document step.
-    """
-    pairs = [replace(base_config, classifier=classifier,
-                     embedding_provider=provider)
-             for classifier in CLASSIFIER_KINDS for provider in PROVIDER_KINDS]
-    for pair in pairs:
-        pair.validate_paths()
-    # The pairs prepare a question one after another, so a memo of the last
-    # document set runs its document step once for all of them.
-    read_documents = lru_cache(maxsize=1)(partial(
-        document_step, extractor=load_extractor(base_config)))
-    type_map = load_type_map(base_config)
-    labeled = load_labeled_texts(base_config)
-    providers: dict[str, Provider] = {}
-    classifiers: dict[tuple[str, str], object] = {}
-    stages = []
-    for pair in pairs:
-        if pair.embedding_provider not in providers:
-            providers[pair.embedding_provider] = load_provider(pair)
-        provider = providers[pair.embedding_provider]
-        key = (pair.classifier,
-               "" if pair.classifier == "svm" else pair.embedding_provider)
-        if key not in classifiers:
-            classifiers[key] = load_classifier(pair, provider, labeled)
-        stages.append(LoadedStages(config=pair, classifier=classifiers[key],
-                                   provider=provider, type_map=type_map,
-                                   read_documents=read_documents))
-    return stages
-
-
 @dataclass(frozen=True)
 class _Candidates:
     """One question's pool under one classifier/provider pair, with the
@@ -132,7 +93,9 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
                  tmrr_mode: str = "expected_reciprocal") -> list[AblationRow]:
     """Evaluate all 24 stage combinations on one question set."""
     _check_coverage(questions, docsets, judgments)
-    pairs = _load_pair_stages(base_config)
+    pairs = load_shared_stages([
+        replace(base_config, classifier=classifier, embedding_provider=provider)
+        for classifier in CLASSIFIER_KINDS for provider in PROVIDER_KINDS])
     # Per pair, the evidence and candidates of each question. Questions with
     # no candidates (unmapped type, empty pool) are left out here and get
     # the empty run in every variant. The pairs prepare each question in

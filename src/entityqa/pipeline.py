@@ -13,13 +13,13 @@ import json
 import logging
 import reprlib
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
-from .corpus import (DocumentSet, Question, preprocess_text, read_json,
-                     segment_sentences, write_json)
+from .corpus import (SOURCE_SETS, DocumentSet, Question, preprocess_text,
+                     read_json, segment_sentences, write_json)
 from .entities import (DEFAULT_CANDIDATE_CAP, AnnotationFileExtractor,
                        EntityMention, GazetteerExtractor, build_pool,
                        filter_by_type)
@@ -93,6 +93,7 @@ class PipelineConfig:
             ("aggregation", AGGREGATION_MODES),
             ("combine", COMBINE_MODES),
             ("avgmax_denominator", AVGMAX_DENOMINATORS),
+            ("source_set", SOURCE_SETS),
         )
         for field_name, allowed in checks:
             value = getattr(self, field_name)
@@ -181,8 +182,8 @@ def document_step(docset: DocumentSet,
 @dataclass(frozen=True)
 class LoadedStages:
     """The loaded stages of one config. `read_documents` is the one
-    document hook: `document_step` with the config's extractor, which
-    stages that share an extractor may share."""
+    document hook: `document_step` with the config's extractor, shared by
+    the stages that `load_shared_stages` loads with that extractor."""
     config: PipelineConfig
     classifier: QuestionClassifier | EmbeddingClassifier
     provider: Provider
@@ -248,60 +249,71 @@ def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
     ]
 
 
-def load_provider(config: PipelineConfig) -> Provider:
-    if config.embedding_provider == "word-avg":
-        return WordAverageProvider.from_file(config.vectors_path)
-    return CacheProvider(config.cache_path)
+def load_shared_stages(configs: Sequence[PipelineConfig]) -> list[LoadedStages]:
+    """The loaded stages of each config, each data file read once for all.
 
+    Every config's paths are checked before any file is read. Configs that
+    name the same variant and file share what is read from it. The SVM
+    reads only the question text, so every provider shares it; centroids
+    are trained once per provider, in its embedding space.
+    """
+    for config in configs:
+        config.validate_paths()
 
-LabeledTexts = tuple[list[LabeledQuestion], dict[str, str]]
+    def labeled_texts(path: str) -> tuple[list[LabeledQuestion], dict[str, str]]:
+        # The part of centroid training no provider changes: the labeled
+        # questions, and the preprocessed form of each distinct text.
+        questions = load_labeled_questions(path)
+        return questions, {text: preprocess_text(text)
+                           for text in dict.fromkeys(q.text for q in questions)}
 
+    @cache
+    def read(variant: str, path: str):
+        # Each reader is looked up at call time, in this module's namespace.
+        return {"svm": QuestionClassifier.load, "external-embedding": labeled_texts,
+                "word-avg": WordAverageProvider.from_file, "cache": CacheProvider,
+                "gazetteer": GazetteerExtractor.from_file,
+                "annotations": AnnotationFileExtractor}[variant](path)
 
-def load_labeled_texts(config: PipelineConfig) -> LabeledTexts:
-    """The labeled questions and the preprocessed form of each distinct
-    question text: the part of centroid training no provider changes."""
-    labeled = load_labeled_questions(config.labeled_path)
-    texts = dict.fromkeys(q.text for q in labeled)
-    return labeled, {text: preprocess_text(text) for text in texts}
+    def load(config: PipelineConfig, stage: str):
+        variant = getattr(config, stage)
+        return read(variant, getattr(config, STAGE_FILES[stage][variant]))
 
+    @cache
+    def centroids(path: str, embedder: Provider) -> EmbeddingClassifier:
+        questions, preprocessed = read("external-embedding", path)
+        return train_embedding_classifier(
+            questions, lambda text: embedder.embed(preprocessed[text]))
 
-def load_classifier(config: PipelineConfig, provider: Provider,
-                    labeled: LabeledTexts | None = None
-                    ) -> QuestionClassifier | EmbeddingClassifier:
-    """The trained SVM, or centroids trained in `provider`'s embedding space
-    (from `labeled` when given, else from the config's labeled file)."""
-    if config.classifier == "svm":
-        return QuestionClassifier.load(config.model_path)
-    questions, preprocessed = labeled or load_labeled_texts(config)
-    return train_embedding_classifier(
-        questions, lambda text: provider.embed(preprocessed[text]))
+    models = []
+    for config in configs:
+        embedder = load(config, "embedding_provider")
+        models.append((embedder, load(config, "classifier") if config.classifier == "svm"
+                       else centroids(config.labeled_path, embedder)))
+    # Only centroid training reads the labeled texts: they go before the
+    # extractors load.
+    read.cache_clear()
 
+    @cache
+    def read_documents(extractor: GazetteerExtractor | AnnotationFileExtractor):
+        # Configs that prepare a question one after another share its
+        # document step: a memo of the last document set runs it once.
+        return lru_cache(maxsize=1)(partial(document_step, extractor=extractor))
 
-def load_extractor(config: PipelineConfig
-                   ) -> GazetteerExtractor | AnnotationFileExtractor:
-    if config.ner_backend == "gazetteer":
-        return GazetteerExtractor.from_file(config.gazetteer_path)
-    return AnnotationFileExtractor(config.annotations_path)
+    @cache
+    def type_map(path: str) -> AnswerTypeMap:
+        return load_answer_type_map(path) if path else default_answer_type_map()
 
-
-def load_type_map(config: PipelineConfig) -> AnswerTypeMap:
-    if config.type_map_path:
-        return load_answer_type_map(config.type_map_path)
-    return default_answer_type_map()
+    return [LoadedStages(config=config, provider=embedder, classifier=classifier,
+                         read_documents=read_documents(load(config, "ner_backend")),
+                         type_map=type_map(config.type_map_path))
+            for config, (embedder, classifier) in zip(configs, models)]
 
 
 def load_stages(config: PipelineConfig) -> tuple[LoadedStages, float]:
-    """Instantiate models, providers and extractors; returns load seconds."""
-    config.validate_paths()
+    """The loaded stages of one config, and the seconds they took to load."""
     started = perf_counter()
-    provider = load_provider(config)
-    stages = LoadedStages(
-        config=config,
-        classifier=load_classifier(config, provider),
-        provider=provider,
-        read_documents=partial(document_step, extractor=load_extractor(config)),
-        type_map=load_type_map(config),
-    )
+    [stages] = load_shared_stages([config])
     return stages, perf_counter() - started
 
 

@@ -139,12 +139,17 @@ def write_runs(path: str | Path, runs: Sequence[TiedRun]) -> None:
 
 def load_runs(path: str | Path) -> list[TiedRun]:
     runs: list[TiedRun] = []
+    seen: dict[str, int] = {}
     for line_no, raw in read_jsonl(path):
+        qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
+        if qid in seen:
+            raise ParseError(str(path), line_no,
+                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
+        seen[qid] = line_no
         groups = read_field(raw, "groups", "array", path, line_no)
         try:
             runs.append(TiedRun(
-                question_id=read_field(raw, "question_id", "id", path, line_no,
-                                       name="question id"),
+                question_id=qid,
                 groups=tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
                                                   name="a group"))
                              for i in range(len(groups))),

@@ -105,6 +105,37 @@ def test_run_missing_input_file_exits_2(tmp_path, config_file):
                  "--out", str(tmp_path / "r.jsonl")]) == 2
 
 
+def test_run_writes_into_a_new_nested_directory(tmp_path, config_file):
+    out = tmp_path / "new" / "nested" / "runs.jsonl"
+    assert main(["run", "--config", str(config_file()), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 12
+    sidecar = json.loads((out.parent / "runs.jsonl.config.json").read_text())
+    assert sidecar["errors"] == []
+
+
+@pytest.mark.parametrize("own_set", [False, True])
+@pytest.mark.parametrize("via_set", [False, True])
+def test_unknown_source_set_is_a_config_error(tmp_path, config_file, planted_config,
+                                              capsys, own_set, via_set):
+    """The config's source_set is checked whether or not each question
+    carries its own set, before any input is read."""
+    questions = tmp_path / "questions.jsonl"
+    records = [json.loads(line) for line in Path(
+        planted_config["questions_path"]).read_text(encoding="utf-8").splitlines()]
+    questions.write_text("".join(
+        json.dumps({k: v for k, v in record.items() if own_set or k != "set"}) + "\n"
+        for record in records), encoding="utf-8")
+    cfg = config_file({"questions_path": str(questions),
+                       **({} if via_set else {"source_set": "CQ-X"})})
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv + (["--set", "source_set=CQ-X"] if via_set else [])) == 2
+    source = f"{cfg} with --set" if via_set else str(cfg)
+    assert capsys.readouterr().err == (
+        f"config error: {source}: source_set must be one of "
+        f"('CQ-W', 'CQ-T', 'custom'), got 'CQ-X'\n")
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_run_question_without_documents_exits_1(tmp_path, config_file,
                                                  planted_config):
     # The run file and the sidecar are still written, but a run file that
@@ -334,6 +365,19 @@ def test_evaluate_two_runs_of_one_question_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: runs {runs[0]}, {runs[1]} hold fewer than two")
     assert "t-tests" in err and "Traceback" not in err
+    assert list(tmp_path.glob("x.*")) == []
+
+
+def test_evaluate_run_file_with_a_question_twice_names_file_and_line(
+        tmp_path, run_file, planted, capsys):
+    lines = run_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text(lines[0] + lines[1] + lines[0], encoding="utf-8")
+    qid = json.loads(lines[0])["question_id"]
+    assert main(["evaluate", str(run_file), str(twice), "--qrels", planted.qrels_path,
+                 "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"data error: {twice}:3: duplicate question id {qid!r} (first seen on line 1)\n")
     assert list(tmp_path.glob("x.*")) == []
 
 

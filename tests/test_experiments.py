@@ -1,14 +1,15 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from datagen import _TYPE_CYCLE, VOCAB_WORDS
 
-from entityqa import pipeline
+from entityqa import experiments, pipeline
 from entityqa.corpus import (DocumentSet, load_documents, load_questions,
                              segment_sentences)
-from entityqa.entities import GazetteerExtractor
+from entityqa.entities import AnnotationFileExtractor, GazetteerExtractor
 from entityqa.errors import DataError
 from entityqa.evaluation import Judgment, evaluate_run, load_qrels
 from entityqa.experiments import (
@@ -22,6 +23,8 @@ from entityqa.experiments import (
 )
 from entityqa.pipeline import (LoadedStages, PipelineConfig, aggregate_evidence,
                                load_stages, run_pipeline)
+from entityqa.qtype import QuestionClassifier
+from entityqa.scoring import CacheProvider, WordAverageProvider
 from entityqa.ranking import ALPHA_BETA_GRID, TiedRun, rank_answers, write_runs
 
 
@@ -231,6 +234,75 @@ def test_ablation_predicts_each_question_once_per_classifier(
     assert predicted == [(classifier, q.id) for q in questions
                          for classifier in ("svm", "external-embedding",
                                             "external-embedding")]
+
+
+def _count_loads(monkeypatch) -> Counter:
+    """Count every data-file read of the stage loader, and every centroid
+    training, through the names the loader calls."""
+    loads = Counter()
+    for owner, attr, name in [
+            (CacheProvider, "__init__", "cache"),
+            (WordAverageProvider, "from_file", "vectors"),
+            (QuestionClassifier, "load", "svm"),
+            (GazetteerExtractor, "from_file", "gazetteer"),
+            (AnnotationFileExtractor, "__init__", "annotations"),
+            (pipeline, "load_labeled_questions", "labeled"),
+            (pipeline, "load_answer_type_map", "type map"),
+            (pipeline, "train_embedding_classifier", "centroids")]:
+        original = vars(owner)[attr]
+        method = isinstance(original, classmethod)
+
+        def counted(*args, _fn=original.__func__ if method else original,
+                    _name=name, **kwargs):
+            loads[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, classmethod(counted) if method else counted)
+    return loads
+
+
+def test_ablation_reads_each_data_file_once(monkeypatch, planted, planted_config):
+    """One grid reads each file once: the SVM is shared by both providers,
+    and the centroids are trained once per provider."""
+    questions, docsets = _inputs(planted)
+    loads = _count_loads(monkeypatch)
+    loaded = []
+
+    def recording(configs):
+        loaded.extend(load_shared_stages(configs))
+        return loaded
+
+    load_shared_stages = experiments.load_shared_stages
+    monkeypatch.setattr(experiments, "load_shared_stages", recording)
+    run_ablation(PipelineConfig(**planted_config), questions, docsets,
+                 load_qrels(planted.qrels_path))
+    assert loads == {"cache": 1, "vectors": 1, "svm": 1, "gazetteer": 1,
+                     "labeled": 1, "centroids": 2}
+    assert [(s.config.classifier, s.config.embedding_provider) for s in loaded] == [
+        ("svm", "word-avg"), ("svm", "cache"),
+        ("external-embedding", "word-avg"), ("external-embedding", "cache")]
+    svm_word, svm_cache, centroid_word, centroid_cache = loaded
+    assert svm_word.classifier is svm_cache.classifier
+    assert centroid_word.classifier is not centroid_cache.classifier
+    assert len({id(s.read_documents) for s in loaded}) == 1
+
+
+@pytest.mark.parametrize("overrides, files", [
+    ({}, {"svm": 1, "gazetteer": 1, "vectors": 1}),
+    ({"classifier": "external-embedding", "ner_backend": "annotations",
+      "embedding_provider": "cache",
+      "type_map_path": str(Path(pipeline.__file__).parent / "data" / "answer_type_map.json")},
+     {"labeled": 1, "centroids": 1, "annotations": 1, "cache": 1, "type map": 1}),
+])
+def test_load_stages_reads_each_data_file_once(monkeypatch, tmp_path, planted_config,
+                                               overrides, files):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("")
+    config = PipelineConfig(**dict(planted_config, annotations_path=str(annotations),
+                                   **overrides))
+    loads = _count_loads(monkeypatch)
+    stages, seconds = load_stages(config)
+    assert loads == files
+    assert stages.config is config and seconds >= 0
 
 
 def test_ablation_csv_write_is_atomic(tmp_path, ablation_rows):

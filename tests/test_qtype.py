@@ -10,7 +10,7 @@ from oracles import hinge_objective, reference_centroids
 
 from entityqa.corpus import Question
 from entityqa.errors import ParseError, TrainingError, UnmappedTypeError
-from entityqa.pipeline import PipelineConfig, load_classifier, load_provider, load_stages
+from entityqa.pipeline import PipelineConfig, load_stages
 from entityqa.qtype.classifier import _centroids
 from entityqa.qtype import (
     NAMESPACES,
@@ -387,7 +387,7 @@ CENTROID_DIGESTS = {"word-avg": _PLANTED_CENTROIDS, "cache": _PLANTED_CENTROIDS}
 def test_planted_centroids_match_pinned_digests(planted_config, provider):
     config = replace(PipelineConfig(**planted_config),
                      classifier="external-embedding", embedding_provider=provider)
-    clf = load_classifier(config, load_provider(config))
+    clf = load_stages(config)[0].classifier
     digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest()
                     for arr in (clf.coarse_centroids, clf.fine_centroids))
     assert digests == CENTROID_DIGESTS[provider]
