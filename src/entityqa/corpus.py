@@ -16,6 +16,7 @@ import os
 import random
 import re
 import reprlib
+import stat
 import tempfile
 import unicodedata
 from dataclasses import dataclass
@@ -299,6 +300,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def _atomic_write(path: str | Path, data: str | bytes, mode: str,
                   **open_args) -> None:
+    """The file keeps the permission bits of the file it replaces; a new
+    file gets those `open` gives, 0o666 less the umask. `mkstemp` creates
+    the temp file 0o600, and `os.replace` keeps the temp file's mode."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent,
@@ -306,6 +310,13 @@ def _atomic_write(path: str | Path, data: str | bytes, mode: str,
     try:
         with os.fdopen(fd, mode, **open_args) as fh:
             fh.write(data)
+        try:
+            bits = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            bits = 0o666 & ~umask
+        os.chmod(tmp, bits)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

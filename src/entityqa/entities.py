@@ -8,6 +8,8 @@ extractor used as a self-contained baseline and in tests.
 
 from __future__ import annotations
 
+import logging
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,6 +24,8 @@ ONTONOTES_TAGS = frozenset({
 })
 
 DEFAULT_CANDIDATE_CAP = 100
+
+log = logging.getLogger(__name__)
 
 
 class EntityMention(NamedTuple):
@@ -50,6 +54,34 @@ class CandidatePool(NamedTuple):
 # Gazetteer backend
 # ---------------------------------------------------------------------------
 
+def _warn_of_entries_that_never_match(path: str | Path, lexicon: dict[str, str]) -> None:
+    """Log one WARNING with the number of the file's entries that can never
+    match, and the first three as `file:line: surface`.
+
+    A sentence key is the canonical form of one `WORD` token, so an entry
+    with a key token of another shape never matches. Letters and digits
+    between spaces make none: only other surfaces are checked.
+    """
+    never = {surface for surface in lexicon
+             if not surface.replace(" ", "").isalnum()
+             and any(not WORD.fullmatch(token) or canonicalize(token) != token
+                     for token in canonicalize(surface).split())}
+    if not never:
+        return
+    count, shown = len(never), []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            surface = line.split("\t")[0]
+            if surface in never:
+                never.discard(surface)  # a surface given twice is shown once
+                shown.append(f"{path}:{line_no}: {surface}")
+                if len(shown) == 3:
+                    break
+    log.warning("%d gazetteer entries can never match, since a token of each is "
+                "not one word token in canonical form: %s%s", count,
+                "; ".join(shown), "; ..." if count > 3 else "")
+
+
 class GazetteerExtractor:
     """Longest-match lexicon tagger over segmented sentences.
 
@@ -66,15 +98,24 @@ class GazetteerExtractor:
             key = tuple(canonicalize(surface).split())
             if key:
                 self.entries[key] = tag
-        # Length of the longest entry beginning with each first token: a
-        # match can only start at a token found here, and is no longer.
-        self.longest_from: dict[str, int] = {}
+        # Bit L is set when an entry of L tokens begins with the first
+        # token: a match can only start at a token found here, and has one
+        # of its lengths. One int per token keeps the index small.
+        lengths_from: dict[str, int] = {}
         for key in self.entries:
-            if len(key) > self.longest_from.get(key[0], 0):
-                self.longest_from[key[0]] = len(key)
+            lengths_from[key[0]] = lengths_from.get(key[0], 0) | 1 << len(key)
+        self.lengths_from = lengths_from
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GazetteerExtractor":
+        """Read a "surface<TAB>tag" file; lines that are blank or start
+        with "#" are skipped.
+
+        A sentence key is the canonical form of one `WORD` token, so an
+        entry with a token of another shape ("U.S.", "AT&T", "Jean-Luc")
+        can never match. Such entries load, and are reported in one
+        warning.
+        """
         lexicon: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -89,6 +130,10 @@ class GazetteerExtractor:
                     raise ParseError(str(path), line_no,
                                      f"gazetteer tag {tag!r} not in the tagset")
                 lexicon[parts[0]] = tag
+        # One pass over all surfaces clears a lexicon of ASCII letters and
+        # digits between spaces, whose keys can all match.
+        if not "".join(lexicon).encode().translate(None, b" ").isalnum():
+            _warn_of_entries_that_never_match(path, lexicon)
         return cls(lexicon)
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
@@ -108,7 +153,7 @@ class GazetteerExtractor:
         # Canonical form per raw token, for this docset only, so memory
         # does not grow with the vocabulary of the whole corpus.
         canonical: dict[str, str] = {}
-        starts = self.longest_from.keys()
+        starts = self.lengths_from.keys()
         for doc in docset.documents:
             doc_id = doc.doc_id
             for index, sentence in enumerate(doc.sentences):
@@ -133,24 +178,32 @@ class GazetteerExtractor:
                          doc_id: str, sent_idx: int) -> list[EntityMention]:
         """The left-to-right longest matches over the sentence's keys, one
         key per `WORD` token of `text`, the sentence as it was tokenized;
-        each surface is sliced from `sentence` itself."""
-        longest_from = self.longest_from
-        spans = [m.span() for m in WORD.finditer(text)]
+        each surface is sliced from `sentence` itself.
+
+        Only tokens that begin an entry are visited, and at each only the
+        entry lengths that exist and fit are tried, longest first. Token
+        spans are read after a match, and only up to its last token."""
+        lengths_from, entries = self.lengths_from, self.entries
+        tokens = WORD.finditer(text)
         found: list[EntityMention] = []
         n = len(keys)
-        i = 0
-        while i < n:
-            for length in range(min(longest_from.get(keys[i], 0), n - i), 0, -1):
-                tag = self.entries.get(tuple(keys[i:i + length]))
+        free = 0  # first token after the last match; `tokens` holds none before it
+        for i in [i for i, key in enumerate(keys) if key in lengths_from]:
+            if i < free:
+                continue
+            lengths = lengths_from[keys[i]] & ((2 << (n - i)) - 1)  # those that fit
+            while lengths:
+                length = lengths.bit_length() - 1
+                tag = entries.get(tuple(keys[i:i + length]))
                 if tag is not None:
-                    start = spans[i][0]
-                    end = spans[i + length - 1][1]
+                    first = next(islice(tokens, i - free, None))
+                    last = first if length == 1 else next(islice(tokens, length - 2, None))
+                    start, end = first.start(), last.end()
                     found.append(EntityMention(sentence[start:end], tag, doc_id,
                                                sent_idx, start, end))
-                    i += length
+                    free = i + length
                     break
-            else:
-                i += 1
+                lengths ^= 1 << length
         return found
 
 

@@ -132,7 +132,8 @@ class WordAverageProvider:
         vectors = self.vectors
         rows = [vectors[tok] for tok in tokens if tok in vectors]
         if rows:
-            return np.mean(rows, axis=0)
+            # What np.mean(rows, axis=0) computes, without its wrapper.
+            return np.add.reduce(rows, axis=0) / len(rows)
         return np.zeros(self.dim)
 
 
@@ -209,7 +210,9 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
     vector has zero norm.
     """
     sentences = {doc.doc_id: doc.sentences for doc in docset.documents}
-    q_vec = provider.embed(question_text)
+    embed = provider.embed
+    q_vec = embed(question_text)
+    q_dot = q_vec.dot
     # sqrt(v.dot(v)) is what np.linalg.norm computes for a real 1-d array.
     q_norm = math.sqrt(q_vec.dot(q_vec))
     score_memo: dict[tuple[str, int], float] = {}
@@ -220,15 +223,17 @@ def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,
         for key in keys:
             if key not in score_memo:
                 doc_id, index = key
-                vec = provider.embed(sentences[doc_id][index])
+                vec = embed(sentences[doc_id][index])
                 norm = math.sqrt(vec.dot(vec))
                 if q_norm == 0.0 or norm == 0.0:
                     score_memo[key] = 0.0
                 else:
-                    value = float(np.dot(q_vec, vec) / (q_norm * norm))
+                    # numpy's division: where q_norm * norm underflows to
+                    # 0.0, Python's would raise ZeroDivisionError.
+                    value = float(q_dot(vec) / (q_norm * norm))
                     score_memo[key] = max(-1.0, min(1.0, value))
         out.append(EvidenceSet(entity=candidate,
-                               scores=tuple(score_memo[key] for key in keys)))
+                               scores=tuple([score_memo[key] for key in keys])))
     return out
 
 
@@ -246,10 +251,12 @@ def aggregate(evidence: EvidenceSet, mode: str,
         raise ValueError(
             f"empty evidence for {evidence.entity.canonical_surface!r}"
         )
+    # The reductions np.mean and np.max run, without their wrappers; the
+    # builtin max is not one: it keeps -0.0 on (-0.0, 0.0), np.max gives 0.0.
     if mode == "avg":
-        value = float(np.mean(evidence.scores))
+        value = float(np.add.reduce(evidence.scores)) / len(evidence.scores)
     elif mode == "max":
-        value = float(np.max(evidence.scores))
+        value = float(np.maximum.reduce(evidence.scores))
     elif mode == "avg_max":
         per_doc: dict[str, float] = {}
         for (doc_id, _index), score in zip(evidence.entity.sentence_keys, evidence.scores):

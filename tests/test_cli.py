@@ -113,6 +113,26 @@ def test_run_writes_into_a_new_nested_directory(tmp_path, config_file):
     assert sidecar["errors"] == []
 
 
+@pytest.mark.parametrize("case", ["run --config", "run --out", "evaluate run"])
+def test_a_path_that_names_a_directory_is_a_data_error(tmp_path, config_file, planted,
+                                                      capsys, case):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    argv = {
+        "run --config": ["run", "--config", str(directory),
+                         "--out", str(tmp_path / "r.jsonl")],
+        "run --out": ["run", "--config", str(config_file()), "--out", str(directory)],
+        "evaluate run": ["evaluate", str(directory), "--qrels", planted.qrels_path,
+                         "--out-prefix", str(tmp_path / "eval")],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"'{directory}'" in err
+    assert "Traceback" not in err
+    assert directory.is_dir() and not any(directory.iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("own_set", [False, True])
 @pytest.mark.parametrize("via_set", [False, True])
 def test_unknown_source_set_is_a_config_error(tmp_path, config_file, planted_config,

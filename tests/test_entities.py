@@ -92,6 +92,34 @@ def test_gazetteer_from_file(tmp_path):
     assert len(ext.extract(docset)) == 2
 
 
+def test_gazetteer_entries_that_can_never_match_load_with_one_warning(tmp_path, caplog):
+    """A sentence key is the canonical form of one `WORD` token: "u.s",
+    "at&t", "jean-luc", "'n'" and "x_" (of "x_ y" and of "_x_ y", whose
+    outer "_" alone is stripped) are none."""
+    path = tmp_path / "gaz.tsv"
+    path.write_text("U.S.\tGPE\nAT&T\tORG\nJean-Luc Picard\tPERSON\nPicard\tPERSON\n"
+                    "O'Neil\tPERSON\nx_y\tORG\n_x_ y\tORG\nx_ y\tORG\n"
+                    "rock 'n' roll\tWORK_OF_ART\nZoë Café\tPERSON\n\u00bd\tCARDINAL\n")
+    with caplog.at_level("WARNING", logger="entityqa.entities"):
+        ext = GazetteerExtractor.from_file(path)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    message = caplog.records[0].getMessage()
+    assert message.startswith("6 gazetteer entries can never match")
+    assert message.endswith(f": {path}:1: U.S.; {path}:2: AT&T; "
+                            f"{path}:3: Jean-Luc Picard; ...")
+    assert len(ext.entries) == 10  # every entry loads; two share the key ('x_', 'y')
+    docset = _docset(["He left the U.S. today. AT&T called Jean-Luc Picard.",
+                      "O'Neil met x_y and _x_ y. A rock 'n' roll x_ y.",
+                      "Zoe cafe wrote \u00bd."])
+    assert [m.surface for m in ext.extract(docset)] == [
+        "Picard", "O'Neil", "x_y", "Zoe cafe", "\u00bd"]
+    caplog.clear()
+    path.write_text("Zoë Café\tPERSON\nO\u2019Neil\tPERSON\nx_y z\tORG\n")
+    with caplog.at_level("WARNING", logger="entityqa.entities"):
+        GazetteerExtractor.from_file(path)
+    assert caplog.records == []
+
+
 def test_gazetteer_sentence_indices():
     ext = GazetteerExtractor({"Paris": "GPE"})
     docset = _docset(["Nothing here. Paris is nice."])
@@ -402,6 +430,30 @@ def test_gazetteer_matches_an_entry_across_a_curly_apostrophe():
     assert mentions == [EntityMention("O\u2019Neil", "PERSON", "q1#1", 0, 5, 11)]
     pool = build_pool(mentions)
     assert [c.canonical_surface for c in pool.candidates] == ["o'neil"]
+
+
+def test_gazetteer_scan_tries_each_entry_length_that_fits():
+    """"new" begins entries of one, two and three tokens and "york" one of
+    three: at each start only the lengths that exist and fit are tried,
+    longest first, and a match may end at the sentence's last token."""
+    lexicon = {"new": "ORG", "New York": "GPE", "New York City": "GPE",
+               "York City Hall": "FAC"}
+    texts = ["New York City Hall.", "The New York Times and new York",
+             "new new york", "at York City Hall", "York City", "new york city",
+             "_new_ York city hall", "Néw York City new"]
+    _assert_scan_matches_reference(_docset(texts), lexicon)
+    ext = GazetteerExtractor(lexicon)
+    assert [[(m.surface, m.tag) for m in ext.extract(_docset([text]))]
+            for text in texts] == [
+        [("New York City", "GPE")],
+        [("New York", "GPE"), ("new York", "GPE")],
+        [("new", "ORG"), ("new york", "GPE")],
+        [("York City Hall", "FAC")],
+        [],
+        [("new york city", "GPE")],
+        [("_new_ York city", "GPE")],
+        [("Néw York City", "GPE"), ("new", "ORG")],
+    ]
 
 
 def test_gazetteer_scan_prefix_entries_and_short_sentences():

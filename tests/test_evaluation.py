@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import random
+import stat
 from dataclasses import asdict, replace
 from itertools import chain
 
@@ -724,3 +726,28 @@ def test_atomic_write_removes_temp_file_when_write_fails(tmp_path):
         atomic_write_text(path, "new" * 10_000 + "\ud800")
     assert path.read_bytes() == b"old\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, before, after", [
+    (0o022, None, 0o644), (0o027, None, 0o640),
+    (0o022, 0o644, 0o644), (0o022, 0o640, 0o640), (0o077, 0o664, 0o664)],
+    ids=["new-umask-022", "new-umask-027", "0644-umask-022", "0640-umask-022",
+         "0664-umask-077"])
+def test_atomic_write_keeps_the_replaced_mode_or_follows_the_umask(tmp_path, umask,
+                                                                   before, after):
+    """A new file gets 0o666 less the umask, as `open` gives it; a replaced
+    file keeps its mode. The temp file is created 0o600."""
+    from entityqa.corpus import atomic_write_bytes
+
+    path = tmp_path / "out.bin"
+    if before is not None:
+        path.write_bytes(b"old")
+        path.chmod(before)
+    old_umask = os.umask(umask)
+    try:
+        atomic_write_bytes(path, b"new")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == after
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
