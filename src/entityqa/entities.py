@@ -59,13 +59,15 @@ def _warn_of_entries_that_never_match(path: str | Path, lexicon: dict[str, str])
     match, and the first three as `file:line: surface`.
 
     A sentence key is the canonical form of one `WORD` token, so an entry
-    with a key token of another shape never matches. Letters and digits
-    between spaces make none: only other surfaces are checked.
+    with a key token of another shape never matches, and nor does one whose
+    canonical form is empty ("__"). Letters and digits between spaces make
+    neither: only other surfaces are checked.
     """
     never = {surface for surface in lexicon
              if not surface.replace(" ", "").isalnum()
-             and any(not WORD.fullmatch(token) or canonicalize(token) != token
-                     for token in canonicalize(surface).split())}
+             and (not (tokens := canonicalize(surface).split())
+                  or any(not WORD.fullmatch(token) or canonicalize(token) != token
+                         for token in tokens))}
     if not never:
         return
     count, shown = len(never), []
@@ -77,9 +79,26 @@ def _warn_of_entries_that_never_match(path: str | Path, lexicon: dict[str, str])
                 shown.append(f"{path}:{line_no}: {surface}")
                 if len(shown) == 3:
                     break
-    log.warning("%d gazetteer entries can never match, since a token of each is "
-                "not one word token in canonical form: %s%s", count,
+    log.warning("%d gazetteer entries can never match, since each has no key token, or "
+                "one that is not one word token in canonical form: %s%s", count,
                 "; ".join(shown), "; ..." if count > 3 else "")
+
+
+def _first_line(path: str | Path, surface: str) -> int:
+    """The number of the first line of a gazetteer file with this surface."""
+    with open(path, encoding="utf-8") as fh:
+        return next(line_no for line_no, line in enumerate(fh, start=1)
+                    if line.split("\t")[0] == surface)
+
+
+class _KeyConflict(ValueError):
+    """Two gazetteer surfaces with one canonical key and different tags."""
+
+    def __init__(self, first: str, first_tag: str, second: str, second_tag: str):
+        self.first, self.first_tag = first, first_tag
+        self.second, self.second_tag = second, second_tag
+        super().__init__(f"gazetteer surfaces {first!r} ({first_tag}) and {second!r}"
+                         f" ({second_tag}) share a canonical key but not a tag")
 
 
 class GazetteerExtractor:
@@ -91,13 +110,16 @@ class GazetteerExtractor:
     """
 
     def __init__(self, lexicon: dict[str, str]):
+        """Raises ValueError for a tag outside the tagset, and for two
+        surfaces with one canonical key but different tags."""
         self.entries: dict[tuple[str, ...], str] = {}
         for surface, tag in lexicon.items():
             if tag not in ONTONOTES_TAGS:
                 raise ValueError(f"gazetteer tag {tag!r} not in the tagset")
             key = tuple(canonicalize(surface).split())
-            if key:
-                self.entries[key] = tag
+            if key and self.entries.setdefault(key, tag) != tag:
+                first = next(s for s in lexicon if tuple(canonicalize(s).split()) == key)
+                raise _KeyConflict(first, self.entries[key], surface, tag)
         # Bit L is set when an entry of L tokens begins with the first
         # token: a match can only start at a token found here, and has one
         # of its lengths. One int per token keeps the index small.
@@ -115,6 +137,10 @@ class GazetteerExtractor:
         entry with a token of another shape ("U.S.", "AT&T", "Jean-Luc")
         can never match. Such entries load, and are reported in one
         warning.
+
+        Two lines whose surfaces have one canonical key ("Apple" and
+        "apple", or one surface twice) but different tags are a ParseError
+        that names both lines; with the same tag they load as one entry.
         """
         lexicon: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
@@ -129,12 +155,23 @@ class GazetteerExtractor:
                 if tag not in ONTONOTES_TAGS:
                     raise ParseError(str(path), line_no,
                                      f"gazetteer tag {tag!r} not in the tagset")
-                lexicon[parts[0]] = tag
+                surface = parts[0]
+                if lexicon.setdefault(surface, tag) != tag:
+                    raise ParseError(str(path), line_no,
+                                     f"{surface!r} is tagged {tag} here but {lexicon[surface]}"
+                                     f" at line {_first_line(path, surface)}")
         # One pass over all surfaces clears a lexicon of ASCII letters and
         # digits between spaces, whose keys can all match.
-        if not "".join(lexicon).encode().translate(None, b" ").isalnum():
+        if not ("".join(lexicon).encode().translate(None, b" ").isalnum()
+                and all(map(str.strip, lexicon))):
             _warn_of_entries_that_never_match(path, lexicon)
-        return cls(lexicon)
+        try:
+            return cls(lexicon)
+        except _KeyConflict as c:
+            raise ParseError(str(path), _first_line(path, c.second),
+                             f"{c.second!r} is tagged {c.second_tag} here but {c.first!r},"
+                             f" of the same canonical key, is tagged {c.first_tag}"
+                             f" at line {_first_line(path, c.first)}") from None
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
         """Every gazetteer match in the document set, in document and

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from scipy.special import stdtr
-
 from .corpus import atomic_write_text, canonicalize, read_field, read_jsonl, write_json
 from .errors import DataError, ParseError
 from .ranking import TiedRun
@@ -250,6 +248,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float],
         t_stat = math.inf if mean_d > 0 else -math.inf
         return SignificanceResult(metric, mean_d, t_stat, 0.0, True)
     t_stat = mean_d / math.sqrt(var / n)
+    # Imported here so that only a t-test loads scipy: run and ablate never do.
+    from scipy.special import stdtr
     p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
     return SignificanceResult(
         metric=metric,

@@ -6,7 +6,7 @@ import pytest
 
 from datagen import (NOT_QUESTION_IDS, question_id_error, random_mention_corpus,
                      write_annotations)
-from oracles import brute_force_df, reference_gazetteer_scan
+from oracles import brute_force_df, reference_canonicalize, reference_gazetteer_scan
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences, write_jsonl
 from entityqa.entities import (
@@ -118,6 +118,38 @@ def test_gazetteer_entries_that_can_never_match_load_with_one_warning(tmp_path, 
     with caplog.at_level("WARNING", logger="entityqa.entities"):
         GazetteerExtractor.from_file(path)
     assert caplog.records == []
+
+
+def test_gazetteer_key_given_two_tags_is_a_data_error_naming_both_lines(tmp_path):
+    """Which tag a mention gets must not depend on line order: two
+    surfaces of one canonical key, or one surface twice, with different
+    tags are a ParseError at the second line that names the first."""
+    path = tmp_path / "gaz.tsv"
+    path.write_text("# fruit\nApple\tORG\nPear\tPRODUCT\napple\tPRODUCT\n")
+    with pytest.raises(ParseError) as err:
+        GazetteerExtractor.from_file(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 4)
+    assert "'Apple'" in err.value.reason and err.value.reason.endswith("ORG at line 2")
+    path.write_text("Apple\tORG\nPear\tPRODUCT\nApple\tORG\nApple\tPRODUCT\n")
+    with pytest.raises(ParseError) as err:
+        GazetteerExtractor.from_file(path)
+    assert err.value.line_no == 4 and err.value.reason.endswith("ORG at line 1")
+    with pytest.raises(ValueError, match="'Apple' \\(ORG\\) and 'APPLE' \\(PRODUCT\\)"):
+        GazetteerExtractor({"Apple": "ORG", "Pear": "ORG", "APPLE": "PRODUCT"})
+    # The same tag twice loads as one entry, as does a surface repeated.
+    path.write_text("Apple\tORG\napple\tORG\nApple\tORG\n")
+    assert GazetteerExtractor.from_file(path).entries == {("apple",): "ORG"}
+
+
+def test_gazetteer_surfaces_without_a_key_are_counted_as_never_matching(tmp_path, caplog):
+    path = tmp_path / "gaz.tsv"
+    path.write_text("Paris\tGPE\n__\tORG\n\tORG\n  \tDATE\n")
+    with caplog.at_level("WARNING", logger="entityqa.entities"):
+        ext = GazetteerExtractor.from_file(path)
+    assert ext.entries == {("paris",): "GPE"}
+    message = caplog.records[0].getMessage()
+    assert message.startswith("3 gazetteer entries can never match")
+    assert message.endswith(f": {path}:2: __; {path}:3: ; {path}:4:   ")
 
 
 def test_gazetteer_sentence_indices():
@@ -338,10 +370,16 @@ def _noisy_lexicon(rng):
         "Café": "ORG", "café ñandú zoë de 42": "PRODUCT",
         "__": "ORG", "": "ORG",
     }
+    # One tag per canonical key: a variant of a key already drawn keeps
+    # that key's tag, which a lexicon must (two tags are a ValueError).
+    tag_of = {tuple(reference_canonicalize(s).split()): t for s, t in lexicon.items()}
     for _ in range(rng.randint(3, 12)):
         words = [_noisy(rng.choice(_NOISY_WORDS), rng)
                  for _ in range(rng.randint(1, 4))]
-        lexicon[rng.choice((" ", "  ", " - ")).join(words)] = rng.choice(tags)
+        tag = rng.choice(tags)
+        surface = rng.choice((" ", "  ", " - ")).join(words)
+        key = tuple(reference_canonicalize(surface).split())
+        lexicon[surface] = tag_of.setdefault(key, tag)
     return lexicon
 
 

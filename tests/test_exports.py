@@ -22,14 +22,44 @@ def test_star_import_resolves_every_export(module):
     assert [name for name in exports if name not in namespace] == []
 
 
-def test_package_root_exports_nothing_and_corpus_loads_no_numerics():
-    # A fresh interpreter: this one has numpy loaded by other tests.
-    code = ("import json, sys, entityqa, entityqa.corpus; "
-            "print(json.dumps([hasattr(entityqa, '__all__'), "
-            "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)]))")
+def _fresh_python(code: str, *args: str):
+    """The JSON that `code` prints last in a fresh interpreter, which has
+    loaded nothing that other tests loaded into this one."""
     src = str(Path(entityqa.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == [False, []]
+    return json.loads(out.splitlines()[-1])
+
+
+def test_package_root_exports_nothing_and_corpus_loads_no_numerics():
+    code = ("import json, sys, entityqa, entityqa.corpus; "
+            "print(json.dumps([hasattr(entityqa, '__all__'), "
+            "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)]))")
+    assert _fresh_python(code) == [False, []]
+
+
+def test_only_the_t_tests_of_evaluate_load_scipy(tmp_path, planted, config_file):
+    """`run` and `ablate` never load scipy; `evaluate` over two runs does,
+    for its paired t-tests. Each fresh interpreter runs its commands in
+    order and tells, after each, whether scipy is loaded."""
+    code = ("import json, sys; from entityqa.cli import main; "
+            "print(json.dumps([[main(argv), 'scipy' in sys.modules] "
+            "for argv in json.loads(sys.argv[1])]))")
+    cfg, system, worse = str(config_file()), tmp_path / "system.jsonl", tmp_path / "worse.jsonl"
+    assert _fresh_python(code, json.dumps([
+        ["run", "--config", cfg, "--out", str(system)],
+        ["ablate", "--config", cfg, "--qrels", planted.qrels_path,
+         "--out-prefix", str(tmp_path / "ablation")],
+    ])) == [[0, False], [0, False]]
+    # Every other question loses its first group, so the per-question
+    # differences vary and the t-tests reach the t distribution.
+    records = [json.loads(line) for line in system.read_text().splitlines()]
+    for record in records[::2]:
+        record["groups"], record["scores"] = record["groups"][1:], record["scores"][1:]
+    worse.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert _fresh_python(code, json.dumps([
+        ["evaluate", str(system), str(worse), "--qrels", planted.qrels_path,
+         "--out-prefix", str(tmp_path / "eval")],
+    ])) == [[0, True]]
