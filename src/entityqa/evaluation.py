@@ -57,11 +57,14 @@ def load_qrels(path: str | Path,
                match_policy: str = "containment") -> dict[str, Judgment]:
     """Read {"question_id", "gold_answers"} JSONL into Judgment objects."""
     out: dict[str, Judgment] = {}
+    seen: dict[str, int] = {}
     for line_no, raw in read_jsonl(path):
         qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
         golds = read_field(raw, "gold_answers", ["string"], path, line_no)
-        if qid in out:
-            raise ParseError(str(path), line_no, f"duplicate question id {qid!r}")
+        if qid in seen:
+            raise ParseError(str(path), line_no,
+                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
+        seen[qid] = line_no
         try:
             out[qid] = Judgment(question_id=qid,
                                 gold_answers=frozenset(golds),

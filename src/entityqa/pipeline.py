@@ -115,13 +115,7 @@ class PipelineConfig:
 
     @property
     def config_id(self) -> str:
-        # Computed once per instance: the config is frozen, and `replace`
-        # builds a new instance with an empty cache.
-        cached = self.__dict__.get("_config_id")
-        if cached is None:
-            cached = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
-            object.__setattr__(self, "_config_id", cached)
-        return cached
+        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
     def validate_paths(self) -> None:
         required = ("questions_path", "documents_path",
@@ -231,12 +225,10 @@ class LoadedStages:
         """The question's run. One `rank_answers` call ranks every
         question: a non-entity type ranks no candidates, an empty run."""
         _pool, evidence, n_docs = self.prepare(question, docset) or (None, [], 0)
-        config = self.config
         return rank_answers(
             question.id, [ev.entity.canonical_surface for ev in evidence],
-            aggregate_evidence(evidence, n_docs, config),
-            [ev.entity.df for ev in evidence], n_docs, config.ranking,
-            config.config_id)
+            aggregate_evidence(evidence, n_docs, self.config),
+            [ev.entity.df for ev in evidence], n_docs, self.config.ranking)
 
 
 def aggregate_evidence(evidence: Sequence[EvidenceSet], n_docs: int,
@@ -331,9 +323,13 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
                  docsets: Mapping[str, DocumentSet],
                  stages: LoadedStages | None = None) -> PipelineResult:
     """Answer every question in order; per-question failures are recorded,
-    not fatal. Progress is logged at INFO, one record per question."""
+    not fatal. Progress is logged at INFO, one record per question. Given
+    `stages` must be those of `config`, whose id the run file carries."""
     if stages is None:
         stages, _ = load_stages(config)
+    elif stages.config != config:
+        raise ValueError(f"stages of config {stages.config.config_id} "
+                         f"given for config {config.config_id}")
     runs: list[TiedRun] = []
     errors: list[tuple[str, str]] = []
     for n, question in enumerate(questions, start=1):
@@ -357,9 +353,10 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
 def write_run_file(path: str | Path, result: PipelineResult,
                    config: PipelineConfig) -> None:
     """Run JSONL plus a .config.json sidecar with the effective config."""
-    write_runs(path, result.runs)
+    config_id = config.config_id
+    write_runs(path, result.runs, config_id)
     write_json(str(path) + ".config.json", {
-        "config_id": config.config_id,
+        "config_id": config_id,
         "config": asdict(config),
         "errors": [{"question_id": qid, "error": msg}
                    for qid, msg in result.errors],

@@ -48,7 +48,6 @@ class TiedRun:
     question_id: str
     groups: tuple[frozenset[str], ...]
     scores: tuple[float, ...]
-    config_id: str = ""
 
     def __post_init__(self):
         if len(self.groups) != len(self.scores):
@@ -84,7 +83,7 @@ def _combine_each(semantic: Sequence[float], dfs: Sequence[int], n_docs: int,
 
 def rank_answers(question_id: str, surfaces: Sequence[str],
                  semantic: Sequence[float], dfs: Sequence[int], n_docs: int,
-                 config: RankingConfig, config_id: str = "") -> TiedRun:
+                 config: RankingConfig) -> TiedRun:
     """Combine each candidate's semantic score with its df, group equal
     combined scores and keep the MAX_RANK_GROUPS best groups, best first.
 
@@ -98,8 +97,7 @@ def rank_answers(question_id: str, surfaces: Sequence[str],
     empty run, whatever `n_docs` is.
     """
     if not (surfaces or semantic or dfs):
-        return TiedRun(question_id=question_id, groups=(), scores=(),
-                       config_id=config_id)
+        return TiedRun(question_id=question_id, groups=(), scores=())
     combined = _combine_each(semantic, dfs, n_docs, config)
     if len(surfaces) != len(combined):
         raise ValueError("one surface per candidate required")
@@ -121,20 +119,20 @@ def rank_answers(question_id: str, surfaces: Sequence[str],
                 firsts[-1] = i
     return TiedRun(question_id=question_id,
                    groups=tuple(map(frozenset, groups)),
-                   scores=tuple(round(combined[i], digits) for i in firsts),
-                   config_id=config_id)
+                   scores=tuple(round(combined[i], digits) for i in firsts))
 
 
 # ---------------------------------------------------------------------------
 # Run file round-trip
 # ---------------------------------------------------------------------------
 
-def write_runs(path: str | Path, runs: Sequence[TiedRun]) -> None:
-    """The one run-file serializer: a JSON line per run, written atomically."""
+def write_runs(path: str | Path, runs: Sequence[TiedRun], config_id: str) -> None:
+    """The one run-file serializer: a JSON line per run, each stamped with
+    the id of the config that wrote the file, written atomically."""
     write_jsonl(path, ({"question_id": run.question_id,
                         "groups": [sorted(g) for g in run.groups],
                         "scores": list(run.scores),
-                        "config_id": run.config_id} for run in runs))
+                        "config_id": config_id} for run in runs))
 
 
 def load_runs(path: str | Path) -> list[TiedRun]:
@@ -147,15 +145,14 @@ def load_runs(path: str | Path) -> list[TiedRun]:
                              f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
         seen[qid] = line_no
         groups = read_field(raw, "groups", "array", path, line_no)
+        groups = tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
+                                            name="a group"))
+                       for i in range(len(groups)))
+        scores = tuple(read_field(raw, "scores", ["number"], path, line_no))
+        # Checked, not kept: the file's sidecar names the config behind it.
+        read_field(raw, "config_id", "string", path, line_no, default="")
         try:
-            runs.append(TiedRun(
-                question_id=qid,
-                groups=tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
-                                                  name="a group"))
-                             for i in range(len(groups))),
-                scores=tuple(read_field(raw, "scores", ["number"], path, line_no)),
-                config_id=read_field(raw, "config_id", "string", path, line_no, default=""),
-            ))
+            runs.append(TiedRun(question_id=qid, groups=groups, scores=scores))
         except ValueError as exc:
             raise ParseError(str(path), line_no, f"invalid run record: {exc}") from exc
     return runs

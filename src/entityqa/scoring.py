@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -153,12 +154,11 @@ class CacheProvider:
     def __init__(self, path: str | Path):
         self.path = str(path)
         self.entries: dict[str, np.ndarray] = {}
-        provider_ids: set[str] = set()
-        dims: set[int] = set()
+        first = None  # (line, provider_id, dimension) of the first record
         for line_no, raw in read_jsonl(path):
             digest = read_field(raw, "sha256", "string", self.path, line_no)
             values = read_field(raw, "vector", ["number"], self.path, line_no)
-            provider_ids.add(read_field(raw, "provider_id", "string", self.path, line_no))
+            provider_id = read_field(raw, "provider_id", "string", self.path, line_no)
             if not values:
                 raise ParseError(self.path, line_no, "empty vector")
             fault = _magnitude_fault(values)
@@ -168,17 +168,26 @@ class CacheProvider:
             text = read_field(raw, "text", "string", self.path, line_no, default=None)
             if text is not None and text_sha256(text) != digest:
                 raise ParseError(self.path, line_no, "sha256 does not match text")
-            dims.add(vec.size)
-            self.entries[digest] = vec
-        if not self.entries:
+            if first is None:
+                first = (line_no, provider_id, vec.size)
+            elif provider_id != first[1]:
+                raise ParseError(self.path, line_no, f"mixed provider_ids in one cache: "
+                                 f"{provider_id!r} here but {first[1]!r} at line {first[0]}")
+            elif vec.size != first[2]:
+                raise ParseError(self.path, line_no, f"mixed dimensions in one cache: "
+                                 f"{vec.size} here but {first[2]} at line {first[0]}")
+            kept = self.entries.setdefault(digest, vec)
+            if kept is not vec and kept.tobytes() != vec.tobytes():
+                raise ParseError(self.path, line_no, f"sha256 {digest} has another vector"
+                                 f" here than at line {self._first_line(digest)}")
+        if first is None:
             raise EmptyInputError(f"{path}: empty embedding cache")
-        if len(provider_ids) != 1:
-            raise ParseError(self.path, 0,
-                             f"mixed provider_ids {sorted(provider_ids)} in one cache")
-        if len(dims) != 1:
-            raise ParseError(self.path, 0, f"mixed dimensions {sorted(dims)} in one cache")
-        self.provider_id = provider_ids.pop()
-        self.dim = dims.pop()
+        _line, self.provider_id, self.dim = first
+
+    def _first_line(self, digest: str) -> int:
+        """The number of the first line of the cache with this digest."""
+        with closing(read_jsonl(self.path)) as records:
+            return next(line_no for line_no, raw in records if raw["sha256"] == digest)
 
     def embed(self, text: str) -> np.ndarray:
         digest = text_sha256(text)

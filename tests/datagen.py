@@ -528,3 +528,101 @@ def random_mention_corpus(rng: random.Random, n_docs: int = 10):
             sentences.append(sentence + ".")
         texts.append(" ".join(sentences))
     return texts, lexicon, truth
+
+
+# ---------------------------------------------------------------------------
+# Random answer cases for the end-to-end reference answer
+# ---------------------------------------------------------------------------
+
+# The surfaces of one gazetteer key each: case and accent variants, curly
+# and straight apostrophes, underscores and digits. Several entries share
+# their first tokens ("new", "new york", "new york city"), and one ends
+# where another starts ("york city hall").
+ANSWER_ENTITIES = (
+    ("New", "NEW"), ("New York", "new york", "NEW YORK"), ("New York City",),
+    ("New York Times", "new york times"), ("York City Hall",),
+    ("Zoë Café", "Zoe Cafe", "zoe café"), ("Zoë", "ZOE"),
+    ("O'Neil", "O’Neil", "o'neil"), ("x_y", "X_Y"), ("3rd Street", "3RD street"),
+    ("r2d2",), ("alpha beta", "Alpha Beta"), ("alpha beta gamma",), ("beta gamma",),
+    ("Dr Who", "dr who"), ("ñandú", "Nandu"), ("straße",), ("İstanbul",), ("1990s",),
+)
+ANSWER_TAGS = ("PERSON", "GPE", "ORG", "DATE", "PRODUCT")
+# Other words of the same shapes, and contractions that question
+# preprocessing expands.
+ANSWER_WORDS = ("the", "met", "left", "near", "of", "de", "city", "times", "gamma",
+                "café", "it’s", "don't", "isn’t", "_x_", "beta__", "42", "7th",
+                "r2", "Über", "naïve")
+# Words written before a terminator: listed abbreviations ("dr", "mr", "st", "e.g",
+# "u.s", "jan"), in any case, and words that are not.
+ANSWER_ABBREVIATIONS = ("Dr", "DR", "Mr", "st", "e.g", "U.S", "Jan", "Zed", "Alpha", "x_y")
+ANSWER_TERMINATORS = (".", ".", "!", "?", "...", ".!")
+# Sentence starts that let a boundary stand before them.
+ANSWER_STARTS = ("Who", "New", "Zoë", "O'Neil", "3rd", "42", '"Alpha', "(beta", "'x",
+                 "İstanbul", "Dr")
+
+
+@dataclass(frozen=True)
+class AnswerCase:
+    question: str
+    documents: tuple[str, ...]  # texts, in rank order from rank 1
+    lexicon: dict[str, str]  # surface -> tag; the surfaces of a key share a tag
+    vectors: dict[str, np.ndarray]  # lower-cased word -> row, some words left out
+    accepted: frozenset[str] | None  # the answer type's tags; None: a non-entity type
+    config: dict  # PipelineConfig keys of pooling, aggregation and ranking
+
+
+_ANSWER_TOKEN = re.compile(r"\w+(?:'\w+)?")
+
+
+def _answer_sentence(rng: random.Random) -> str:
+    words = [rng.choice(ANSWER_STARTS)]
+    for _ in range(rng.randint(1, 9)):
+        roll = rng.random()
+        if roll < 0.35:
+            words.append(rng.choice(rng.choice(ANSWER_ENTITIES)))
+        elif roll < 0.5:
+            # An abbreviation, or a word that is not one, before a
+            # terminator and a word that could start a sentence.
+            words.append(rng.choice(ANSWER_ABBREVIATIONS) + rng.choice(ANSWER_TERMINATORS))
+            words.append(rng.choice(ANSWER_STARTS))
+        else:
+            words.append(rng.choice(ANSWER_WORDS))
+    return " ".join(words) + rng.choice(ANSWER_TERMINATORS)
+
+
+def random_answer_case(rng: random.Random) -> AnswerCase:
+    """A question, its documents, a gazetteer, word vectors, the answer
+    type's tags and a pipeline config, all drawn from `rng`."""
+    lexicon = {}
+    for forms in rng.sample(ANSWER_ENTITIES, rng.randint(3, len(ANSWER_ENTITIES))):
+        tag = rng.choice(ANSWER_TAGS)
+        for surface in rng.sample(forms, rng.randint(1, len(forms))):
+            lexicon[surface] = tag
+    documents = tuple(
+        rng.choice((" ", "  ", "\n")).join(_answer_sentence(rng)
+                                           for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 8)))
+    question = " ".join(["Who’s", *(rng.choice(ANSWER_WORDS + ("didn't", "new", "york"))
+                                        for _ in range(rng.randint(1, 6)))]) + "?"
+    words = {token.lower() for text in (*documents, question, "who is did not it do")
+             for token in _ANSWER_TOKEN.findall(text.replace("’", "'"))}
+    dim = rng.randint(2, 4)
+    levels = (-1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0)
+    vectors = {word: np.array([rng.choice(levels) if rng.random() < 0.8
+                               else rng.uniform(-1, 1) for _ in range(dim)])
+               for word in sorted(words) if rng.random() < 0.8}
+    vectors.setdefault("the", np.ones(dim))
+    accepted = (frozenset(rng.sample(ANSWER_TAGS, rng.randint(1, 3)))
+                if rng.random() < 0.9 else None)
+    config = {
+        "aggregation": rng.choice(("max", "avg", "avg_max")),
+        "combine": rng.choice(("multiplicative", "additive")),
+        "alpha": rng.choice((0.1, 0.3, 0.7, 1.0)),
+        "beta": rng.choice((0.1, 0.5, 1.0)),
+        "avgmax_denominator": rng.choice(("containing_docs", "all_docs")),
+        "score_digits": rng.choice((1, 2, 3, 9, 15)),
+        "candidate_cap": rng.choice((1, 2, 3, 5, 100)),
+        "df_any_tag": rng.random() < 0.5,
+        "group_surface_variants": rng.random() < 0.5,
+    }
+    return AnswerCase(question, documents, lexicon, vectors, accepted, config)

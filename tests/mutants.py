@@ -68,6 +68,52 @@ MUTANTS = (
            "            if key:\n"
            "                self.entries[key] = tag\n",
            ("tests/test_entities.py::test_gazetteer_key_given_two_tags_is_a_data_error_naming_both_lines",)),
+    Mutant("stage loader that reads each data file once per config",
+           "entityqa/pipeline.py",
+           "        return read(variant, getattr(config, STAGE_FILES[stage][variant]))\n",
+           "        return read.__wrapped__(variant, getattr(config, STAGE_FILES[stage][variant]))\n",
+           ("tests/test_experiments.py::test_ablation_reads_each_data_file_once",)),
+    Mutant("gazetteer mention span that ends one token short",
+           "entityqa/entities.py",
+           "last = first if length == 1 else next(islice(tokens, length - 2, None))",
+           "last = first if length <= 2 else next(islice(tokens, length - 3, None))",
+           ("tests/test_entities.py::test_gazetteer_scan_matches_reference_on_random_corpora",
+            "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
+    Mutant("ASCII tokenizer table without the digit 2",
+           "entityqa/corpus.py",
+           "if ch.isascii() and WORD.fullmatch(ch) else 32",
+           "if ch.isascii() and WORD.fullmatch(ch) and ch != '2' else 32",
+           ("tests/test_corpus.py::test_ascii_lower_words_matches_findall_on_random_ascii",
+            "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
+    Mutant("splitter that joins after a flagged abbreviation ended by ! or ?, as 'Dr!'",
+           "entityqa/corpus.py",
+           'if "." in terminators and run and run.lower().rstrip(".") in abbreviations:',
+           'if run and run.lower().rstrip(".") in abbreviations:',
+           ("tests/test_corpus.py::test_split_sentences_matches_reference_on_random_texts",
+            "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
+    Mutant("ranking that keeps six score groups",
+           "entityqa/ranking.py",
+           "            if len(groups) == MAX_RANK_GROUPS:\n",
+           "            if len(groups) == MAX_RANK_GROUPS + 1:\n",
+           ("tests/test_pipeline.py::test_answer_matches_reference_rank",
+            "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
+    Mutant("run file lines stamped with an empty config id",
+           "entityqa/ranking.py",
+           '"config_id": config_id} for run in runs))',
+           '"config_id": ""} for run in runs))',
+           ("tests/test_ranking.py::test_run_file_roundtrip",
+            "tests/test_pipeline.py::test_run_file_sidecar_records_config",
+            "tests/test_cli.py::test_run_writes_run_file_and_sidecar")),
+    Mutant("run_pipeline that answers with the stages of another config",
+           "entityqa/pipeline.py",
+           "    elif stages.config != config:\n",
+           "    elif False:\n",
+           ("tests/test_pipeline.py::test_run_pipeline_refuses_the_stages_of_another_config",)),
+    Mutant("embedding cache that keeps the last of two vectors for one digest",
+           "entityqa/scoring.py",
+           "            kept = self.entries.setdefault(digest, vec)\n",
+           "            kept = self.entries[digest] = vec\n",
+           ("tests/test_scoring.py::test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines",)),
 )
 
 

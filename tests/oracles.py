@@ -19,7 +19,10 @@ first five groups, once for the tie-aware triple with its tHit@5
 miss-probability product. The centroid oracle adds each labeled row to
 its class in a Python loop. The word-average oracle matches each token on
 the text with its curly apostrophes straightened and lower-cases it on its
-own. The hinge objective sums one sample's losses at a time.
+own. The hinge objective sums one sample's losses at a time. The answer
+oracle joins the splitter, gazetteer, df, preprocessing, word-average,
+cosine and ranking oracles with a plain pool builder, from raw text to a
+run's groups and scores.
 """
 
 from __future__ import annotations
@@ -475,6 +478,59 @@ def reference_rank(candidates: list[tuple[str, list[tuple[str, float]], int]],
     best_scores = sorted(groups, reverse=True)[:max_groups]
     return (tuple(frozenset(groups[score]) for score in best_scores),
             tuple(best_scores))
+
+
+def reference_answer(question: str, documents: Sequence[tuple[str, str]], config,
+                     lexicon: dict[str, str], vectors: dict[str, np.ndarray], *,
+                     accepted: frozenset[str] | None, abbreviations: frozenset[str],
+                     contractions: dict[str, str]
+                     ) -> tuple[tuple[frozenset[str], ...], tuple[float, ...]]:
+    """Tie groups and their scores, best first, of the run of `question`
+    over its documents, given as (doc_id, text) in rank order, composed of
+    the stage oracles above. `config` is read for the keys of pooling,
+    aggregation and ranking; `accepted` holds the tags of the question's
+    answer type, or is None for a non-entity type, whose run is empty.
+
+    Each document is split into sentences and each sentence scanned with
+    the gazetteer. The pool, as the README's config keys describe it: a
+    mention counts when its tag is accepted; its candidate is its
+    canonical surface, or its surface as written when
+    group_surface_variants is false; df counts the documents holding the
+    candidate among the mentions that count, or among all mentions when
+    df_any_tag is true; candidates are ordered by df, highest first, then
+    by candidate, and the first candidate_cap kept. Each distinct
+    sentence of a candidate's counted mentions, in (doc_id, sentence
+    index) order, is scored by the cosine of its word average with that
+    of the preprocessed question; reference_rank ranks the candidates in
+    pool order.
+    """
+    if accepted is None:
+        return (), ()
+    key_of = reference_canonicalize if config.group_surface_variants else str
+    sentences = {doc_id: reference_split_sentences(text, abbreviations)
+                 for doc_id, text in documents}
+    mentions = [(surface, tag, doc_id, index)
+                for doc_id, split in sentences.items()
+                for index, sentence in enumerate(split)
+                for surface, tag, _start, _end in reference_gazetteer_scan(sentence, lexicon)]
+    sentence_keys: dict[str, set[tuple[str, int]]] = {}
+    for surface, tag, doc_id, index in mentions:
+        if tag in accepted and key_of(surface):
+            sentence_keys.setdefault(key_of(surface), set()).add((doc_id, index))
+    df = brute_force_df([(surface, tag, doc_id) for surface, tag, doc_id, _ in mentions],
+                        key_of, None if config.df_any_tag else set(accepted))
+    pool = sorted(sentence_keys, key=lambda key: (-df[key], key))[:config.candidate_cap]
+    dim = len(next(iter(vectors.values())))
+    q_vec = reference_word_average(reference_preprocess_text(question, contractions),
+                                   vectors, dim)
+    candidates = [
+        (key, [(doc_id, reference_cosine(q_vec, reference_word_average(
+            sentences[doc_id][index], vectors, dim)))
+            for doc_id, index in sorted(sentence_keys[key])], df[key])
+        for key in pool]
+    return reference_rank(candidates, len(documents), config.aggregation,
+                          config.avgmax_denominator, config.combine, config.alpha,
+                          config.beta, config.score_digits)
 
 
 def reference_centroids(classes: tuple[str, ...], labels: Sequence[str],

@@ -183,13 +183,15 @@ def test_load_qrels(tmp_path):
 
 
 def test_load_qrels_duplicate(tmp_path):
+    # The first line is named, as the question, document and run readers do.
     path = tmp_path / "qrels.jsonl"
-    rows = [{"question_id": "q1", "gold_answers": ["A"]},
+    rows = [{"question_id": "q0", "gold_answers": ["A"]},
+            {"question_id": "q1", "gold_answers": ["A"]},
             {"question_id": "q1", "gold_answers": ["B"]}]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    path.write_text("\n\n".join(json.dumps(r) for r in rows) + "\n")
     with pytest.raises(ParseError) as err:
         load_qrels(path)
-    assert ":2:" in str(err.value)
+    assert str(err.value) == f"{path}:5: duplicate question id 'q1' (first seen on line 3)"
 
 
 def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
@@ -662,6 +664,10 @@ def _latency(label):
     return LatencyReport(label, 2, 12, 0.25, {"overall": 0.01}, False, None)
 
 
+def _write_runs(path, runs):
+    write_runs(path, runs, "abc")
+
+
 def _write_run_file(path, result):
     write_run_file(path, result, PipelineConfig())
 
@@ -685,10 +691,11 @@ def _pipeline_result(error=None):
      lambda: DiffTable("MRR", (("q1", 0.5), ("q2", _Unwritable())), 1, 0, 0)),
     # The bad inputs below fail after a first line that differs from the
     # good output, so a writer that streamed would leave that line behind.
-    (write_runs,
-     lambda: [TiedRun("q1", (frozenset({"a"}),), (0.5,))],
-     lambda: [TiedRun("q2", (frozenset({"b"}),), (0.5,)),
-              TiedRun("q3", (), (), config_id=object())]),
+    pytest.param(_write_runs,
+                 lambda: [TiedRun("q1", (frozenset({"a"}),), (0.5,))],
+                 lambda: [TiedRun("q2", (frozenset({"b"}),), (0.5,)),
+                          TiedRun("q3", (frozenset({"c"}),), (object(),))],
+                 id="write_runs-<lambda>-<lambda>"),
     (write_documents,
      lambda: [_docset("q1", "A.")],
      lambda: [_docset("q2", "B.", object())]),

@@ -345,10 +345,10 @@ def test_evaluate_run_files_pairwise(tmp_path):
     qids = [f"q{i}" for i in range(6)]
     a_path = tmp_path / "sysA.jsonl"
     b_path = tmp_path / "sysB.jsonl"
-    write_runs(a_path, [_mini_run(q, True) for q in qids])
+    write_runs(a_path, [_mini_run(q, True) for q in qids], "sysA")
     # system B covers the same questions in reversed order
     write_runs(b_path, [_mini_run(q, q in ("q0", "q1"))
-                        for q in reversed(qids)])
+                        for q in reversed(qids)], "sysB")
     reports, significance = evaluate_run_files(
         [a_path, b_path], _mini_judgments(qids))
     assert [r.run_id for r in reports] == ["sysA", "sysB"]
@@ -376,7 +376,7 @@ def test_evaluate_run_files_rejects_empty_file(tmp_path):
 
 def test_evaluate_run_files_rejects_unjudged_questions(tmp_path):
     path = tmp_path / "sys.jsonl"
-    write_runs(path, [_mini_run("mystery", True)])
+    write_runs(path, [_mini_run("mystery", True)], "sys")
     with pytest.raises(DataError) as err:
         evaluate_run_files([path], _mini_judgments(["q0"]))
     assert "mystery" in str(err.value)
@@ -385,8 +385,8 @@ def test_evaluate_run_files_rejects_unjudged_questions(tmp_path):
 def test_evaluate_run_files_rejects_disjoint_question_sets(tmp_path):
     a_path = tmp_path / "a.jsonl"
     b_path = tmp_path / "b.jsonl"
-    write_runs(a_path, [_mini_run("q0", True)])
-    write_runs(b_path, [_mini_run("q1", True)])
+    write_runs(a_path, [_mini_run("q0", True)], "a")
+    write_runs(b_path, [_mini_run("q1", True)], "b")
     with pytest.raises(DataError):
         evaluate_run_files([a_path, b_path], _mini_judgments(["q0", "q1"]))
 

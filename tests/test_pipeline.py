@@ -3,28 +3,34 @@ import logging
 import random
 import re
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from oracles import reference_rank
+from datagen import random_answer_case
+from oracles import reference_answer, reference_rank
 
 from entityqa import pipeline
-from entityqa.corpus import (DocumentSet, Question, load_documents,
-                             load_questions, segment_sentences)
-from entityqa.entities import CandidateEntity
+from entityqa.corpus import (Document, DocumentSet, Question, default_abbreviations,
+                             default_contractions, load_documents, load_questions,
+                             segment_sentences)
+from entityqa.entities import CandidateEntity, GazetteerExtractor
 from entityqa.errors import ConfigError
 from entityqa.evaluation import load_qrels, evaluate_run
 from entityqa.pipeline import (
+    AVGMAX_DENOMINATORS,
     LoadedStages,
     PipelineConfig,
+    document_step,
     load_config,
     load_stages,
     run_pipeline,
     write_run_file,
 )
-from entityqa.ranking import ALPHA_BETA_GRID
-from entityqa.scoring import AGGREGATION_MODES, EvidenceSet
+from entityqa.qtype import AnswerTypeMap
+from entityqa.ranking import ALPHA_BETA_GRID, COMBINE_MODES
+from entityqa.scoring import AGGREGATION_MODES, EvidenceSet, WordAverageProvider
 
 
 def _inputs(fixture):
@@ -82,8 +88,8 @@ def test_config_id_is_stable_and_canonical():
     assert len(a.config_id) == 12
     assert int(a.config_id, 16) >= 0  # hex digest prefix
     assert a.config_id != PipelineConfig(aggregation="max").config_id
-    # The id is cached per instance; a replaced config gets its own, and
-    # the cache shows in no field-based view of the config.
+    # A replaced config gets its own id, and the id is in no field-based
+    # view of the config.
     c = replace(a, aggregation="max")
     assert c.config_id == PipelineConfig(aggregation="max").config_id
     assert a.config_id != c.config_id
@@ -331,6 +337,22 @@ def test_stages_reusable_across_runs(planted, planted_config):
     r1 = run_pipeline(cfg, questions, docsets, stages=stages)
     r2 = run_pipeline(cfg, questions, docsets, stages=stages)
     assert [r.groups for r in r1.runs] == [r.groups for r in r2.runs]
+    # An equal config built anew is the same config.
+    assert run_pipeline(PipelineConfig(**planted_config), questions, docsets,
+                        stages=stages) == r1
+
+
+def test_run_pipeline_refuses_the_stages_of_another_config(planted, planted_config):
+    """The run file carries the id of `run_pipeline`'s config, so stages
+    loaded for another config would answer under a false id."""
+    cfg = PipelineConfig(**planted_config)
+    stages, _ = load_stages(cfg)
+    other = replace(cfg, aggregation="avg")
+    questions, docsets = _inputs(planted)
+    with pytest.raises(ValueError) as err:
+        run_pipeline(other, questions, docsets, stages=stages)
+    assert str(err.value) == (f"stages of config {cfg.config_id} "
+                              f"given for config {other.config_id}")
 
 
 def test_aggregation_modes_change_scores_not_winner(planted, planted_config):
@@ -404,11 +426,67 @@ def test_answer_matches_reference_rank(monkeypatch):
                                         digits, max_groups=len(plain))
         assert run.groups == groups[:5]
         assert _hex(run.scores) == _hex(scores[:5])
-        assert (run.question_id, run.config_id) == ("q", config.config_id)
+        assert run.question_id == "q"
         cut += len(groups) > 5
         signed_zero += "-0x0.0p+0" in _hex(scores[:5])
     # Most pools hold more groups than are kept, and some keep a -0.0.
     assert cut > 300 and signed_zero > 10
+
+
+class _StubClassifier:
+    """Types every question ENTITY; the test's type map gives its tags."""
+
+    def predict(self, _text):
+        return "ENTITY", "ENTITY:other"
+
+
+def test_answer_matches_reference_answer_on_random_cases():
+    """From raw text to a run: `answer` on the gazetteer/word-average path
+    gives the groups of `reference_answer`, and its scores bit for bit,
+    on random questions, documents, gazetteers and configs."""
+    rng = random.Random(61)
+    abbreviations = default_abbreviations()
+    contractions = dict(default_contractions())
+    drawn = {key: set() for key in ("aggregation", "combine", "avgmax_denominator",
+                                    "score_digits", "candidate_cap", "df_any_tag",
+                                    "group_surface_variants")}
+    answered = capped = full = tied = signed_zero = 0
+    for n in range(300):
+        case = random_answer_case(rng)
+        for key, values in drawn.items():
+            values.add(case.config[key])
+        config = PipelineConfig(**case.config)
+        question = Question("q", case.question)
+        docset = DocumentSet("q", tuple(Document("q", rank, text) for rank, text
+                                        in enumerate(case.documents, start=1)))
+        stages = LoadedStages(
+            config=config, classifier=_StubClassifier(),
+            provider=WordAverageProvider(case.vectors),
+            type_map=AnswerTypeMap(coarse={"ENTITY": case.accepted} if case.accepted
+                                   else {}, fine={}),
+            read_documents=partial(document_step,
+                                   extractor=GazetteerExtractor(case.lexicon)))
+        run = stages.answer(question, docset)
+        groups, scores = reference_answer(
+            case.question, [(d.doc_id, d.text) for d in docset.documents], config,
+            case.lexicon, case.vectors, accepted=case.accepted,
+            abbreviations=abbreviations, contractions=contractions)
+        assert (run.groups, _hex(run.scores)) == (groups, _hex(scores)), n
+        pool = stages.prepare(question, docset)
+        answered += bool(groups)
+        capped += bool(pool and pool[0].capped)
+        full += len(groups) == 5
+        tied += any(len(group) > 1 for group in groups)
+        signed_zero += "-0x0.0p+0" in _hex(scores)
+    assert drawn == {
+        "aggregation": set(AGGREGATION_MODES), "combine": set(COMBINE_MODES),
+        "avgmax_denominator": set(AVGMAX_DENOMINATORS), "score_digits": {1, 2, 3, 9, 15},
+        "candidate_cap": {1, 2, 3, 5, 100}, "df_any_tag": {False, True},
+        "group_surface_variants": {False, True}}
+    # Most cases rank candidates, and many cap the pool, keep five groups,
+    # tie two candidates or keep a -0.0.
+    counts = (answered, capped, full, tied, signed_zero)
+    assert answered > 200 and min(capped, full, tied) > 20 and signed_zero > 5, counts
 
 
 def test_rank_answers_takes_a_group_score_from_its_first_member():

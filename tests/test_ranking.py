@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -102,9 +103,8 @@ def test_rank_rounds_before_grouping():
 def test_rank_empty_input_gives_empty_run():
     # Whatever n_docs is: an empty document set has no candidates.
     for n_docs in (10, 0):
-        run = rank_answers("q1", [], [], [], n_docs, RankingConfig(), "abc123")
-        assert run == TiedRun(question_id="q1", groups=(), scores=(),
-                              config_id="abc123")
+        run = rank_answers("q1", [], [], [], n_docs, RankingConfig())
+        assert run == TiedRun(question_id="q1", groups=(), scores=())
 
 
 def test_rank_rejects_unparallel_inputs():
@@ -177,11 +177,14 @@ def test_run_file_roundtrip(tmp_path):
     runs = [
         TiedRun(question_id="q1",
                 groups=(frozenset({"a", "b"}), frozenset({"c"})),
-                scores=(0.9, 0.5), config_id="abc123"),
-        TiedRun(question_id="q2", groups=(), scores=(), config_id="abc123"),
+                scores=(0.9, 0.5)),
+        TiedRun(question_id="q2", groups=(), scores=()),
     ]
     path = tmp_path / "runs.jsonl"
-    write_runs(path, runs)
+    write_runs(path, runs, "abc123")
+    # The writer stamps its one config id on every line.
+    assert [json.loads(line)["config_id"] for line in path.read_text().splitlines()] == \
+        ["abc123", "abc123"]
     again = load_runs(path)
     assert again == runs
 

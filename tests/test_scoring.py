@@ -276,6 +276,41 @@ def test_cache_rejects_mixed_provider_ids(tmp_path):
     assert "mixed provider_ids" in str(err.value)
 
 
+@pytest.mark.parametrize("second, reason", [
+    (("gamma", [1.0, 0.0], "enc-2"),
+     "mixed provider_ids in one cache: 'enc-2' here but 'enc-1' at line 2"),
+    (("gamma", [1.0, 0.0, 0.0], "enc-1"),
+     "mixed dimensions in one cache: 3 here but 2 at line 2"),
+], ids=["provider_id", "dimension"])
+def test_cache_first_record_fixes_provider_and_dimension(tmp_path, second, reason):
+    # A blank first line: the first record is on line 2. The record that
+    # differs from it is named at its own line, 4.
+    path = _cache_file(tmp_path / "cache.jsonl",
+                       [("alpha", [1.0, 0.0], "enc-1"), ("beta", [0.0, 1.0], "enc-1"), second])
+    path.write_text("\n" + path.read_text())
+    with pytest.raises(ParseError) as err:
+        CacheProvider(path)
+    assert str(err.value) == f"{path}:4: {reason}"
+
+
+def test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines(tmp_path):
+    records = [("alpha", [1.0, 0.0], "x"), ("beta", [0.5, 0.5], "x"),
+               ("alpha", [1.0, 0.0], "x"),  # an identical repeat loads
+               ("gamma", [0.0, 2.0], "x")]
+    path = _cache_file(tmp_path / "cache.jsonl", records)
+    cache = CacheProvider(path)
+    assert len(cache.entries) == 3
+    assert cache.embed("alpha").tolist() == [1.0, 0.0]
+    # Another vector for a digest is not taken in place of the first:
+    # one bit apart (the sign of a zero), or wholly different.
+    for vector in ([1.0, -0.0], [0.0, 1.0]):
+        _cache_file(path, [*records, ("alpha", vector, "x")])
+        with pytest.raises(ParseError) as err:
+            CacheProvider(path)
+        assert str(err.value) == (f"{path}:5: sha256 {text_sha256('alpha')} has another"
+                                  " vector here than at line 1")
+
+
 @pytest.mark.parametrize("vectors", [
     {"alpha": np.array([])},
     {"alpha": np.zeros((2, 2))},
