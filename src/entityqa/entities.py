@@ -54,41 +54,26 @@ class CandidatePool(NamedTuple):
 # Gazetteer backend
 # ---------------------------------------------------------------------------
 
-def _warn_of_entries_that_never_match(path: str | Path, lexicon: dict[str, str]) -> None:
+def _warn_of_entries_that_never_match(path: str | Path, line_of: dict[str, int]) -> None:
     """Log one WARNING with the number of the file's entries that can never
-    match, and the first three as `file:line: surface`.
+    match, and the first three as `file:line: surface`; `line_of` maps each
+    surface to its first line, in file order.
 
     A sentence key is the canonical form of one `WORD` token, so an entry
     with a key token of another shape never matches, and nor does one whose
     canonical form is empty ("__"). Letters and digits between spaces make
     neither: only other surfaces are checked.
     """
-    never = {surface for surface in lexicon
+    never = [surface for surface in line_of
              if not surface.replace(" ", "").isalnum()
              and (not (tokens := canonicalize(surface).split())
                   or any(not WORD.fullmatch(token) or canonicalize(token) != token
-                         for token in tokens))}
-    if not never:
-        return
-    count, shown = len(never), []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            surface = line.split("\t")[0]
-            if surface in never:
-                never.discard(surface)  # a surface given twice is shown once
-                shown.append(f"{path}:{line_no}: {surface}")
-                if len(shown) == 3:
-                    break
-    log.warning("%d gazetteer entries can never match, since each has no key token, or "
-                "one that is not one word token in canonical form: %s%s", count,
-                "; ".join(shown), "; ..." if count > 3 else "")
-
-
-def _first_line(path: str | Path, surface: str) -> int:
-    """The number of the first line of a gazetteer file with this surface."""
-    with open(path, encoding="utf-8") as fh:
-        return next(line_no for line_no, line in enumerate(fh, start=1)
-                    if line.split("\t")[0] == surface)
+                         for token in tokens))]
+    if never:
+        log.warning("%d gazetteer entries can never match, since each has no key token, or "
+                    "one that is not one word token in canonical form: %s%s", len(never),
+                    "; ".join(f"{path}:{line_of[surface]}: {surface}" for surface in never[:3]),
+                    "; ..." if len(never) > 3 else "")
 
 
 class _KeyConflict(ValueError):
@@ -143,6 +128,7 @@ class GazetteerExtractor:
         that names both lines; with the same tag they load as one entry.
         """
         lexicon: dict[str, str] = {}
+        line_of: dict[str, int] = {}  # surface -> its first line
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -156,22 +142,19 @@ class GazetteerExtractor:
                     raise ParseError(str(path), line_no,
                                      f"gazetteer tag {tag!r} not in the tagset")
                 surface = parts[0]
+                line_of.setdefault(surface, line_no)
                 if lexicon.setdefault(surface, tag) != tag:
                     raise ParseError(str(path), line_no,
                                      f"{surface!r} is tagged {tag} here but {lexicon[surface]}"
-                                     f" at line {_first_line(path, surface)}")
-        # One pass over all surfaces clears a lexicon of ASCII letters and
-        # digits between spaces, whose keys can all match.
-        if not ("".join(lexicon).encode().translate(None, b" ").isalnum()
-                and all(map(str.strip, lexicon))):
-            _warn_of_entries_that_never_match(path, lexicon)
+                                     f" at line {line_of[surface]}")
+        _warn_of_entries_that_never_match(path, line_of)
         try:
             return cls(lexicon)
         except _KeyConflict as c:
-            raise ParseError(str(path), _first_line(path, c.second),
+            raise ParseError(str(path), line_of[c.second],
                              f"{c.second!r} is tagged {c.second_tag} here but {c.first!r},"
                              f" of the same canonical key, is tagged {c.first_tag}"
-                             f" at line {_first_line(path, c.first)}") from None
+                             f" at line {line_of[c.first]}") from None
 
     def extract(self, docset: DocumentSet) -> list[EntityMention]:
         """Every gazetteer match in the document set, in document and

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -30,7 +29,6 @@ class Provider(Protocol):
     """Maps a text to a 1-d float vector of length `dim`; every vector of
     one provider lives in one embedding space."""
 
-    provider_id: str
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
@@ -73,22 +71,35 @@ class WordAverageProvider:
     with no in-vocabulary token embeds to the zero vector.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray], provider_id: str = "word-avg"):
+    def __init__(self, vectors: dict[str, np.ndarray]):
+        """Raises ValueError for vectors that are not all non-empty, 1-d and
+        of one length, and for two words that lower-case alike but have
+        different vectors."""
         if not vectors:
             raise EmptyInputError("empty word-vector table")
-        self.vectors = {k.lower(): np.asarray(v, dtype=float) for k, v in vectors.items()}
-        shapes = {v.shape for v in self.vectors.values()}
+        given = {k: np.asarray(v, dtype=float) for k, v in vectors.items()}
+        shapes = {v.shape for v in given.values()}
         if len(shapes) != 1:
             raise ValueError(f"inconsistent vector dimensions {sorted(shapes)}")
         shape = shapes.pop()
         if len(shape) != 1 or shape[0] == 0:
             raise ValueError(f"word vectors must be non-empty and 1-d, got shape {shape}")
         self.dim = shape[0]
-        self.provider_id = provider_id
+        self.vectors: dict[str, np.ndarray] = {}
+        for word, vec in given.items():
+            kept = self.vectors.setdefault(word.lower(), vec)
+            if kept is not vec and kept.tobytes() != vec.tobytes():
+                first = next(k for k in given if k.lower() == word.lower())
+                raise ValueError(f"words {first!r} and {word!r} lower-case alike"
+                                 " but have different vectors")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordAverageProvider":
-        vectors: dict[str, np.ndarray] = {}
+        """Read a vectors file. A word given again, after lower-casing, with
+        another vector is a ParseError that names its first line; an
+        identical repeat loads once."""
+        vectors: dict[str, np.ndarray] = {}  # lower-cased word -> its vector
+        line_of: dict[str, int] = {}  # lower-cased word -> its first line
         dim: int | None = None
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -110,7 +121,12 @@ class WordAverageProvider:
                 elif vec.size != dim:
                     raise ParseError(str(path), line_no,
                                      f"expected {dim} components, got {vec.size}")
-                vectors[parts[0]] = vec
+                word = parts[0].lower()
+                line_of.setdefault(word, line_no)
+                kept = vectors.setdefault(word, vec)
+                if kept is not vec and kept.tobytes() != vec.tobytes():
+                    raise ParseError(str(path), line_no, f"word {word!r} has another vector"
+                                     f" here than at line {line_of[word]}")
         if not vectors:
             raise EmptyInputError(f"{path}: no vectors")
         return cls(vectors)
@@ -155,6 +171,7 @@ class CacheProvider:
         self.path = str(path)
         self.entries: dict[str, np.ndarray] = {}
         first = None  # (line, provider_id, dimension) of the first record
+        line_of: dict[str, int] = {}  # digest -> its first line
         for line_no, raw in read_jsonl(path):
             digest = read_field(raw, "sha256", "string", self.path, line_no)
             values = read_field(raw, "vector", ["number"], self.path, line_no)
@@ -176,18 +193,14 @@ class CacheProvider:
             elif vec.size != first[2]:
                 raise ParseError(self.path, line_no, f"mixed dimensions in one cache: "
                                  f"{vec.size} here but {first[2]} at line {first[0]}")
+            line_of.setdefault(digest, line_no)
             kept = self.entries.setdefault(digest, vec)
             if kept is not vec and kept.tobytes() != vec.tobytes():
                 raise ParseError(self.path, line_no, f"sha256 {digest} has another vector"
-                                 f" here than at line {self._first_line(digest)}")
+                                 f" here than at line {line_of[digest]}")
         if first is None:
             raise EmptyInputError(f"{path}: empty embedding cache")
         _line, self.provider_id, self.dim = first
-
-    def _first_line(self, digest: str) -> int:
-        """The number of the first line of the cache with this digest."""
-        with closing(read_jsonl(self.path)) as records:
-            return next(line_no for line_no, raw in records if raw["sha256"] == digest)
 
     def embed(self, text: str) -> np.ndarray:
         digest = text_sha256(text)

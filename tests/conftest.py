@@ -1,3 +1,4 @@
+import builtins
 import sys
 from pathlib import Path
 
@@ -97,3 +98,17 @@ def config_file(tmp_path, planted_config):
         return path
 
     return _write
+
+
+@pytest.fixture()
+def opens_of(monkeypatch):
+    """opens_of(path) is a list that gains an item each time `open` is
+    called on `path` from then on."""
+    real_open, opened = builtins.open, {}
+
+    def counting_open(file, *args, **kwargs):
+        opened.get(str(file), []).append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return lambda path: opened.setdefault(str(path), [])

@@ -408,9 +408,7 @@ def generate_planted_fixture(root: str | Path, seed: int = 23,
             fh.write(word + " " + " ".join(f"{v:.6f}" for v in values) + "\n")
 
     # Cache: every text the cache-backed provider may be asked for.
-    provider = WordAverageProvider(
-        WordAverageProvider.from_file(vectors_path).vectors,
-        provider_id="frozen-encoder")
+    provider = WordAverageProvider.from_file(vectors_path)
     texts: list[str] = []
     for record in doc_lines:
         doc = segment_sentences(Document(
@@ -421,7 +419,7 @@ def generate_planted_fixture(root: str | Path, seed: int = 23,
     for extra in labeled_texts or ():
         texts.append(preprocess_text(extra))
     cache_path = root / "cache.jsonl"
-    write_cache(cache_path, texts, provider)
+    write_cache(cache_path, texts, provider, provider_id="frozen-encoder")
 
     return PlantedFixture(
         root=root,
@@ -476,8 +474,9 @@ def write_annotations(path: str | Path, docset, mentions) -> None:
     } for doc in docset.documents))
 
 
-def write_cache(path: str | Path, texts, provider) -> int:
-    """Embed texts with `provider` and persist them in cache format."""
+def write_cache(path: str | Path, texts, provider, provider_id: str = "word-avg") -> int:
+    """Embed texts with `provider` and persist them in cache format, each
+    record labelled `provider_id`."""
     from entityqa.corpus import write_jsonl
     from entityqa.scoring import text_sha256
 
@@ -489,7 +488,7 @@ def write_cache(path: str | Path, texts, provider) -> int:
                 "sha256": digest,
                 "text": text,
                 "vector": [float(x) for x in provider.embed(text)],
-                "provider_id": provider.provider_id,
+                "provider_id": provider_id,
             }
     write_jsonl(path, records.values())
     return len(records)

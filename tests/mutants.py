@@ -11,9 +11,12 @@ later refactors.
 For each mutant, src/ is copied into a temporary directory, the edit is
 applied to the copy, and only the named tests run, against the copy. The
 named tests first run once on an unedited copy, where they must pass. The
-exit status is 1 when a named test fails without a mutant, when a mutant's
-text is not found exactly once, or when a mutant survives: a named test
-still passes, or pytest stops before running the tests.
+mutants then run up to `os.cpu_count()` at a time, each pytest in its own
+temporary directory, so each builds its own fixtures from its own copy;
+results are printed in table order. The exit status is 1 when a named test
+fails without a mutant, when a mutant's text is not found exactly once, or
+when a mutant survives: a named test still passes, or pytest stops before
+running the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -114,21 +118,36 @@ MUTANTS = (
            "            kept = self.entries.setdefault(digest, vec)\n",
            "            kept = self.entries[digest] = vec\n",
            ("tests/test_scoring.py::test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines",)),
+    Mutant("gazetteer line map that keeps a surface's last line",
+           "entityqa/entities.py",
+           "                line_of.setdefault(surface, line_no)\n",
+           "                line_of[surface] = line_no\n",
+           ("tests/test_entities.py::test_gazetteer_names_the_first_line_of_a_repeated_surface",)),
+    Mutant("embedding cache line map that keeps a digest's last line",
+           "entityqa/scoring.py",
+           "            line_of.setdefault(digest, line_no)\n",
+           "            line_of[digest] = line_no\n",
+           ("tests/test_scoring.py::test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines",)),
+    Mutant("word vectors that keep the last row of a repeated word",
+           "entityqa/scoring.py",
+           "                kept = vectors.setdefault(word, vec)\n",
+           "                kept = vectors[word] = vec\n",
+           ("tests/test_scoring.py::test_vectors_word_given_two_vectors_is_a_data_error_naming_both_lines",)),
 )
 
 
-def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str] | None:
+def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str] | str:
     """The named tests that fail with `src` first on the import path, or
-    None when pytest ends without running them all (a collection error or
-    an unknown test)."""
+    pytest's output when it ends without running them all (a collection
+    error or an unknown test). Pytest's temporary files go next to `src`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         f"--basetemp={src.parent / 'pytest'}", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
-        sys.stdout.write(proc.stdout + proc.stderr)
-        return None
+        return proc.stdout + proc.stderr
     return set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)) & set(tests)
 
 
@@ -138,31 +157,37 @@ def copy_of_src(tmp: str) -> Path:
     return src
 
 
+def verdict(mutant: Mutant) -> str:
+    """Whether `mutant` was killed, survived or is stale, in one line, and
+    pytest's output after it when pytest stopped before the tests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = copy_of_src(tmp) / mutant.file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"STALE     {mutant.name}: its text occurs {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        failed = failed_tests(Path(tmp) / "src", mutant.tests)
+    if isinstance(failed, str):
+        return f"SURVIVED  {mutant.name}: pytest stopped before the tests\n{failed}"
+    survivors = [t for t in mutant.tests if t not in failed]
+    if survivors:
+        return f"SURVIVED  {mutant.name}: passes {', '.join(survivors)}"
+    return f"killed    {mutant.name}"
+
+
 def main() -> int:
     every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory() as tmp:
         failed = failed_tests(copy_of_src(tmp), every_test)
     if failed != set():
-        print(f"FAILED without a mutant: {sorted(failed) if failed else 'pytest error'}")
+        print(f"FAILED without a mutant: {sorted(failed) if isinstance(failed, set) else failed}")
         return 1
     bad = 0
-    for mutant in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = copy_of_src(tmp) / mutant.file
-            text = path.read_text(encoding="utf-8")
-            count = text.count(mutant.old)
-            if count != 1:
-                print(f"STALE     {mutant.name}: its text occurs {count} times in {mutant.file}")
-                bad += 1
-                continue
-            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-            failed = failed_tests(Path(tmp) / "src", mutant.tests)
-        survivors = [t for t in mutant.tests if failed is None or t not in failed]
-        if survivors:
-            print(f"SURVIVED  {mutant.name}: passes {', '.join(survivors)}")
-            bad += 1
-        else:
-            print(f"killed    {mutant.name}")
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for line in pool.map(verdict, MUTANTS):
+            print(line, flush=True)
+            bad += not line.startswith("killed")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

@@ -178,6 +178,28 @@ def test_run_question_without_documents_exits_1(tmp_path, config_file,
                                   "error": "no document set"}]
 
 
+def test_run_question_that_fails_exits_1_and_the_others_are_answered(
+        tmp_path, config_file, planted, caplog):
+    # An annotation line that names a document rank its question lacks
+    # fails that question alone, when it is answered.
+    failing = planted.questions[3].qid
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(json.dumps({"question_id": failing, "doc_rank": 99,
+                                       "entities": []}) + "\n", encoding="utf-8")
+    cfg = config_file({"ner_backend": "annotations", "annotations_path": str(annotations)})
+    out = tmp_path / "runs.jsonl"
+    with caplog.at_level("INFO", logger="entityqa"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    answered = [json.loads(line)["question_id"] for line in out.read_text().splitlines()]
+    assert answered == [q.qid for q in planted.questions if q.qid != failing]
+    sidecar = json.loads((tmp_path / "runs.jsonl.config.json").read_text())
+    assert sidecar["errors"] == [{"question_id": failing, "error": (
+        f"IngestionError: {annotations}:1: question {failing!r}: annotations reference"
+        f" unknown document {failing!r} rank 99")}]
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert [r.getMessage() for r in errors] == [f"question {failing} failed"]
+
+
 def test_run_malformed_questions_exits_1(tmp_path, config_file):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")

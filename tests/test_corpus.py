@@ -460,6 +460,14 @@ def test_load_questions_duplicate_id_names_line(tmp_path):
     assert ":7:" in str(err.value)
 
 
+def test_load_questions_names_the_line_of_a_blank_text(tmp_path):
+    path = tmp_path / "q.jsonl"
+    path.write_text('{"id": "q1", "text": "ok?"}\n\n{"id": "q2", "text": " \\t"}\n')
+    with pytest.raises(ParseError) as err:
+        load_questions(path)
+    assert str(err.value) == f"{path}:3: question 'q2' has empty text"
+
+
 def test_load_questions_malformed_line(tmp_path):
     path = tmp_path / "q.jsonl"
     path.write_text('{"id": "q1", "text": "ok?", "gold_answers": ["a"]}\nnot json\n')
@@ -539,6 +547,15 @@ def test_load_documents_rejects_ranks_that_are_not_integers(tmp_path, ranks, bad
     with pytest.raises(ParseError, match=rf"d\.jsonl:{bad_line}: question 'q1': "
                                          rf"rank must be an integer, not {re.escape(shown)}$"):
         load_documents(path)
+
+
+def test_load_documents_names_the_line_of_rank_0(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(json.dumps({"question_id": "q1", "rank": rank, "text": "a."}) + "\n"
+                            for rank in (1, 0)))
+    with pytest.raises(ParseError) as err:
+        load_documents(path)
+    assert str(err.value) == f"{path}:2: question 'q1': original_rank must be >= 1"
 
 
 @pytest.mark.parametrize("text, shown", [(None, "None"), (7, "7"), (["a."], "['a.']")])

@@ -152,6 +152,49 @@ def test_gazetteer_surfaces_without_a_key_are_counted_as_never_matching(tmp_path
     assert message.endswith(f": {path}:2: __; {path}:3: ; {path}:4:   ")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("Apple\tORG\nPear\tPRODUCT\n", None),
+    ("Apple\tORG\nU.S.\tGPE\n", None),
+    ("Apple\tORG\nPear\tPRODUCT\nApple\tPRODUCT\n", "tagged PRODUCT here but ORG at line 1"),
+    ("Apple\tORG\nPear\tPRODUCT\napple\tPRODUCT\n", "is tagged ORG at line 1"),
+], ids=["clean", "never-match", "surface-conflict", "key-conflict"])
+def test_gazetteer_load_opens_its_file_once(tmp_path, opens_of, text, error):
+    """The lines that a warning or a conflict names are those read the
+    first time through, not found by reading the file again."""
+    path = tmp_path / "gaz.tsv"
+    path.write_text(text)
+    opened = opens_of(path)
+    if error is None:
+        GazetteerExtractor.from_file(path)
+    else:
+        with pytest.raises(ParseError, match=error):
+            GazetteerExtractor.from_file(path)
+    assert len(opened) == 1
+
+
+def test_gazetteer_names_the_first_line_of_a_repeated_surface(tmp_path, caplog):
+    """A surface given again with its tag is named at its first line, by
+    the key conflict and by the never-match warning, which shows it once."""
+    path = tmp_path / "gaz.tsv"
+    path.write_text("Apple\tORG\nU.S.\tGPE\nApple\tORG\nU.S.\tGPE\nAT&T\tORG\n"
+                    "apple\tPRODUCT\n")
+    with caplog.at_level("WARNING", logger="entityqa.entities"), \
+            pytest.raises(ParseError) as err:
+        GazetteerExtractor.from_file(path)
+    assert str(err.value) == (f"{path}:6: 'apple' is tagged PRODUCT here but 'Apple',"
+                              " of the same canonical key, is tagged ORG at line 1")
+    assert caplog.records[0].getMessage().endswith(f": {path}:2: U.S.; {path}:5: AT&T")
+
+
+@pytest.mark.parametrize("line", ["Paris", "Paris\tGPE\tcity", "Paris GPE"])
+def test_gazetteer_line_without_exactly_one_tab_is_a_data_error(tmp_path, line):
+    path = tmp_path / "gaz.tsv"
+    path.write_text(f"# places\nRome\tGPE\n\n{line}\n")
+    with pytest.raises(ParseError) as err:
+        GazetteerExtractor.from_file(path)
+    assert str(err.value) == f"{path}:4: expected 'surface<TAB>tag'"
+
+
 def test_gazetteer_sentence_indices():
     ext = GazetteerExtractor({"Paris": "GPE"})
     docset = _docset(["Nothing here. Paris is nice."])
@@ -184,6 +227,35 @@ def test_annotation_file_bad_sentence_index(tmp_path):
                     '"start": 0, "end": 1}]}\n')
     with pytest.raises(IngestionError):
         AnnotationFileExtractor(path).extract(docset)
+
+
+def _annotation_file(path, entity):
+    """An annotation file whose second line holds one entity of q1's document 1."""
+    path.write_text("".join(json.dumps(record) + "\n" for record in (
+        {"question_id": "q2", "doc_rank": 1, "entities": []},
+        {"question_id": "q1", "doc_rank": 1, "entities": [
+            {"surface": "x", "tag": "PERSON", "sent_idx": 0, "start": 0, "end": 1, **entity}]})))
+    return path
+
+
+def test_annotation_file_rejects_a_negative_sentence_index_at_load(tmp_path):
+    path = _annotation_file(tmp_path / "ann.jsonl", {"sent_idx": -1})
+    with pytest.raises(ParseError) as err:
+        AnnotationFileExtractor(path)
+    assert str(err.value) == f"{path}:2: question 'q1': negative sentence index -1"
+
+
+def test_annotation_span_past_its_sentence_is_an_ingestion_error(tmp_path):
+    # "Only one sentence." has 18 characters: a span may end at 18, not 19.
+    docset = _docset(["Only one sentence."])
+    path = _annotation_file(tmp_path / "ann.jsonl", {"surface": "sentence.", "start": 9,
+                                                     "end": 18})
+    assert [m.surface for m in AnnotationFileExtractor(path).extract(docset)] == ["sentence."]
+    _annotation_file(path, {"start": 9, "end": 19})
+    with pytest.raises(IngestionError) as err:
+        AnnotationFileExtractor(path).extract(docset)
+    assert str(err.value) == (f"{path}:2: question 'q1': span [9, 19) outside"
+                              " sentence 0 of q1#1")
 
 
 @pytest.mark.parametrize("rank, shown", [(2.5, "2.5"), (True, "True"), (False, "False"),

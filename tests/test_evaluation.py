@@ -208,6 +208,24 @@ def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
         assert str(err.value) == f"{path}:2: {reason}"
 
 
+def test_load_qrels_names_the_line_of_a_gold_answer_empty_after_canonicalisation(tmp_path):
+    path = tmp_path / "qrels.jsonl"
+    write_jsonl(path, [{"question_id": "q1", "gold_answers": ["Paris"]},
+                       {"question_id": "q2", "gold_answers": ["Rome", "__"]}])
+    with pytest.raises(ParseError) as err:
+        load_qrels(path)
+    assert str(err.value) == f"{path}:2: gold answer empty after normalization for 'q2'"
+
+
+def test_load_qrels_of_blank_lines_is_a_data_error(tmp_path):
+    # No line holds the fault, so the line is 0.
+    path = tmp_path / "qrels.jsonl"
+    path.write_text("\n  \n\n")
+    with pytest.raises(ParseError) as err:
+        load_qrels(path)
+    assert str(err.value) == f"{path}:0: no judgments"
+
+
 @pytest.mark.parametrize("value, shown", NOT_QUESTION_IDS)
 def test_load_qrels_takes_ids_as_strings_or_integers(tmp_path, value, shown):
     path = tmp_path / "qrels.jsonl"

@@ -326,6 +326,27 @@ def test_ablation_requires_full_coverage(planted, planted_config):
     assert questions[0].id in str(err.value)
 
 
+@pytest.mark.parametrize("drop, reason", [
+    ("questions", "no questions to evaluate"),
+    ("duplicate", "duplicate question ids: ['{qid}']"),
+    ("documents", "questions without document sets: ['{qid}']"),
+])
+def test_ablation_rejects_a_question_set_it_cannot_cover(planted, planted_config,
+                                                          drop, reason):
+    questions, docsets = _inputs(planted)
+    qid = questions[1].id
+    if drop == "questions":
+        questions = []
+    elif drop == "duplicate":
+        questions = questions + [questions[1]]
+    else:
+        del docsets[qid]
+    with pytest.raises(DataError) as err:
+        run_ablation(PipelineConfig(**planted_config), questions, docsets,
+                     load_qrels(planted.qrels_path))
+    assert str(err.value) == reason.format(qid=qid)
+
+
 # ---------------------------------------------------------------------------
 # run-file evaluation
 # ---------------------------------------------------------------------------
@@ -365,6 +386,11 @@ def test_evaluate_run_files_pairwise(tmp_path):
     payload = json.loads(out.read_text())
     assert payload[0]["run_a"] == "sysA"
     assert any(t["metric"] == "tMRR" for t in payload[0]["tests"])
+
+
+def test_evaluate_run_files_without_a_file_is_a_data_error():
+    with pytest.raises(DataError, match="^no run files given$"):
+        evaluate_run_files([], _mini_judgments(["q1"]))
 
 
 def test_evaluate_run_files_rejects_empty_file(tmp_path):
@@ -434,3 +460,15 @@ def test_latency_bench_rejects_empty_questions(planted, planted_config):
     with pytest.raises(DataError):
         run_latency_bench(PipelineConfig(**planted_config), [], docsets,
                           iterations=1)
+
+
+def test_latency_bench_rejects_zero_iterations_and_questions_without_documents(
+        planted, planted_config):
+    questions, docsets = _inputs(planted)
+    config = PipelineConfig(**planted_config)
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        run_latency_bench(config, questions, docsets, iterations=0)
+    del docsets[questions[2].id]
+    with pytest.raises(DataError) as err:
+        run_latency_bench(config, questions, docsets, iterations=1)
+    assert str(err.value) == f"questions without document sets: ['{questions[2].id}']"

@@ -261,6 +261,20 @@ def test_load_labeled_unknown_label(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("HUMAN:individual", "expected 'LABEL:fine<TAB>text'"),
+    ("HUMAN\tWho won?", "label 'HUMAN' lacks a fine part"),
+    ("HUMAN Who won?", "label 'HUMAN' lacks a fine part"),
+    ("HUMAN:individual\t  ", "empty question text"),
+], ids=["no-separator", "no-colon-tab", "no-colon-space", "empty-text"])
+def test_load_labeled_names_the_line_of_a_malformed_row(tmp_path, line, reason):
+    path = tmp_path / "labeled.txt"
+    path.write_text(f"HUMAN:individual\tWho won?\n\n{line}\n")
+    with pytest.raises(ParseError) as err:
+        load_labeled_questions(path)
+    assert str(err.value) == f"{path}:3: {reason}"
+
+
 def test_load_labeled_empty(tmp_path):
     path = tmp_path / "labeled.txt"
     path.write_text("")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracles import brute_force_aggregate, reference_cosine, reference_word_aver
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import CandidateEntity, GazetteerExtractor, build_pool
-from entityqa.errors import CacheMissError, ParseError
+from entityqa.errors import CacheMissError, EmptyInputError, ParseError
 from entityqa.scoring import (
     AGGREGATION_MODES,
     CacheProvider,
@@ -22,15 +23,14 @@ from entityqa.scoring import (
 )
 
 
-def _provider(vectors=None, provider_id="word-avg"):
+def _provider(vectors=None):
     vectors = vectors or {
         "alpha": np.array([1.0, 0.0]),
         "beta": np.array([0.0, 1.0]),
         "gamma": np.array([1.0, 1.0]),
     }
     return WordAverageProvider(vectors={k: np.asarray(v, dtype=float)
-                                        for k, v in vectors.items()},
-                               provider_id=provider_id)
+                                        for k, v in vectors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,57 @@ def test_provider_from_file_rejects_non_finite_component(tmp_path, line, reason)
     assert str(err.value) == f"{path}:2: {reason}"
 
 
+@pytest.mark.parametrize("text, line_no, reason", [
+    ("alpha 1.0 0.0\nbeta\n", 2, "expected 'token v1 ... vd'"),
+    ("alpha 1.0 0.0\nbeta 0.5 x\n", 2,
+     "bad float: could not convert string to float: 'x'"),
+    ("alpha 1.0 0.0\n\n\nbeta 0.5\n", 4, "expected 2 components, got 1"),
+], ids=["no-components", "not-a-number", "after-blank-lines"])
+def test_provider_from_file_names_the_line_of_a_bad_row(tmp_path, text, line_no, reason):
+    # Blank lines are skipped, but counted.
+    path = tmp_path / "vectors.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        WordAverageProvider.from_file(path)
+    assert str(err.value) == f"{path}:{line_no}: {reason}"
+    path.write_text(text.rpartition("beta")[0])
+    assert list(WordAverageProvider.from_file(path).vectors) == ["alpha"]
+
+
+def test_provider_from_file_rejects_a_file_without_vectors(tmp_path):
+    path = tmp_path / "vectors.txt"
+    for text in ("", "\n\n"):
+        path.write_text(text)
+        with pytest.raises(EmptyInputError, match=f"^{re.escape(str(path))}: no vectors$"):
+            WordAverageProvider.from_file(path)
+
+
+def test_vectors_word_given_two_vectors_is_a_data_error_naming_both_lines(tmp_path):
+    """Which row a word embeds to must not depend on line order: a word
+    given again, after lower-casing, with another vector is a ParseError at
+    the later line that names the first; an identical repeat loads once."""
+    path = tmp_path / "vectors.txt"
+    path.write_text("Paris 1 0\nthe 1 1\nPARIS 1 0\nparis 1.0 0.0\n")
+    provider = WordAverageProvider.from_file(path)
+    assert {w: v.tolist() for w, v in provider.vectors.items()} == {
+        "paris": [1.0, 0.0], "the": [1.0, 1.0]}
+    assert provider.embed("Paris the").tolist() == [1.0, 0.5]
+    # One bit apart (the sign of a zero), or wholly different.
+    for row in ("paris 1 -0", "paris 0 1"):
+        path.write_text(f"Paris 1 0\nthe 1 1\nPARIS 1 0\n{row}\nthe 2 2\n")
+        with pytest.raises(ParseError) as err:
+            WordAverageProvider.from_file(path)
+        assert str(err.value) == f"{path}:4: word 'paris' has another vector here than at line 1"
+
+
+def test_word_average_rejects_words_that_lower_case_alike_with_other_vectors():
+    provider = WordAverageProvider({"Paris": [1.0, 0.0], "paris": [1.0, 0.0]})
+    assert list(provider.vectors) == ["paris"]
+    with pytest.raises(ValueError, match="^words 'Paris' and 'PARIS' lower-case alike"
+                                         " but have different vectors$"):
+        WordAverageProvider({"Paris": [1.0, 0.0], "the": [1.0, 1.0], "PARIS": [0.0, 1.0]})
+
+
 def test_vectors_load_exactly_where_the_squared_norm_is_a_normal_float(tmp_path):
     # The loaders settle most vectors by their `math.hypot` norm. Around both
     # ends of the range they must still accept exactly the vectors whose
@@ -187,10 +238,10 @@ def test_vectors_load_exactly_where_the_squared_norm_is_a_normal_float(tmp_path)
 # ---------------------------------------------------------------------------
 
 def test_cache_roundtrip_bit_for_bit(tmp_path):
-    p = _provider(provider_id="enc-1")
+    p = _provider()
     texts = ["alpha beta", "gamma alone", "alpha beta"]  # dup collapses
     path = tmp_path / "cache.jsonl"
-    n = write_cache(path, texts, p)
+    n = write_cache(path, texts, p, provider_id="enc-1")
     assert n == 2
     cache = CacheProvider(path)
     assert cache.provider_id == "enc-1"
@@ -309,6 +360,24 @@ def test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines(tmp_pa
             CacheProvider(path)
         assert str(err.value) == (f"{path}:5: sha256 {text_sha256('alpha')} has another"
                                   " vector here than at line 1")
+
+
+@pytest.mark.parametrize("records, error", [
+    ([("alpha", [1.0, 0.0], "x"), ("beta", [0.5, 0.5], "x")], None),
+    ([("alpha", [1.0, 0.0], "x"), ("beta", [0.5, 0.5], "x"), ("alpha", [0.0, 1.0], "x")],
+     "has another vector here than at line 1"),
+], ids=["clean", "digest-conflict"])
+def test_cache_load_opens_its_file_once(tmp_path, opens_of, records, error):
+    """The line a digest conflict names is the one read the first time
+    through, not found by reading the cache again."""
+    path = _cache_file(tmp_path / "cache.jsonl", records)
+    opened = opens_of(path)
+    if error is None:
+        CacheProvider(path)
+    else:
+        with pytest.raises(ParseError, match=error):
+            CacheProvider(path)
+    assert len(opened) == 1
 
 
 @pytest.mark.parametrize("vectors", [
@@ -465,7 +534,6 @@ def test_build_evidence_equals_reference_cosine_randomized(tmp_path):
 class _TableProvider:
     """Embeds each text as the vector a table gives it."""
 
-    provider_id = "table"
     dim = 4
 
     def __init__(self, table):
