@@ -103,10 +103,10 @@ class WordAverageProvider:
         dim: int | None = None
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) < 2:
-                    if not line.strip():
-                        continue
                     raise ParseError(str(path), line_no, "expected 'token v1 ... vd'")
                 try:
                     values = [float(x) for x in parts[1:]]

@@ -43,11 +43,11 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("scipy imported with the module, so that `run` and `ablate` load it",
+    Mutant("scipy imported with the module, so that no command runs without it",
            "entityqa/evaluation.py",
            "from typing import Iterable, Mapping, Sequence\n\n",
            "from typing import Iterable, Mapping, Sequence\n\nfrom scipy.special import stdtr\n\n",
-           ("tests/test_exports.py::test_only_the_t_tests_of_evaluate_load_scipy",)),
+           ("tests/test_exports.py::test_no_command_loads_scipy",)),
     Mutant("builtin max for np.maximum.reduce, which keeps -0.0 on (-0.0, 0.0)",
            "entityqa/scoring.py",
            "value = float(np.maximum.reduce(evidence.scores))",
@@ -133,6 +133,27 @@ MUTANTS = (
            "                kept = vectors.setdefault(word, vec)\n",
            "                kept = vectors[word] = vec\n",
            ("tests/test_scoring.py::test_vectors_word_given_two_vectors_is_a_data_error_naming_both_lines",)),
+    Mutant("t-test complement formed as 1 - x, which loses the digits of a small t",
+           "entityqa/evaluation.py",
+           "        x, y = df / (df + q), q / (df + q)\n",
+           "        x, y = df / (df + q), 1.0 - df / (df + q)\n",
+           ("tests/test_evaluation.py::test_t_p_value_matches_scipy_within_1e_8",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[1]",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[2]")),
+    Mutant("t-test continued fraction taken on the side of x only",
+           "entityqa/evaluation.py",
+           "    if x < (a + 1.0) / (a + 2.5):\n",
+           "    if True:\n",
+           ("tests/test_evaluation.py::test_t_p_value_matches_scipy_within_1e_8",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[1]",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[2]")),
+    Mutant("t-test continued fraction taken on the side of 1 - x only",
+           "entityqa/evaluation.py",
+           "    if x < (a + 1.0) / (a + 2.5):\n",
+           "    if False:\n",
+           ("tests/test_evaluation.py::test_t_p_value_matches_scipy_within_1e_8",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[1]",
+            "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[2]")),
 )
 
 

@@ -43,7 +43,7 @@ EVALUATE_GOLDEN = {
     "eval.json":
         "819a9dc6a1d9816d991128d02c45e568e4f3184e87ed3490eb1d380c9e822157",
     "eval.significance.json":
-        "6a0e52f85dd64e6ff6e39746ea98d94c40f4515bf7d2bb37ab55a7b137c093c5",
+        "b1f46a0d3e53ddeb1a11472f236ba8d6e629ed73eaeac4fadc390f4db0911856",
 }
 ABLATE_GOLDEN = {
     "ablation.csv":

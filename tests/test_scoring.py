@@ -170,6 +170,17 @@ def test_provider_from_file_names_the_line_of_a_bad_row(tmp_path, text, line_no,
     assert list(WordAverageProvider.from_file(path).vectors) == ["alpha"]
 
 
+def test_provider_from_file_skips_every_whitespace_only_line(tmp_path):
+    # A line of spaces is as blank as an empty line or a line of tabs.
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n  \nalpha 1.0 0.0\n\t\t\n \t \nbeta 0.0 1.0\n   \n")
+    provider = WordAverageProvider.from_file(path)
+    assert list(provider.vectors) == ["alpha", "beta"]
+    path.write_text("  \n\t\n")
+    with pytest.raises(EmptyInputError, match=f"^{re.escape(str(path))}: no vectors$"):
+        WordAverageProvider.from_file(path)
+
+
 def test_provider_from_file_rejects_a_file_without_vectors(tmp_path):
     path = tmp_path / "vectors.txt"
     for text in ("", "\n\n"):
