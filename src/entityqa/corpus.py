@@ -332,8 +332,47 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Indented JSON with sorted keys and a final newline, written atomically."""
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Indented JSON with sorted keys and a final newline, written atomically:
+    the text of json.dumps(payload, indent=2, sort_keys=True)."""
+    atomic_write_text(path, _indented_json(payload, "\n") + "\n")
+
+
+# The exact types of json's scalars. A container holding a value of any
+# other type, a subclass included, is written value by value.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _indented_json(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value whose line
+    starts at `pad`, a newline and its indentation. json's indented encoder
+    is pure Python; here each container whose values are all scalars is one
+    call to its C encoder, with the newline and indentation of the values
+    in the item separator and the brackets wrapped round after."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = pad + "  "
+    if _JSON_SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if is_dict:
+        body = ("," + inner).join(f"{_json_key(k)}: {_indented_json(v, inner)}"
+                                  for k, v in sorted(value.items()))
+        return "{" + inner + body + pad + "}"
+    return "[" + inner + ("," + inner).join(_indented_json(v, inner) for v in value) \
+        + pad + "]"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or a scalar's text quoted."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def write_documents(path: str | Path, docsets: Iterable[DocumentSet]) -> None:

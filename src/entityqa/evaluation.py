@@ -43,14 +43,18 @@ class Judgment:
             raise ValueError(f"empty gold set for {self.question_id!r}")
         if self.match_policy not in MATCH_POLICIES:
             raise ValueError(f"unknown match policy {self.match_policy!r}")
-        normalized = frozenset(canonicalize(g) for g in self.gold_answers)
-        if any(not g for g in normalized):
+        normalized = frozenset(map(canonicalize, self.gold_answers))
+        if "" in normalized:
             raise ValueError(f"gold answer empty after normalization "
                              f"for {self.question_id!r}")
         object.__setattr__(self, "gold_answers", normalized)
-        # Derived, not a field: the space-padded forms of the containment test.
-        object.__setattr__(self, "padded_golds",
-                           tuple(f" {g} " for g in normalized))
+        # Derived, not fields: the space-padded forms of the containment
+        # test, the same joined by newlines (no canonical form holds one),
+        # and the length of the shortest.
+        padded = tuple(f" {g} " for g in normalized)
+        object.__setattr__(self, "padded_golds", padded)
+        object.__setattr__(self, "joined_golds", "\n".join(padded))
+        object.__setattr__(self, "shortest_gold", min(map(len, padded)))
 
 
 def load_qrels(path: str | Path,
@@ -84,19 +88,23 @@ def match_answer(candidate: str, judgment: Judgment) -> bool:
     forms are tokens joined by single spaces, so the tokens of one occur
     contiguously in the other's exactly when the one, padded with a
     space at each end, is a substring of the other, padded alike.
+
+    One search of the newline-joined padded golds finds a candidate equal
+    to or inside a gold: the candidate holds no newline, so a hit lies in
+    one gold. A gold inside the candidate is then searched for only when
+    the candidate is longer than the shortest gold, since a gold of the
+    candidate's length inside it would equal it.
     """
     cand = canonicalize(candidate)
     if not cand:
         return False
-    if cand in judgment.gold_answers:
-        return True
     if judgment.match_policy != "containment":
-        return False
+        return cand in judgment.gold_answers
     padded = f" {cand} "
-    for gold in judgment.padded_golds:
-        if gold in padded or padded in gold:
-            return True
-    return False
+    if padded in judgment.joined_golds:
+        return True
+    return len(padded) > judgment.shortest_gold and \
+        any(gold in padded for gold in judgment.padded_golds)
 
 
 def matching_surfaces(surfaces: Iterable[str],

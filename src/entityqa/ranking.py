@@ -9,6 +9,7 @@ combined scores share a rank; the run keeps the five best rank groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -145,9 +146,13 @@ def load_runs(path: str | Path) -> list[TiedRun]:
                              f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
         seen[qid] = line_no
         groups = read_field(raw, "groups", "array", path, line_no)
-        groups = tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
-                                            name="a group"))
-                       for i in range(len(groups)))
+        if {list}.issuperset(map(type, groups)) and \
+                {str}.issuperset(map(type, chain.from_iterable(groups))):
+            groups = tuple(map(frozenset, groups))
+        else:  # read group by group, for an error that names the first bad one
+            groups = tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
+                                                name="a group"))
+                           for i in range(len(groups)))
         scores = tuple(read_field(raw, "scores", ["number"], path, line_no))
         # Checked, not kept: the file's sidecar names the config behind it.
         read_field(raw, "config_id", "string", path, line_no, default="")

@@ -154,6 +154,48 @@ MUTANTS = (
            ("tests/test_evaluation.py::test_t_p_value_matches_scipy_within_1e_8",
             "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[1]",
             "tests/test_evaluation.py::test_t_p_value_matches_closed_forms_within_1e_12[2]")),
+    Mutant("containment match whose first search finds only a gold equal to the candidate",
+           "entityqa/evaluation.py",
+           "    if padded in judgment.joined_golds:\n",
+           "    if padded in judgment.padded_golds:\n",
+           ("tests/test_evaluation.py::test_match_answer_length_guard_boundaries[inside-gold]",
+            "tests/test_evaluation.py::test_match_answer_length_guard_boundaries[inside-longer-gold]",
+            "tests/test_evaluation.py::test_match_answer_equals_reference_randomized[containment]")),
+    Mutant("containment match that looks for a gold inside the candidate only when it is "
+           "2 characters longer than the shortest gold",
+           "entityqa/evaluation.py",
+           "    return len(padded) > judgment.shortest_gold and \\\n",
+           "    return len(padded) > judgment.shortest_gold + 2 and \\\n",
+           ("tests/test_evaluation.py::test_match_answer_length_guard_boundaries[shortest-first]",
+            "tests/test_evaluation.py::test_match_answer_length_guard_boundaries[shortest-last]",
+            "tests/test_evaluation.py::test_match_answer_length_guard_boundaries[shortest-of-two]")),
+    Mutant("run file reader whose one-pass check skips the type of each member",
+           "entityqa/ranking.py",
+           "                {str}.issuperset(map(type, chain.from_iterable(groups))):\n",
+           "                True:\n",
+           ("tests/test_ranking.py::test_load_runs_rejects_a_string_for_a_list[member-null]",)),
+    Mutant("run file reader whose one-pass check takes a string for a group",
+           "entityqa/ranking.py",
+           "        if {list}.issuperset(map(type, groups)) and \\\n",
+           "        if {list, str}.issuperset(map(type, groups)) and \\\n",
+           ("tests/test_ranking.py::test_load_runs_rejects_a_string_for_a_list[a group-groups1-scores1]",)),
+    Mutant("JSON writer whose one-call containers separate values without the indent",
+           "entityqa/corpus.py",
+           'separators=("," + inner, ": ")',
+           'separators=(",\\n", ": ")',
+           ("tests/test_corpus.py::test_write_json_equals_indented_json_dumps_on_random_payloads",
+            "tests/test_golden.py::test_planted_evaluate_outputs_match_golden_digests",
+            "tests/test_golden.py::test_planted_ablation_outputs_match_golden_digests")),
+    Mutant("JSON writer that takes a tuple of values for a scalar",
+           "entityqa/corpus.py",
+           "_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})",
+           "_JSON_SCALARS = frozenset({str, int, float, bool, type(None), tuple})",
+           ("tests/test_corpus.py::test_write_json_equals_indented_json_dumps_on_random_payloads",)),
+    Mutant("JSON writer that leaves a non-string key of a nested container unquoted",
+           "entityqa/corpus.py",
+           """        return f'"{json.dumps(key)}"'\n""",
+           """        return json.dumps(key)\n""",
+           ("tests/test_corpus.py::test_write_json_equals_indented_json_dumps_on_random_payloads",)),
 )
 
 
@@ -169,7 +211,8 @@ def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str] | str:
         cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         return proc.stdout + proc.stderr
-    return set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)) & set(tests)
+    # A summary line is "FAILED <node id>[ - <message>]"; a node id may hold a space.
+    return set(re.findall(r"^FAILED (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE)) & set(tests)
 
 
 def copy_of_src(tmp: str) -> Path:

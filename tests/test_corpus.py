@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -505,6 +506,71 @@ def test_json_writers_formats(tmp_path):
     assert doc.read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": "caf\\u00e9"\n}\n'
     assert read_json(doc) == {"a": [1], "b": "café"}
     assert list(read_jsonl(lines)) == [(1, {"b": "café", "a": 1}), (2, {})]
+
+
+# Characters that json escapes, or writes as \u escapes: quotes, controls,
+# non-ASCII and a character outside the basic plane.
+_JSON_CHARS = ("a", "Z", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+               "é", "\u2028", "☃", "\U0001f600")
+_JSON_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, 5e-324, 0.1)
+_BIG_INTS = (2 ** 64, -(2 ** 200), 10 ** 100)
+
+
+def _random_json_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 4)))
+
+
+def _random_json_scalar(rng: random.Random):
+    return rng.choice((
+        lambda: _random_json_text(rng), lambda: rng.randint(-9, 9),
+        lambda: rng.uniform(-1e3, 1e3), lambda: rng.choice(_JSON_FLOATS),
+        lambda: rng.choice(_BIG_INTS), lambda: rng.choice((True, False, None)),
+    ))()
+
+
+def _random_json_keys(rng: random.Random, n: int) -> list:
+    """Keys of one kind that sort together; now and then one of another kind,
+    which json cannot sort."""
+    keys = rng.choice((
+        lambda: [_random_json_text(rng) for _ in range(n)],
+        lambda: [rng.randint(-9, 9) for _ in range(n)],
+        lambda: [rng.choice((rng.uniform(-9, 9), *_JSON_FLOATS)) for _ in range(n)],
+        lambda: [rng.choice((True, False, 2, 0.5)) for _ in range(n)],
+        lambda: [None],
+    ))()
+    if n and rng.random() < 0.02:
+        keys[-1] = rng.choice(("1", 1, None))
+    return keys
+
+
+def _random_json_payload(rng: random.Random, depth: int = 0):
+    if depth > 3 or rng.random() < 0.3:
+        return _random_json_scalar(rng)
+    values = [_random_json_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return values
+    if kind == 1:
+        return tuple(values)
+    return dict(zip(_random_json_keys(rng, len(values)), values))
+
+
+def test_write_json_equals_indented_json_dumps_on_random_payloads(tmp_path):
+    rng = random.Random(17)
+    path = tmp_path / "out.json"
+    refused = 0
+    for _ in range(3000):
+        payload = _random_json_payload(rng)
+        try:
+            want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        except TypeError:  # keys that do not sort together
+            with pytest.raises(TypeError):
+                write_json(path, payload)
+            refused += 1
+            continue
+        write_json(path, payload)
+        assert path.read_bytes() == want.encode("utf-8"), payload
+    assert 0 < refused < 300
 
 
 def test_load_documents_sorted_by_rank(tmp_path):

@@ -173,6 +173,31 @@ def test_match_answer_equals_reference_randomized(policy):
     assert min(outcomes.values()) > 1000
 
 
+@pytest.mark.parametrize("golds, candidate, expected", [
+    # The shortest gold inside a candidate one token longer.
+    (("a",), "a b", True),
+    (("a",), "b a", True),
+    (("a", "b c d"), "c a", True),
+    # Golds of different lengths in one judgment: the shorter or the
+    # longer one inside the candidate, or neither.
+    (("a b", "c d e f"), "x c d e f", True),
+    (("a b c", "d"), "x a b c", True),
+    (("a b c", "d e"), "e d", False),
+    (("a b c", "d e"), "x a b", False),
+    # A candidate inside a longer gold, and of the same length as a gold.
+    (("a b c d",), "b c", True),
+    (("a", "b c d"), "c", True),
+    (("a b", "c d"), "b c", False),
+    (("ab",), "a", False),
+], ids=["shortest-first", "shortest-last", "shortest-of-two", "longer-of-two",
+        "shorter-of-two", "neither-reversed", "neither-prefix", "inside-gold",
+        "inside-longer-gold", "across-golds", "inside-a-token"])
+def test_match_answer_length_guard_boundaries(golds, candidate, expected):
+    judgment = _judgment(*golds)
+    assert match_answer(candidate, judgment) is expected
+    assert reference_match_answer(candidate, golds, "containment") is expected
+
+
 def test_load_qrels(tmp_path):
     path = tmp_path / "qrels.jsonl"
     rows = [{"question_id": "q1", "gold_answers": ["A", "B"]},

@@ -228,3 +228,27 @@ def test_load_runs_rejects_malformed(tmp_path):
     with pytest.raises(ParseError) as err:
         load_runs(path)
     assert ":1:" in str(err.value)
+
+
+@pytest.mark.parametrize("groups, scores, reason", [
+    ([{"a"}, {"b"}], (0.9,), "one score per group required"),
+    ([{"a"}, set()], (0.9, 0.5), "empty tie group"),
+    ([{"a"}, {"b"}], (0.5, 0.9), "group scores must be strictly decreasing"),
+    ([{"a"}, {"b"}], (0.5, 0.5), "group scores must be strictly decreasing"),
+    ([{"a", "b"}, {"c"}, {"b"}], (0.9, 0.5, 0.1), "tie groups must be pairwise disjoint"),
+], ids=["scores-short", "empty-group", "increasing", "equal", "overlap"])
+def test_tied_run_rules(groups, scores, reason):
+    with pytest.raises(ValueError) as err:
+        TiedRun(question_id="q1", groups=tuple(map(frozenset, groups)), scores=scores)
+    assert str(err.value) == reason
+
+
+def test_load_runs_names_the_line_of_overlapping_groups(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, [{"question_id": "q1", "groups": [["a"]], "scores": [0.9]},
+                       {"question_id": "q2", "groups": [["a", "b"], ["b"]],
+                        "scores": [0.9, 0.5]}])
+    with pytest.raises(ParseError) as err:
+        load_runs(path)
+    assert str(err.value) == \
+        f"{path}:2: invalid run record: tie groups must be pairwise disjoint"
