@@ -92,25 +92,32 @@ class GazetteerExtractor:
     The lexicon is a TSV file of "surface<TAB>tag" lines. Matching is done
     over canonicalised token sequences, left to right, always preferring the
     longest phrase starting at the current token; matches do not overlap.
+
+    `entries` is keyed by each surface's canonical form, its tokens joined
+    by one space, and a span of a sentence is looked up as its token keys
+    joined by one space. A sentence key is the canonical form of one `WORD`
+    token and holds no space, so the joined span equals an entry key
+    exactly when their tokens are equal.
     """
 
     def __init__(self, lexicon: dict[str, str]):
         """Raises ValueError for a tag outside the tagset, and for two
         surfaces with one canonical key but different tags."""
-        self.entries: dict[tuple[str, ...], str] = {}
+        self.entries: dict[str, str] = {}
         for surface, tag in lexicon.items():
             if tag not in ONTONOTES_TAGS:
                 raise ValueError(f"gazetteer tag {tag!r} not in the tagset")
-            key = tuple(canonicalize(surface).split())
+            key = canonicalize(surface)
             if key and self.entries.setdefault(key, tag) != tag:
-                first = next(s for s in lexicon if tuple(canonicalize(s).split()) == key)
+                first = next(s for s in lexicon if canonicalize(s) == key)
                 raise _KeyConflict(first, self.entries[key], surface, tag)
         # Bit L is set when an entry of L tokens begins with the first
         # token: a match can only start at a token found here, and has one
         # of its lengths. One int per token keeps the index small.
         lengths_from: dict[str, int] = {}
         for key in self.entries:
-            lengths_from[key[0]] = lengths_from.get(key[0], 0) | 1 << len(key)
+            start = key.partition(" ")[0]
+            lengths_from[start] = lengths_from.get(start, 0) | 1 << (key.count(" ") + 1)
         self.lengths_from = lengths_from
 
     @classmethod
@@ -214,7 +221,7 @@ class GazetteerExtractor:
             lengths = lengths_from[keys[i]] & ((2 << (n - i)) - 1)  # those that fit
             while lengths:
                 length = lengths.bit_length() - 1
-                tag = entries.get(tuple(keys[i:i + length]))
+                tag = entries.get(" ".join(keys[i:i + length]))
                 if tag is not None:
                     first = next(islice(tokens, i - free, None))
                     last = first if length == 1 else next(islice(tokens, length - 2, None))

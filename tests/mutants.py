@@ -67,11 +67,31 @@ MUTANTS = (
     Mutant("gazetteer key given two tags keeps the last",
            "entityqa/entities.py",
            "            if key and self.entries.setdefault(key, tag) != tag:\n"
-           "                first = next(s for s in lexicon if tuple(canonicalize(s).split()) == key)\n"
+           "                first = next(s for s in lexicon if canonicalize(s) == key)\n"
            "                raise _KeyConflict(first, self.entries[key], surface, tag)\n",
            "            if key:\n"
            "                self.entries[key] = tag\n",
            ("tests/test_entities.py::test_gazetteer_key_given_two_tags_is_a_data_error_naming_both_lines",)),
+    Mutant("gazetteer start index that counts an entry's characters, not its tokens",
+           "entityqa/entities.py",
+           'lengths_from.get(start, 0) | 1 << (key.count(" ") + 1)',
+           'lengths_from.get(start, 0) | 1 << len(key)',
+           ("tests/test_entities.py::test_gazetteer_index_is_keyed_by_canonical_strings_on_random_lexicons",
+            "tests/test_entities.py::test_gazetteer_scan_matches_reference_on_random_corpora")),
+    Mutant("gazetteer start index keyed by a whole entry, not its first token",
+           "entityqa/entities.py",
+           '            start = key.partition(" ")[0]\n',
+           "            start = key\n",
+           ("tests/test_entities.py::test_gazetteer_index_is_keyed_by_canonical_strings_on_random_lexicons",
+            "tests/test_entities.py::test_gazetteer_longest_match_wins",
+            "tests/test_entities.py::test_gazetteer_scan_matches_reference_on_random_corpora")),
+    Mutant("gazetteer span looked up with its token keys joined by no space",
+           "entityqa/entities.py",
+           'tag = entries.get(" ".join(keys[i:i + length]))',
+           'tag = entries.get("".join(keys[i:i + length]))',
+           ("tests/test_entities.py::test_gazetteer_longest_match_wins",
+            "tests/test_entities.py::test_gazetteer_scan_matches_reference_on_random_corpora",
+            "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
     Mutant("stage loader that reads each data file once per config",
            "entityqa/pipeline.py",
            "        return read(variant, getattr(config, STAGE_FILES[stage][variant]))\n",

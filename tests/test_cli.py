@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 from datagen import generate_labeled_file
 
-from entityqa.cli import main
+from entityqa.cli import _build_parser, main
 from entityqa.corpus import Document, DocumentSet, load_documents, write_documents
 from entityqa.entities import AnnotationFileExtractor
 from entityqa.errors import ParseError
@@ -776,3 +778,27 @@ def test_train_qc_bad_labels_exit_1(tmp_path):
     labeled.write_text("BOGUS:nope\tWhat?\n")
     assert main(["train-qc", "--labeled", str(labeled),
                  "--model-out", str(tmp_path / "m.npz")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# README usage
+# ---------------------------------------------------------------------------
+
+def test_readme_usage_names_exactly_the_flags_of_each_command():
+    """Each subcommand has one usage block in the README, which names every
+    flag of the parser's subcommand and no other, continuation lines
+    included; `-h` and the global `--verbose`, which every command takes,
+    are left out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage: dict[str, set[str]] = {}
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        if block.startswith("entityqa "):
+            command = block.split()[1]
+            assert command not in usage, f"two usage blocks of {command}"
+            usage[command] = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", block))
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert usage == {command: {flag for action in parser._actions
+                               for flag in action.option_strings
+                               if flag.startswith("--")} - {"--help"}
+                     for command, parser in subparsers.choices.items()}

@@ -107,7 +107,7 @@ def test_gazetteer_entries_that_can_never_match_load_with_one_warning(tmp_path, 
     assert message.startswith("6 gazetteer entries can never match")
     assert message.endswith(f": {path}:1: U.S.; {path}:2: AT&T; "
                             f"{path}:3: Jean-Luc Picard; ...")
-    assert len(ext.entries) == 10  # every entry loads; two share the key ('x_', 'y')
+    assert len(ext.entries) == 10  # every entry loads; two share the key 'x_ y'
     docset = _docset(["He left the U.S. today. AT&T called Jean-Luc Picard.",
                       "O'Neil met x_y and _x_ y. A rock 'n' roll x_ y.",
                       "Zoe cafe wrote \u00bd."])
@@ -138,7 +138,7 @@ def test_gazetteer_key_given_two_tags_is_a_data_error_naming_both_lines(tmp_path
         GazetteerExtractor({"Apple": "ORG", "Pear": "ORG", "APPLE": "PRODUCT"})
     # The same tag twice loads as one entry, as does a surface repeated.
     path.write_text("Apple\tORG\napple\tORG\nApple\tORG\n")
-    assert GazetteerExtractor.from_file(path).entries == {("apple",): "ORG"}
+    assert GazetteerExtractor.from_file(path).entries == {"apple": "ORG"}
 
 
 def test_gazetteer_surfaces_without_a_key_are_counted_as_never_matching(tmp_path, caplog):
@@ -146,7 +146,7 @@ def test_gazetteer_surfaces_without_a_key_are_counted_as_never_matching(tmp_path
     path.write_text("Paris\tGPE\n__\tORG\n\tORG\n  \tDATE\n")
     with caplog.at_level("WARNING", logger="entityqa.entities"):
         ext = GazetteerExtractor.from_file(path)
-    assert ext.entries == {("paris",): "GPE"}
+    assert ext.entries == {"paris": "GPE"}
     message = caplog.records[0].getMessage()
     assert message.startswith("3 gazetteer entries can never match")
     assert message.endswith(f": {path}:2: __; {path}:3: ; {path}:4:   ")
@@ -453,6 +453,26 @@ def _noisy_lexicon(rng):
         key = tuple(reference_canonicalize(surface).split())
         lexicon[surface] = tag_of.setdefault(key, tag)
     return lexicon
+
+
+def test_gazetteer_index_is_keyed_by_canonical_strings_on_random_lexicons():
+    """Each entry key is the canonical form of its surfaces, a `str` whose
+    tokens are joined by one space; the start index holds, per first token,
+    bit L for each entry of L tokens."""
+    rng = random.Random(31)
+    for _ in range(300):
+        lexicon = _noisy_lexicon(rng)
+        ext = GazetteerExtractor(lexicon)
+        assert set(ext.entries) == {reference_canonicalize(s) for s in lexicon} - {""}
+        for surface, tag in lexicon.items():
+            if key := reference_canonicalize(surface):
+                assert ext.entries[key] == tag
+        lengths_from = {}
+        for key in ext.entries:
+            assert type(key) is str and "  " not in key and " ".join(key.split()) == key
+            tokens = key.split()
+            lengths_from[tokens[0]] = lengths_from.get(tokens[0], 0) | 1 << len(tokens)
+        assert ext.lengths_from == lengths_from
 
 
 def _noisy_sentence(rng, lexicon):
