@@ -27,7 +27,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EmptyInputError, ParseError, UnderfullBandError
+from .errors import DataError, ParseError
 
 SOURCE_SETS = ("CQ-W", "CQ-T", "custom")
 
@@ -161,6 +161,20 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, raw
 
 
+def read_question_jsonl(path: str | Path, key: str) -> Iterator[tuple[int, dict, str]]:
+    """Yield (line number, record, question id) for each record of a
+    JSON-lines file that holds one record per question, the id being field
+    `key`; a repeated id is a ParseError that names its first line."""
+    seen: dict[str, int] = {}
+    for line_no, raw in read_jsonl(path):
+        qid = read_field(raw, key, "id", path, line_no, name="question id")
+        if qid in seen:
+            raise ParseError(str(path), line_no,
+                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
+        seen[qid] = line_no
+        yield line_no, raw, qid
+
+
 def read_json(path: str | Path) -> dict:
     """Read a file holding one JSON object; a syntax error or another kind
     of value is a ParseError naming the file and line."""
@@ -236,13 +250,7 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
     rejected with the offending line number.
     """
     questions: list[Question] = []
-    seen: dict[str, int] = {}
-    for line_no, raw in read_jsonl(path):
-        qid = read_field(raw, "id", "id", path, line_no, name="question id")
-        if qid in seen:
-            raise ParseError(str(path), line_no,
-                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
-        seen[qid] = line_no
+    for line_no, raw, qid in read_question_jsonl(path, "id"):
         try:
             questions.append(Question(
                 id=qid, text=read_field(raw, "text", "string", path, line_no, qid),
@@ -252,7 +260,7 @@ def load_questions(path: str | Path, source_set: str = "custom") -> list[Questio
         except ValueError as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
     if not questions:
-        raise EmptyInputError(f"no questions in {path}")
+        raise DataError(f"no questions in {path}")
     return questions
 
 
@@ -604,7 +612,7 @@ def sample_strata(ranked_docs: Sequence[Document], spec: StrataSpec) -> Document
             key=lambda d: d.original_rank,
         )
         if len(band) < count:
-            raise UnderfullBandError(
+            raise DataError(
                 f"band {lo}-{hi} for question {question_id!r} has "
                 f"{len(band)} documents, need {count}"
             )

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, canonicalize,
                      read_field, read_jsonl)
-from .errors import IngestionError, ParseError
+from .errors import ParseError
 
 ONTONOTES_TAGS = frozenset({
     "PERSON", "NORP", "FAC", "ORG", "GPE", "LOC", "PRODUCT", "EVENT",
@@ -290,10 +290,8 @@ class AnnotationFileExtractor:
         known = {d.original_rank for d in docset.documents if d.question_id == qid}
         for rank, (line_no, _ents) in by_rank.items():
             if rank not in known:
-                raise IngestionError(
-                    f"{self.path}:{line_no}: question {qid!r}: annotations "
-                    f"reference unknown document {qid!r} rank {rank}"
-                )
+                raise ParseError(self.path, line_no, f"question {qid!r}: annotations "
+                                 f"reference unknown document {qid!r} rank {rank}")
         mentions: list[EntityMention] = []
         for doc in docset.documents:
             doc_id, sentences = doc.doc_id, doc.sentences
@@ -301,15 +299,13 @@ class AnnotationFileExtractor:
                 doc.original_rank, (0, ()))
             for line_no, surface, tag, sent_idx, start, end in ents:
                 if sent_idx >= len(sentences):
-                    raise IngestionError(
-                        f"{self.path}:{line_no}: question {doc.question_id!r}: "
-                        f"sentence index {sent_idx} out of range for document {doc_id}"
-                    )
+                    raise ParseError(self.path, line_no,
+                                     f"question {doc.question_id!r}: sentence index "
+                                     f"{sent_idx} out of range for document {doc_id}")
                 if end > len(sentences[sent_idx]):
-                    raise IngestionError(
-                        f"{self.path}:{line_no}: question {doc.question_id!r}: "
-                        f"span [{start}, {end}) outside sentence {sent_idx} of {doc_id}"
-                    )
+                    raise ParseError(self.path, line_no,
+                                     f"question {doc.question_id!r}: span [{start}, {end}) "
+                                     f"outside sentence {sent_idx} of {doc_id}")
                 mentions.append(EntityMention(surface, tag, doc_id, sent_idx,
                                               start, end))
         return mentions

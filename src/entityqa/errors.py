@@ -1,42 +1,23 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Exceptions are for faults only. A fault in input data is a `ParseError`
+when it lies on one line of one file, and a `DataError` otherwise.
+"""
 
 
 class DataError(Exception):
-    """A problem with input data (malformed files, broken references)."""
+    """A fault in input data; raised as is when no one line holds it (an
+    empty file, a missing cache entry, a reference across files)."""
 
 
 class ParseError(DataError):
-    """Malformed record in an input file; message names the line number."""
+    """A fault on one line of an input file; the message names the line."""
 
     def __init__(self, path: str, line_no: int, reason: str):
         self.path = path
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
-
-
-class EmptyInputError(DataError):
-    """An input file that must contain at least one record is empty."""
-
-
-class UnderfullBandError(DataError):
-    """A stratified-sampling band has fewer documents than requested."""
-
-
-class IngestionError(DataError):
-    """An external annotation or run file references unknown content."""
-
-
-class CacheMissError(DataError):
-    """The embedding cache has no entry for a requested text."""
-
-
-class UnmappedTypeError(DataError):
-    """An answer-type label has no entity-tag mapping at either level."""
-
-
-class TrainingError(DataError):
-    """Training input violates the classifier's contract."""
 
 
 class ConfigError(Exception):

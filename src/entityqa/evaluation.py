@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import atomic_write_text, canonicalize, read_field, read_jsonl, write_json
-from .errors import DataError, EmptyInputError, ParseError
+from .corpus import (atomic_write_text, canonicalize, read_field, read_question_jsonl,
+                     write_json)
+from .errors import DataError, ParseError
 from .ranking import TiedRun
 
 MATCH_POLICIES = ("exact", "containment")
@@ -61,14 +62,8 @@ def load_qrels(path: str | Path,
                match_policy: str = "containment") -> dict[str, Judgment]:
     """Read {"question_id", "gold_answers"} JSONL into Judgment objects."""
     out: dict[str, Judgment] = {}
-    seen: dict[str, int] = {}
-    for line_no, raw in read_jsonl(path):
-        qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
+    for line_no, raw, qid in read_question_jsonl(path, "question_id"):
         golds = read_field(raw, "gold_answers", ["string"], path, line_no)
-        if qid in seen:
-            raise ParseError(str(path), line_no,
-                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
-        seen[qid] = line_no
         try:
             out[qid] = Judgment(question_id=qid,
                                 gold_answers=frozenset(golds),
@@ -76,7 +71,7 @@ def load_qrels(path: str | Path,
         except ValueError as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
     if not out:
-        raise EmptyInputError(f"{path}: no judgments")
+        raise DataError(f"{path}: no judgments")
     return out
 
 

@@ -23,7 +23,7 @@ from .corpus import (SOURCE_SETS, DocumentSet, Question, preprocess_text,
 from .entities import (DEFAULT_CANDIDATE_CAP, AnnotationFileExtractor,
                        EntityMention, GazetteerExtractor, build_pool,
                        filter_by_type)
-from .errors import ConfigError, ParseError, UnmappedTypeError
+from .errors import ConfigError, ParseError
 from .qtype import (AnswerTypeMap, EmbeddingClassifier, LabeledQuestion,
                     QuestionClassifier, default_answer_type_map,
                     load_answer_type_map, load_labeled_questions,
@@ -202,10 +202,9 @@ class LoadedStages:
         pools them and scores their evidence. Returns (pool, evidence,
         number of documents), or None for a question of a non-entity type.
         """
-        try:
-            coarse, fine = types or self.predict_types(question)
-            accepted = map_answer_types(coarse, fine, self.type_map)
-        except UnmappedTypeError:
+        coarse, fine = types or self.predict_types(question)
+        accepted = map_answer_types(coarse, fine, self.type_map)
+        if accepted is None:
             # Non-entity question types (definition/abbreviation style)
             # cannot be answered by entity ranking: empty run.
             return None

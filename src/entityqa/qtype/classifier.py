@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..corpus import atomic_write_bytes, atomic_write_text, read_field, read_json
-from ..errors import ParseError, TrainingError
+from ..errors import DataError, ParseError
 from .annotate import question_features
 from .features import NAMESPACES, FeatureSpace
 from .linear import LinearModel, train_one_vs_rest
@@ -65,14 +65,12 @@ def load_labeled_questions(path: str | Path) -> list[LabeledQuestion]:
                 raise ParseError(str(path), line_no, f"label {label!r} lacks a fine part")
             coarse, fine = label.split(":", 1)
             if fine not in taxonomy.get(coarse, ()):
-                raise TrainingError(
-                    f"{path}:{line_no}: unknown question label {label!r}"
-                )
+                raise ParseError(str(path), line_no, f"unknown question label {label!r}")
             if not text.strip():
                 raise ParseError(str(path), line_no, "empty question text")
             out.append(LabeledQuestion(coarse=coarse, fine=fine, text=text.strip()))
     if not out:
-        raise TrainingError(f"{path}: no labeled questions")
+        raise DataError(f"{path}: no labeled questions")
     return out
 
 
@@ -189,7 +187,7 @@ def train_classifier(labeled: Sequence[LabeledQuestion], *,
                      l2: float = 1e-4, seed: int = 0) -> QuestionClassifier:
     """Train independent coarse and fine models over one feature space."""
     if not labeled:
-        raise TrainingError("no training samples")
+        raise DataError("no training samples")
     feature_sets = [question_features(q.text) for q in labeled]
     space = FeatureSpace.build(feature_sets)
     actives = [space.extract(f) for f in feature_sets]
@@ -280,7 +278,7 @@ def _centroids(classes: tuple[str, ...], labels: Sequence[str],
 def train_embedding_classifier(labeled: Sequence[LabeledQuestion],
                                embed: Callable[[str], np.ndarray]) -> EmbeddingClassifier:
     if not labeled:
-        raise TrainingError("no training samples")
+        raise DataError("no training samples")
     # Each distinct text is embedded once; duplicates share its row.
     row_of: dict[str, int] = {}
     rows = []

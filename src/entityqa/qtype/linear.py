@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import DataError
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,19 @@ def train_one_vs_rest(samples: Sequence[tuple[Sequence[int], int]],
     fully determine the resulting model.
     """
     if not samples:
-        raise TrainingError("no training samples")
+        raise DataError("no training samples")
     if dimension <= 0:
-        raise TrainingError("empty feature space")
+        raise DataError("empty feature space")
     class_list = tuple(classes)
     if sorted(class_list) != list(class_list):
-        raise TrainingError("classes must be pre-sorted")
+        raise DataError("classes must be pre-sorted")
     n_classes = len(class_list)
     for active, label in samples:
         if not (0 <= label < n_classes):
-            raise TrainingError(f"label index {label} outside 0..{n_classes - 1}")
+            raise DataError(f"label index {label} outside 0..{n_classes - 1}")
         for j in active:
             if not (0 <= j < dimension):
-                raise TrainingError(f"feature index {j} outside 0..{dimension - 1}")
+                raise DataError(f"feature index {j} outside 0..{dimension - 1}")
 
     w = np.zeros((n_classes, dimension))
     bias = np.zeros(n_classes)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..corpus import read_field, read_json
 from ..entities import ONTONOTES_TAGS
-from ..errors import ParseError, UnmappedTypeError
+from ..errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,13 @@ def load_answer_type_map(path: str | Path) -> AnswerTypeMap:
 
 
 def map_answer_types(coarse: str, fine: str | None = None,
-                     type_map: AnswerTypeMap | None = None) -> frozenset[str]:
+                     type_map: AnswerTypeMap | None = None) -> frozenset[str] | None:
     """Resolve a predicted question type to the set of accepted entity tags.
 
     A fine-grained prediction overrides the coarse mapping when a dedicated
     row exists for it (e.g. NUMERIC:money narrows to MONEY); otherwise the
     coarse row applies. Coarse classes without a row (the non-entity classes
-    DESCRIPTION and ABBREVIATION) raise UnmappedTypeError.
+    DESCRIPTION and ABBREVIATION) map to None: no entity answers them.
     """
     table = type_map or default_answer_type_map()
     if fine:
@@ -79,9 +79,4 @@ def map_answer_types(coarse: str, fine: str | None = None,
         narrowed = table.fine.get(f"{coarse}:{short}") or table.fine.get(short)
         if narrowed is not None:
             return narrowed
-    accepted = table.coarse.get(coarse)
-    if accepted is None:
-        raise UnmappedTypeError(
-            f"question type {coarse!r} has no entity-tag mapping"
-        )
-    return accepted
+    return table.coarse.get(coarse)

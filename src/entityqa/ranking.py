@@ -13,7 +13,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import read_field, read_jsonl, write_jsonl
+from .corpus import read_field, read_question_jsonl, write_jsonl
 from .errors import ParseError
 
 # In the order the ablation grid reports its combine cells.
@@ -138,13 +138,7 @@ def write_runs(path: str | Path, runs: Sequence[TiedRun], config_id: str) -> Non
 
 def load_runs(path: str | Path) -> list[TiedRun]:
     runs: list[TiedRun] = []
-    seen: dict[str, int] = {}
-    for line_no, raw in read_jsonl(path):
-        qid = read_field(raw, "question_id", "id", path, line_no, name="question id")
-        if qid in seen:
-            raise ParseError(str(path), line_no,
-                             f"duplicate question id {qid!r} (first seen on line {seen[qid]})")
-        seen[qid] = line_no
+    for line_no, raw, qid in read_question_jsonl(path, "question_id"):
         groups = read_field(raw, "groups", "array", path, line_no)
         if {list}.issuperset(map(type, groups)) and \
                 {str}.issuperset(map(type, chain.from_iterable(groups))):

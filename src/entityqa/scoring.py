@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, read_field,
                      read_jsonl)
 from .entities import CandidateEntity, CandidatePool
-from .errors import CacheMissError, EmptyInputError, ParseError
+from .errors import DataError, ParseError
 
 AGGREGATION_MODES = ("avg", "avg_max", "max")
 
@@ -76,7 +76,7 @@ class WordAverageProvider:
         of one length, and for two words that lower-case alike but have
         different vectors."""
         if not vectors:
-            raise EmptyInputError("empty word-vector table")
+            raise DataError("empty word-vector table")
         given = {k: np.asarray(v, dtype=float) for k, v in vectors.items()}
         shapes = {v.shape for v in given.values()}
         if len(shapes) != 1:
@@ -128,7 +128,7 @@ class WordAverageProvider:
                     raise ParseError(str(path), line_no, f"word {word!r} has another vector"
                                      f" here than at line {line_of[word]}")
         if not vectors:
-            raise EmptyInputError(f"{path}: no vectors")
+            raise DataError(f"{path}: no vectors")
         return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
@@ -199,16 +199,14 @@ class CacheProvider:
                 raise ParseError(self.path, line_no, f"sha256 {digest} has another vector"
                                  f" here than at line {line_of[digest]}")
         if first is None:
-            raise EmptyInputError(f"{path}: empty embedding cache")
+            raise DataError(f"{path}: empty embedding cache")
         _line, self.provider_id, self.dim = first
 
     def embed(self, text: str) -> np.ndarray:
         digest = text_sha256(text)
         vec = self.entries.get(digest)
         if vec is None:
-            raise CacheMissError(
-                f"{self.path}: no cached embedding for sha256 {digest}"
-            )
+            raise DataError(f"{self.path}: no cached embedding for sha256 {digest}")
         return vec
 
 

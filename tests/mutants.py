@@ -216,6 +216,27 @@ MUTANTS = (
            """        return f'"{json.dumps(key)}"'\n""",
            """        return json.dumps(key)\n""",
            ("tests/test_corpus.py::test_write_json_equals_indented_json_dumps_on_random_payloads",)),
+    Mutant("question-id reader that lets a repeated id through",
+           "entityqa/corpus.py",
+           "        if qid in seen:\n",
+           "        if False:\n",
+           ("tests/test_corpus.py::test_a_repeated_question_id_is_a_parse_error_naming_both_lines"
+            "[questions]",
+            "tests/test_corpus.py::test_a_repeated_question_id_is_a_parse_error_naming_both_lines"
+            "[qrels]",
+            "tests/test_corpus.py::test_a_repeated_question_id_is_a_parse_error_naming_both_lines"
+            "[runs]",
+            "tests/test_cli.py::test_evaluate_run_file_with_a_question_twice_names_file_and_line")),
+    Mutant("prepare that maps a non-entity type to no tags, so its document step runs",
+           "entityqa/pipeline.py",
+           "        if accepted is None:\n"
+           "            # Non-entity question types (definition/abbreviation style)\n"
+           "            # cannot be answered by entity ranking: empty run.\n"
+           "            return None\n",
+           "        if accepted is None:\n"
+           "            accepted = frozenset()\n",
+           ("tests/test_experiments.py::test_ablation_reads_each_question_documents_once",
+            "tests/test_pipeline.py::test_prepare_skips_segmentation_for_unmapped_type")),
 )
 
 

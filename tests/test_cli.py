@@ -11,10 +11,12 @@ import pytest
 from datagen import generate_labeled_file
 
 from entityqa.cli import _build_parser, main
-from entityqa.corpus import Document, DocumentSet, load_documents, write_documents
+from entityqa.corpus import (Document, DocumentSet, load_documents, preprocess_text,
+                             write_documents)
 from entityqa.entities import AnnotationFileExtractor
 from entityqa.errors import ParseError
 from entityqa.qtype import QuestionClassifier
+from entityqa.scoring import text_sha256
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +183,51 @@ def test_run_question_without_documents_exits_1(tmp_path, config_file,
 
 
 def test_run_question_that_fails_exits_1_and_the_others_are_answered(
-        tmp_path, config_file, planted, caplog):
-    # An annotation line that names a document rank its question lacks
-    # fails that question alone, when it is answered.
-    failing = planted.questions[3].qid
+        tmp_path, config_file, planted, planted_config, caplog):
+    # One failure of each kind that README's `run` section names: a question
+    # without documents; an annotation line that names a document rank its
+    # question lacks, a ParseError; and a question whose text the embedding
+    # cache lacks, a DataError. Each fails its question alone, and the
+    # sidecar records it as {"question_id", "error"}.
+    no_docs, bad_rank, uncached = (planted.questions[i] for i in (1, 3, 5))
+    documents = tmp_path / "documents.jsonl"
+    documents.write_text("".join(
+        line for line in Path(planted_config["documents_path"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["question_id"] != no_docs.qid), encoding="utf-8")
     annotations = tmp_path / "annotations.jsonl"
-    annotations.write_text(json.dumps({"question_id": failing, "doc_rank": 99,
+    annotations.write_text(json.dumps({"question_id": bad_rank.qid, "doc_rank": 99,
                                        "entities": []}) + "\n", encoding="utf-8")
-    cfg = config_file({"ner_backend": "annotations", "annotations_path": str(annotations)})
+    digest = text_sha256(preprocess_text(uncached.text))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(
+        line for line in Path(planted_config["cache_path"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["sha256"] != digest), encoding="utf-8")
+    cfg = config_file({"documents_path": str(documents), "ner_backend": "annotations",
+                       "annotations_path": str(annotations),
+                       "embedding_provider": "cache", "cache_path": str(cache)})
     out = tmp_path / "runs.jsonl"
     with caplog.at_level("INFO", logger="entityqa"):
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    failed = (no_docs.qid, bad_rank.qid, uncached.qid)
     answered = [json.loads(line)["question_id"] for line in out.read_text().splitlines()]
-    assert answered == [q.qid for q in planted.questions if q.qid != failing]
+    assert answered == [q.qid for q in planted.questions if q.qid not in failed]
     sidecar = json.loads((tmp_path / "runs.jsonl.config.json").read_text())
-    assert sidecar["errors"] == [{"question_id": failing, "error": (
-        f"IngestionError: {annotations}:1: question {failing!r}: annotations reference"
-        f" unknown document {failing!r} rank 99")}]
+    assert sidecar["errors"] == [
+        {"question_id": no_docs.qid, "error": "no document set"},
+        {"question_id": bad_rank.qid, "error": (
+            f"ParseError: {annotations}:1: question {bad_rank.qid!r}: annotations reference"
+            f" unknown document {bad_rank.qid!r} rank 99")},
+        {"question_id": uncached.qid, "error": (
+            f"DataError: {cache}: no cached embedding for sha256 {digest}")}]
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert [r.getMessage() for r in errors] == [f"question {failing} failed"]
+    assert [r.getMessage() for r in errors] == [f"question {bad_rank.qid} failed",
+                                                 f"question {uncached.qid} failed"]
+    # README's `run` section gives the same record and the same two forms.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert '`{"question_id", "error"}` objects' in readme
+    assert "`no document set`" in readme and "`<ExceptionType>: <message>`" in readme
 
 
 def test_run_malformed_questions_exits_1(tmp_path, config_file):

@@ -32,7 +32,9 @@ from entityqa.corpus import (
     write_json,
     write_jsonl,
 )
-from entityqa.errors import EmptyInputError, ParseError, UnderfullBandError
+from entityqa.errors import DataError, ParseError
+from entityqa.evaluation import load_qrels
+from entityqa.ranking import load_runs
 
 from datagen import NOT_QUESTION_IDS, question_id_error
 from oracles import (reference_canonicalize, reference_fold_accents,
@@ -446,19 +448,27 @@ def test_load_questions_ignores_gold_answers(tmp_path):
 def test_load_questions_empty_file(tmp_path):
     path = tmp_path / "q.jsonl"
     path.write_text("")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(DataError, match=f"^no questions in {re.escape(str(path))}$"):
         load_questions(path)
 
 
-def test_load_questions_duplicate_id_names_line(tmp_path):
-    path = tmp_path / "q.jsonl"
-    rows = [{"id": f"q{i}", "text": "t?", "gold_answers": ["a"]}
-            for i in range(6)]
-    rows.append({"id": "q3", "text": "dup?", "gold_answers": ["a"]})
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+@pytest.mark.parametrize("load, key, extra", [
+    (load_questions, "id", {"text": "t?"}),
+    (load_qrels, "question_id", {"gold_answers": ["a"]}),
+    (load_runs, "question_id", {"groups": [], "scores": []}),
+], ids=["questions", "qrels", "runs"])
+def test_a_repeated_question_id_is_a_parse_error_naming_both_lines(tmp_path, load, key,
+                                                                   extra):
+    # Each file of one record per question names the later line and the
+    # first, blank lines counted.
+    path = tmp_path / "records.jsonl"
+    ids = ["q0", "q1", "q2", "q3", "", "q4", "q5", "q3"]
+    path.write_text("\n".join(qid and json.dumps({key: qid, **extra}) for qid in ids) + "\n",
+                    encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_questions(path)
-    assert ":7:" in str(err.value)
+        load(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 8)
+    assert str(err.value) == f"{path}:8: duplicate question id 'q3' (first seen on line 4)"
 
 
 def test_load_questions_names_the_line_of_a_blank_text(tmp_path):
@@ -723,7 +733,8 @@ def test_sample_strata_different_seeds_differ():
 
 def test_sample_strata_underfull_band():
     docs = _ranked_docs(20)  # third band empty
-    with pytest.raises(UnderfullBandError):
+    with pytest.raises(DataError, match="^band 26-50 for question 'q1' has 0 documents, "
+                                        "need 2$"):
         sample_strata(docs, collection_spec("Strata-3", seed=0))
 
 

@@ -18,7 +18,8 @@ from entityqa.entities import (
     build_pool,
     filter_by_type,
 )
-from entityqa.errors import IngestionError, ParseError
+from entityqa.errors import ParseError
+from entityqa.qtype import load_labeled_questions
 
 
 def _docset(texts, qid="q1"):
@@ -225,7 +226,8 @@ def test_annotation_file_bad_sentence_index(tmp_path):
     path.write_text('{"question_id": "q1", "doc_rank": 1, "entities": '
                     '[{"surface": "x", "tag": "PERSON", "sent_idx": 9, '
                     '"start": 0, "end": 1}]}\n')
-    with pytest.raises(IngestionError):
+    with pytest.raises(ParseError, match=r"ann\.jsonl:1: question 'q1': sentence index 9 "
+                                         r"out of range for document q1#1$"):
         AnnotationFileExtractor(path).extract(docset)
 
 
@@ -252,7 +254,7 @@ def test_annotation_span_past_its_sentence_is_an_ingestion_error(tmp_path):
                                                      "end": 18})
     assert [m.surface for m in AnnotationFileExtractor(path).extract(docset)] == ["sentence."]
     _annotation_file(path, {"start": 9, "end": 19})
-    with pytest.raises(IngestionError) as err:
+    with pytest.raises(ParseError) as err:
         AnnotationFileExtractor(path).extract(docset)
     assert str(err.value) == (f"{path}:2: question 'q1': span [9, 19) outside"
                               " sentence 0 of q1#1")
@@ -309,11 +311,49 @@ def test_annotation_file_unknown_doc_raises_for_its_question_only(tmp_path):
         json.dumps({"question_id": qid, "doc_rank": rank, "entities": ents}) + "\n"
         for qid, rank, ents in records))
     ext = AnnotationFileExtractor(path)
-    with pytest.raises(IngestionError, match=r"unknown document 'q1' rank 5$"):
+    with pytest.raises(ParseError, match=r"ann\.jsonl:3: question 'q1': annotations "
+                                         r"reference unknown document 'q1' rank 5$"):
         ext.extract(_docset(["Webb won.", "Nobody."], qid="q1"))
     assert [(m.surface, m.doc_id) for m in ext.extract(
         _docset(["Paris is nice."], qid="q2"))] == [("Paris", "q2#1")]
     assert ext.extract(_docset(["One.", "Two."], qid="q3")) == []
+
+
+def _annotations(*records) -> str:
+    """Annotation lines of q1, one per (doc_rank, entities) record."""
+    return "".join(json.dumps({"question_id": "q1", "doc_rank": rank, "entities": ents}) + "\n"
+                   for rank, ents in records)
+
+
+def _extract_from_one_sentence(path):
+    return AnnotationFileExtractor(path).extract(_docset(["Only one sentence."]))
+
+
+_ENTITY = {"surface": "x", "tag": "PERSON", "sent_idx": 0, "start": 0, "end": 1}
+
+
+@pytest.mark.parametrize("name, text, load, line_no, reason", [
+    ("ann.jsonl", _annotations((1, []), (5, [])), _extract_from_one_sentence, 2,
+     "question 'q1': annotations reference unknown document 'q1' rank 5"),
+    ("ann.jsonl", _annotations((1, [_ENTITY]), (1, [{**_ENTITY, "sent_idx": 1}])),
+     _extract_from_one_sentence, 2,
+     "question 'q1': sentence index 1 out of range for document q1#1"),
+    ("ann.jsonl", _annotations((1, [{**_ENTITY, "start": 9, "end": 19}])),
+     _extract_from_one_sentence, 1, "question 'q1': span [9, 19) outside sentence 0 of q1#1"),
+    ("labeled.txt", "HUMAN:individual\tWho won?\n\nBOGUS:thing\tWhat?\n",
+     load_labeled_questions, 3, "unknown question label 'BOGUS:thing'"),
+], ids=["unknown-document-rank", "sentence-index-out-of-range", "span-outside-sentence",
+        "unknown-label"])
+def test_a_fault_on_one_line_is_a_parse_error_naming_it(tmp_path, name, text, load,
+                                                         line_no, reason):
+    # A fault that one line of one file holds is a ParseError carrying the
+    # file and the line, whatever stage finds it.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), line_no, reason)
+    assert str(err.value) == f"{path}:{line_no}: {reason}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from oracles import (classical_from_counts, classical_reference,
 
 from entityqa.corpus import (Document, DocumentSet, canonicalize, write_documents,
                              write_jsonl)
-from entityqa.errors import DataError, EmptyInputError, ParseError
+from entityqa.errors import DataError, ParseError
 from entityqa.evaluation import (
     METRICS,
     DiffTable,
@@ -208,18 +208,6 @@ def test_load_qrels(tmp_path):
     assert judgments["q1"].gold_answers == frozenset({"a", "b"})
 
 
-def test_load_qrels_duplicate(tmp_path):
-    # The first line is named, as the question, document and run readers do.
-    path = tmp_path / "qrels.jsonl"
-    rows = [{"question_id": "q0", "gold_answers": ["A"]},
-            {"question_id": "q1", "gold_answers": ["A"]},
-            {"question_id": "q1", "gold_answers": ["B"]}]
-    path.write_text("\n\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(ParseError) as err:
-        load_qrels(path)
-    assert str(err.value) == f"{path}:5: duplicate question id 'q1' (first seen on line 3)"
-
-
 def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
     # A string would be read as its characters: the gold set {r, o, m, e};
     # and a gold answer is a string, not null ("none") or a number.
@@ -248,8 +236,9 @@ def test_load_qrels_of_blank_lines_is_a_data_error(tmp_path):
     path = tmp_path / "qrels.jsonl"
     for text in ("", "\n  \n\n"):
         path.write_text(text)
-        with pytest.raises(EmptyInputError) as err:
+        with pytest.raises(DataError) as err:
             load_qrels(path)
+        assert type(err.value) is DataError
         assert str(err.value) == f"{path}: no judgments"
 
 

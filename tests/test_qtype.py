@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from oracles import hinge_objective, reference_centroids
 
 from entityqa.corpus import Question
-from entityqa.errors import ParseError, TrainingError, UnmappedTypeError
+from entityqa.errors import DataError, ParseError
 from entityqa.pipeline import PipelineConfig, load_stages
 from entityqa.qtype.classifier import _centroids
 from entityqa.qtype import (
@@ -151,15 +152,15 @@ def test_trainer_seed_changes_path():
 
 
 def test_trainer_rejects_bad_input():
-    with pytest.raises(TrainingError):
+    with pytest.raises(DataError, match="^no training samples$"):
         train_one_vs_rest([], classes=("a",), dimension=3)
-    with pytest.raises(TrainingError):  # class index out of range
+    with pytest.raises(DataError, match=r"^label index 4 outside 0\.\.0$"):
         train_one_vs_rest([((0,), 4)], classes=("a",), dimension=3)
-    with pytest.raises(TrainingError):  # empty feature space
+    with pytest.raises(DataError, match="^empty feature space$"):
         train_one_vs_rest([((0,), 0)], classes=("a",), dimension=0)
-    with pytest.raises(TrainingError):  # feature index out of range
+    with pytest.raises(DataError, match=r"^feature index 5 outside 0\.\.2$"):
         train_one_vs_rest([((5,), 0)], classes=("a",), dimension=3)
-    with pytest.raises(TrainingError):  # classes not sorted
+    with pytest.raises(DataError, match="^classes must be pre-sorted$"):
         train_one_vs_rest([((0,), 0)], classes=("b", "a"), dimension=3)
 
 
@@ -223,13 +224,10 @@ def test_fine_without_override_falls_back_to_coarse():
     assert map_answer_types("HUMAN", "individual") == frozenset({"PERSON"})
 
 
-def test_unmapped_types_raise():
-    with pytest.raises(UnmappedTypeError):
-        map_answer_types("DESCRIPTION")
-    with pytest.raises(UnmappedTypeError):
-        map_answer_types("ABBREVIATION", "exp")
-    with pytest.raises(UnmappedTypeError):
-        map_answer_types("NO_SUCH_COARSE")
+def test_unmapped_types_map_to_none():
+    assert map_answer_types("DESCRIPTION") is None
+    assert map_answer_types("ABBREVIATION", "exp") is None
+    assert map_answer_types("NO_SUCH_COARSE") is None
 
 
 def test_taxonomy_shape():
@@ -256,9 +254,9 @@ def test_load_labeled_tab_and_space(tmp_path):
 def test_load_labeled_unknown_label(tmp_path):
     path = tmp_path / "labeled.txt"
     path.write_text("HUMAN:individual\tWho won?\nBOGUS:thing\tWhat?\n")
-    with pytest.raises(TrainingError) as err:
+    with pytest.raises(ParseError) as err:
         load_labeled_questions(path)
-    assert ":2:" in str(err.value)
+    assert str(err.value) == f"{path}:2: unknown question label 'BOGUS:thing'"
 
 
 @pytest.mark.parametrize("line, reason", [
@@ -278,7 +276,7 @@ def test_load_labeled_names_the_line_of_a_malformed_row(tmp_path, line, reason):
 def test_load_labeled_empty(tmp_path):
     path = tmp_path / "labeled.txt"
     path.write_text("")
-    with pytest.raises(TrainingError):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no labeled questions$"):
         load_labeled_questions(path)
 
 
@@ -357,12 +355,11 @@ def test_predict_types_then_map_end_to_end(svm_stages):
         frozenset({"PERSON"})
 
 
-def test_predict_types_unmapped_type_raises(svm_stages):
+def test_predict_types_unmapped_type_maps_to_none(svm_stages):
     q = Question(id="t2", text="What does VRC stand for?",
                  source_set="custom")
     coarse, fine = svm_stages.predict_types(q)
-    with pytest.raises(UnmappedTypeError):
-        map_answer_types(coarse, fine, svm_stages.type_map)
+    assert map_answer_types(coarse, fine, svm_stages.type_map) is None
 
 
 def test_embedding_classifier_nearest_centroid():

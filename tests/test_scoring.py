@@ -11,7 +11,7 @@ from oracles import brute_force_aggregate, reference_cosine, reference_word_aver
 
 from entityqa.corpus import Document, DocumentSet, segment_sentences
 from entityqa.entities import CandidateEntity, GazetteerExtractor, build_pool
-from entityqa.errors import CacheMissError, EmptyInputError, ParseError
+from entityqa.errors import DataError, ParseError
 from entityqa.scoring import (
     AGGREGATION_MODES,
     CacheProvider,
@@ -177,7 +177,7 @@ def test_provider_from_file_skips_every_whitespace_only_line(tmp_path):
     provider = WordAverageProvider.from_file(path)
     assert list(provider.vectors) == ["alpha", "beta"]
     path.write_text("  \n\t\n")
-    with pytest.raises(EmptyInputError, match=f"^{re.escape(str(path))}: no vectors$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no vectors$"):
         WordAverageProvider.from_file(path)
 
 
@@ -185,7 +185,7 @@ def test_provider_from_file_rejects_a_file_without_vectors(tmp_path):
     path = tmp_path / "vectors.txt"
     for text in ("", "\n\n"):
         path.write_text(text)
-        with pytest.raises(EmptyInputError, match=f"^{re.escape(str(path))}: no vectors$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no vectors$"):
             WordAverageProvider.from_file(path)
 
 
@@ -266,9 +266,9 @@ def test_cache_miss_names_hash(tmp_path):
     write_cache(path, ["alpha"], p)
     cache = CacheProvider(path)
     missing = "never cached"
-    with pytest.raises(CacheMissError) as err:
+    with pytest.raises(DataError) as err:
         cache.embed(missing)
-    assert text_sha256(missing) in str(err.value)
+    assert str(err.value) == f"{path}: no cached embedding for sha256 {text_sha256(missing)}"
 
 
 def test_cache_rejects_hash_mismatch(tmp_path):
@@ -588,9 +588,9 @@ def test_build_evidence_cache_miss_names_hash(tmp_path):
     texts = [s for doc in docset.documents for s in doc.sentences]
     path = tmp_path / "cache.jsonl"
     write_cache(path, ["alpha beta"] + texts[1:], _provider())
-    with pytest.raises(CacheMissError) as err:
+    with pytest.raises(DataError) as err:
         build_evidence(pool, docset, "alpha beta", CacheProvider(path))
-    assert text_sha256(texts[0]) in str(err.value)
+    assert str(err.value) == f"{path}: no cached embedding for sha256 {text_sha256(texts[0])}"
 
 
 # ---------------------------------------------------------------------------
