@@ -1,7 +1,7 @@
 """Paired benchmark: the end-to-end metrics of a base revision and of this
 checkout, run alternately, and a verdict per metric and workload.
 
-    python3 tools/bench_pairs.py --base e2ba735 --label pr32 --seed 59 --pairs 5
+    python3 tools/bench_pairs.py --base main --label my-change --seed 59 --pairs 5
 
 The base revision is checked out with `git worktree add` into a temporary
 directory, removed at the end; `--base-tree DIR` names an existing checkout
