@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (atomic_write_text, canonicalize, read_field, read_question_jsonl,
                      write_json)
@@ -63,7 +63,7 @@ def load_qrels(path: str | Path,
     """Read {"question_id", "gold_answers"} JSONL into Judgment objects."""
     out: dict[str, Judgment] = {}
     for line_no, raw, qid in read_question_jsonl(path, "question_id"):
-        golds = read_field(raw, "gold_answers", ["string"], path, line_no)
+        golds = read_field(raw, "gold_answers", ["string"], path, line_no, qid)
         try:
             out[qid] = Judgment(question_id=qid,
                                 gold_answers=frozenset(golds),
@@ -158,18 +158,10 @@ def run_metrics(groups: Sequence[frozenset[str]], relevant: frozenset[str],
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     run_id: str
     question_ids: tuple[str, ...]
     values: dict[str, tuple[float, ...]]  # metric name -> per-question values
-
-    def __post_init__(self):
-        for metric in METRICS:
-            if metric not in self.values:
-                raise ValueError(f"missing metric {metric!r}")
-            if len(self.values[metric]) != len(self.question_ids):
-                raise ValueError(f"{metric}: one value per question required")
 
     @classmethod
     def from_rows(cls, run_id: str, question_ids: Sequence[str],
@@ -335,8 +327,8 @@ def _aligned(report_a: MetricReport, report_b: MetricReport) -> MetricReport:
         raise DataError(f"runs {report_a.run_id!r} and {report_b.run_id!r} "
                         f"cover different questions")
     order = {qid: k for k, qid in enumerate(report_b.question_ids)}
-    return MetricReport(
-        run_id=report_b.run_id, question_ids=report_a.question_ids,
+    return report_b._replace(
+        question_ids=report_a.question_ids,
         values={metric: tuple(series[order[qid]] for qid in report_a.question_ids)
                 for metric, series in report_b.values.items()})
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import DocumentSet, Question, read_field, read_json, write_json
 from .errors import DataError
@@ -75,8 +75,7 @@ def _check_coverage(questions: Sequence[Question],
         raise DataError(f"questions without judgments: {unjudged}")
 
 
-@dataclass(frozen=True)
-class _Candidates:
+class _Candidates(NamedTuple):
     """One question's pool under one classifier/provider pair, with the
     semantic scores of one aggregation mode: what every combine variant
     starts from."""
@@ -123,7 +122,7 @@ def run_ablation(base_config: PipelineConfig, questions: Sequence[Question],
         for aggregation in AGGREGATION_MODES:
             mode_config = replace(stages.config, aggregation=aggregation)
             candidates = {
-                qid: replace(pool, semantic=tuple(aggregate_evidence(
+                qid: pool._replace(semantic=tuple(aggregate_evidence(
                     evidence, pool.n_docs, mode_config)))
                 for qid, (evidence, pool) in pools.items()
             }
@@ -205,9 +204,18 @@ def evaluate_run_files(run_paths: Sequence[str | Path],
                        ) -> tuple[list[MetricReport],
                                   list[tuple[str, str, list[SignificanceResult]]]]:
     """Score each run file; pairwise t-tests when two or more are given,
-    which need at least two questions in every run."""
+    which need at least two questions in every run. A run is named after
+    its file's stem, so two files with one stem are a DataError, raised
+    before any file is read."""
     if not run_paths:
         raise DataError("no run files given")
+    path_of: dict[str, str | Path] = {}  # stem -> the first file with it
+    for path in run_paths:
+        stem = Path(path).stem
+        if stem in path_of:
+            raise DataError(f"run files {path_of[stem]} and {path} share the stem "
+                            f"{stem!r}, which names a run in the reports")
+        path_of[stem] = path
     reports: list[MetricReport] = []
     for path in run_paths:
         runs = load_runs(path)

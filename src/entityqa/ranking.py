@@ -139,19 +139,20 @@ def write_runs(path: str | Path, runs: Sequence[TiedRun], config_id: str) -> Non
 def load_runs(path: str | Path) -> list[TiedRun]:
     runs: list[TiedRun] = []
     for line_no, raw, qid in read_question_jsonl(path, "question_id"):
-        groups = read_field(raw, "groups", "array", path, line_no)
+        groups = read_field(raw, "groups", "array", path, line_no, qid)
         if {list}.issuperset(map(type, groups)) and \
                 {str}.issuperset(map(type, chain.from_iterable(groups))):
             groups = tuple(map(frozenset, groups))
         else:  # read group by group, for an error that names the first bad one
             groups = tuple(frozenset(read_field(groups, i, ["string"], path, line_no,
-                                                name="a group"))
+                                                qid, name="a group"))
                            for i in range(len(groups)))
-        scores = tuple(read_field(raw, "scores", ["number"], path, line_no))
+        scores = tuple(read_field(raw, "scores", ["number"], path, line_no, qid))
         # Checked, not kept: the file's sidecar names the config behind it.
-        read_field(raw, "config_id", "string", path, line_no, default="")
+        read_field(raw, "config_id", "string", path, line_no, qid, default="")
         try:
             runs.append(TiedRun(question_id=qid, groups=groups, scores=scores))
         except ValueError as exc:
-            raise ParseError(str(path), line_no, f"invalid run record: {exc}") from exc
+            raise ParseError(str(path), line_no,
+                             f"question {qid!r}: invalid run record: {exc}") from exc
     return runs

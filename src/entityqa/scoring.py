@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -210,14 +209,9 @@ class CacheProvider:
         return vec
 
 
-@dataclass(frozen=True)
-class EvidenceSet:
+class EvidenceSet(NamedTuple):
     entity: CandidateEntity
     scores: tuple[float, ...]  # one per entity.sentence_keys entry
-
-    def __post_init__(self):
-        if len(self.entity.sentence_keys) != len(self.scores):
-            raise ValueError("scores must parallel the entity's sentence_keys")
 
 
 def build_evidence(pool: CandidatePool, docset: DocumentSet, question_text: str,

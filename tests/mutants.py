@@ -45,8 +45,9 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("scipy imported with the module, so that no command runs without it",
            "entityqa/evaluation.py",
-           "from typing import Iterable, Mapping, Sequence\n\n",
-           "from typing import Iterable, Mapping, Sequence\n\nfrom scipy.special import stdtr\n\n",
+           "from typing import Iterable, Mapping, NamedTuple, Sequence\n\n",
+           "from typing import Iterable, Mapping, NamedTuple, Sequence\n\n"
+           "from scipy.special import stdtr\n\n",
            ("tests/test_exports.py::test_no_command_loads_scipy",)),
     Mutant("builtin max for np.maximum.reduce, which keeps -0.0 on (-0.0, 0.0)",
            "entityqa/scoring.py",
@@ -237,6 +238,21 @@ MUTANTS = (
            "            accepted = frozenset()\n",
            ("tests/test_experiments.py::test_ablation_reads_each_question_documents_once",
             "tests/test_pipeline.py::test_prepare_skips_segmentation_for_unmapped_type")),
+    Mutant("qrels reader that reads gold_answers without naming the question",
+           "entityqa/evaluation.py",
+           'golds = read_field(raw, "gold_answers", ["string"], path, line_no, qid)',
+           'golds = read_field(raw, "gold_answers", ["string"], path, line_no)',
+           ("tests/test_evaluation.py::test_load_qrels_rejects_a_string_for_the_gold_list",)),
+    Mutant("run file reader whose invalid run record names no question",
+           "entityqa/ranking.py",
+           'f"question {qid!r}: invalid run record: {exc}"',
+           'f"invalid run record: {exc}"',
+           ("tests/test_ranking.py::test_load_runs_names_the_line_of_overlapping_groups",)),
+    Mutant("evaluate that names two runs alike when their files share a stem",
+           "entityqa/experiments.py",
+           "        if stem in path_of:\n",
+           "        if False:\n",
+           ("tests/test_cli.py::test_evaluate_two_run_files_with_one_stem_is_a_data_error",)),
 )
 
 

@@ -440,6 +440,25 @@ def test_evaluate_two_runs_of_one_question_is_a_data_error(tmp_path, capsys):
     assert list(tmp_path.glob("x.*")) == []
 
 
+def test_evaluate_two_run_files_with_one_stem_is_a_data_error(tmp_path, capsys):
+    # Each report row and significance pair is named after its file's stem,
+    # so sysA/run.jsonl and sysB/run.jsonl would both read "run".
+    qrels = tmp_path / "qrels.jsonl"
+    qrels.write_text("".join(json.dumps({"question_id": qid, "gold_answers": ["Rome"]}) + "\n"
+                             for qid in ("q1", "q2")))
+    runs = [tmp_path / "sysA" / "run.jsonl", tmp_path / "sysB" / "run.jsonl"]
+    for run in runs:
+        run.parent.mkdir()
+        run.write_text("".join(json.dumps({"question_id": qid, "groups": [["Rome"]],
+                                           "scores": [0.5]}) + "\n" for qid in ("q1", "q2")))
+    assert main(["evaluate", *map(str, runs), "--qrels", str(qrels),
+                 "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"data error: run files {runs[0]} and {runs[1]} share the stem 'run', "
+        f"which names a run in the reports\n")
+    assert list(tmp_path.glob("x.*")) == []
+
+
 def test_evaluate_run_file_with_a_question_twice_names_file_and_line(
         tmp_path, run_file, planted, capsys):
     lines = run_file.read_text(encoding="utf-8").splitlines(keepends=True)

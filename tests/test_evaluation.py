@@ -219,7 +219,7 @@ def test_load_qrels_rejects_a_string_for_the_gold_list(tmp_path):
                            {"question_id": "q2", "gold_answers": golds}])
         with pytest.raises(ParseError) as err:
             load_qrels(path)
-        assert str(err.value) == f"{path}:2: {reason}"
+        assert str(err.value) == f"{path}:2: question 'q2': {reason}"
 
 
 def test_load_qrels_names_the_line_of_a_gold_answer_empty_after_canonicalisation(tmp_path):
@@ -701,10 +701,8 @@ class _Unwritable:
 
 
 def _broken_report(run_id):
-    report = _report({"q1": 1.0}, run_id=run_id)
-    object.__setattr__(report, "values",
-                       {m: (_Unwritable(),) for m in METRICS})
-    return report
+    return _report({"q1": 1.0}, run_id=run_id)._replace(
+        values={m: (_Unwritable(),) for m in METRICS})
 
 
 def _docset(qid, *texts):

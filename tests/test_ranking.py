@@ -219,7 +219,7 @@ def test_load_runs_rejects_a_string_for_a_list(tmp_path, groups, scores, reason)
                        {"question_id": "q2", "groups": groups, "scores": scores}])
     with pytest.raises(ParseError) as err:
         load_runs(path)
-    assert str(err.value) == f"{path}:2: {reason}"
+    assert str(err.value) == f"{path}:2: question 'q2': {reason}"
 
 
 def test_load_runs_rejects_malformed(tmp_path):
@@ -251,4 +251,4 @@ def test_load_runs_names_the_line_of_overlapping_groups(tmp_path):
     with pytest.raises(ParseError) as err:
         load_runs(path)
     assert str(err.value) == \
-        f"{path}:2: invalid run record: tie groups must be pairwise disjoint"
+        f"{path}:2: question 'q2': invalid run record: tie groups must be pairwise disjoint"

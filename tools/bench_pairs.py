@@ -22,6 +22,12 @@ A metric's verdict, from its paired runs and the bound in BENCHMARK.json
 - unresolved: neither, and the base quartiles span more than the bound, so
   the runs cannot tell a change within the bound from noise;
 - flat: otherwise.
+
+A verdict holds only for the seed its runs used: the seed fixes the inputs,
+and a change of a few percent on one input set need not repeat on another.
+On one change, `ablate-grid` `ops_per_s` read better, +3.8% in 10 of 10
+pairs, at seed 83, and +0.3% in 3 of 6 pairs at seed 97. So a claimed gain
+needs a second run at another seed whose verdict agrees.
 """
 
 from __future__ import annotations
@@ -183,6 +189,8 @@ def main(argv=None) -> int:
                   f"{m['head_median']:.6g} wins {m['head_wins']}/{m['pairs']} {m['verdict']}")
         print(f"{workload:20} sha256 agree {summary['sha256_agree']}")
     print(f"wrote {out}")
+    print(f"these verdicts hold for seed {args.seed} only: "
+          "a claimed gain needs a second seed that agrees")
     return 0
 
 
