@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Subcommands: run, ablate, evaluate, bench, sample-strata, train-qc.
-Exit codes: 0 success, 1 data error, 2 configuration error. `run` also
-exits 1 when any question failed, after writing the run file and a
-sidecar that lists the failures.
+Exit codes: 0 success, 1 data error, 2 configuration error. `run` and
+`bench` also exit 1 when any question failed, after writing their output,
+which lists the failures.
 """
 
 from __future__ import annotations
@@ -65,12 +65,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_run_file(args.out, result, config)
     print(f"wrote {len(result.runs)} runs to {args.out} "
           f"(config {config.config_id})")
-    if result.errors:
-        print(f"{len(result.errors)} question(s) failed:", file=sys.stderr)
-        for qid, message in result.errors:
-            print(f"  {qid}: {message}", file=sys.stderr)
-        return 1
-    return 0
+    return _listed_failures(result.errors)
+
+
+def _listed_failures(errors: Sequence[tuple[str, str]]) -> int:
+    """List each (question id, error) on stderr; the exit code: 1 if any."""
+    if not errors:
+        return 0
+    print(f"{len(errors)} question(s) failed:", file=sys.stderr)
+    for qid, message in errors:
+        print(f"  {qid}: {message}", file=sys.stderr)
+    return 1
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
@@ -133,7 +138,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if report.speedup:
         for key, value in sorted(report.speedup.items()):
             print(f"speedup[{key}] = {value:.2f}x")
-    return 0
+    return _listed_failures([(f["question_id"], f["error"]) for f in report.failed])
 
 
 def _cmd_sample_strata(args: argparse.Namespace) -> int:

@@ -259,6 +259,7 @@ class LatencyReport:
     mean_seconds: dict[str, float]  # per source set, plus "overall"
     low_confidence: bool
     speedup: dict[str, float] | None
+    failed: list[dict[str, str]]  # {"question_id", "error"}, as in a run sidecar
 
 
 def _comparison_means(path: str | Path) -> dict[str, float]:
@@ -276,7 +277,9 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     """Wall-clock per-question time, averaged over warm iterations.
 
     Stage loading happens once and is reported separately. The comparison
-    file is read and checked before any stage is loaded.
+    file is read and checked before any stage is loaded. A question that
+    raises is recorded in `failed`, is not asked again and is left out of
+    the means; when no question is answered, that is a DataError.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -288,16 +291,28 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     other_means = None if comparison_path is None else _comparison_means(comparison_path)
     stages, load_seconds = load_stages(config)
     totals = {q.id: 0.0 for q in questions}
+    errors: dict[str, str] = {}
     for _ in range(iterations):
         for question in questions:
+            if question.id in errors:
+                continue
             started = perf_counter()
-            stages.answer(question, docsets[question.id])
+            try:
+                stages.answer(question, docsets[question.id])
+            except Exception as exc:  # recorded per question, as `run` does
+                errors[question.id] = f"{type(exc).__name__}: {exc}"
+                continue
             totals[question.id] += perf_counter() - started
-    per_question = {qid: total / iterations for qid, total in totals.items()}
+    if len(errors) == len(questions):
+        qid, error = next(iter(errors.items()))
+        raise DataError(f"no question was answered; the first, {qid}, failed: {error}")
+    per_question = {qid: total / iterations for qid, total in totals.items()
+                    if qid not in errors}
 
     by_set: dict[str, list[float]] = {}
     for question in questions:
-        by_set.setdefault(question.source_set, []).append(per_question[question.id])
+        if question.id in per_question:
+            by_set.setdefault(question.source_set, []).append(per_question[question.id])
     mean_seconds = {
         source: sum(values) / len(values) for source, values in sorted(by_set.items())
     }
@@ -318,6 +333,7 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
         mean_seconds=mean_seconds,
         low_confidence=iterations == 1,
         speedup=speedup,
+        failed=[{"question_id": qid, "error": error} for qid, error in errors.items()],
     )
 
 

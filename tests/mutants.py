@@ -116,6 +116,18 @@ MUTANTS = (
            'if run and run.lower().rstrip(".") in abbreviations:',
            ("tests/test_corpus.py::test_split_sentences_matches_reference_on_random_texts",
             "tests/test_pipeline.py::test_answer_matches_reference_answer_on_random_cases")),
+    Mutant("splitter that scans for periods alone in a text that holds one",
+           "entityqa/corpus.py",
+           '    held = ("." in text, "!" in text, "?" in text)\n',
+           '    held = ("." in text, "!" in text, "?" in text)\n'
+           '    held = (True, False, False) if held[0] else held\n',
+           ("tests/test_corpus.py::test_split_sentences_matches_reference_on_random_texts",
+            "tests/test_corpus.py::test_split_sentences_matches_reference_on_long_and_unicode_texts")),
+    Mutant("splitter that returns a text without terminators unstripped",
+           "entityqa/corpus.py",
+           "        text = text.strip()\n        return [text] if text else []\n",
+           "        return [text] if text.strip() else []\n",
+           ("tests/test_corpus.py::test_split_sentences_matches_reference_on_long_and_unicode_texts",)),
     Mutant("ranking that keeps six score groups",
            "entityqa/ranking.py",
            "            if len(groups) == MAX_RANK_GROUPS:\n",

@@ -59,3 +59,41 @@ def test_summarise_reads_each_metric_and_sha256_agreement():
                                        "across": True}
     assert summary["metrics"]["ops_per_s"]["head_wins"] == 1
     assert summary["pairs"] == pairs
+
+
+@pytest.mark.parametrize("verdicts, overall", [
+    (["better", "better"], "better"),
+    (["better", "flat"], "flat"),
+    (["better", "unresolved"], "unresolved"),
+    (["better", "worse"], "worse"),
+    (["flat", "worse", "better"], "worse"),
+    (["flat", "flat"], "flat"),
+    (["better"], "better"),
+])
+def test_a_verdict_over_seeds_is_better_only_when_every_seed_is(verdicts, overall):
+    assert bench_pairs.combine(verdicts) == overall
+
+
+def test_overall_verdicts_combine_each_metric_over_its_seeds():
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                           {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+
+    def run(ops, setup):
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": ops, "setup_s": setup}, "sha256": {"run.jsonl": "a"}}
+
+    def pairs(ops, setup):
+        return [{"first": "base", "base": run(100 + i, 1.0), "head": run(ops + i, setup)}
+                for i in range(5)]
+
+    # Seed 1: ops 100 → 110 better, set-up flat. Seed 2: ops flat, set-up
+    # 1.0 → 1.5 worse.
+    by_seed = {"1": {"w": bench_pairs.summarise(pairs(110, 1.0), spec)},
+               "2": {"w": bench_pairs.summarise(pairs(100, 1.5), spec)}}
+    assert [by_seed[s]["w"]["metrics"][m]["verdict"] for s in ("1", "2")
+            for m in ("ops_per_s", "setup_s")] == ["better", "flat", "flat", "worse"]
+    assert bench_pairs.overall_verdicts(by_seed) == {"w": {"ops_per_s": "flat",
+                                                           "setup_s": "worse"}}
+    by_seed["2"] = {"w": bench_pairs.summarise(pairs(111, 1.0), spec)}
+    assert bench_pairs.overall_verdicts(by_seed) == {"w": {"ops_per_s": "better",
+                                                           "setup_s": "flat"}}

@@ -527,6 +527,55 @@ def test_bench_speedup_against_comparison(tmp_path, config_file):
     assert payload["speedup"]["overall"] > 1.0
 
 
+def _cache_without(tmp_path, planted_config, questions) -> Path:
+    """A copy of the planted embedding cache without the vectors of
+    `questions`' texts."""
+    digests = {text_sha256(preprocess_text(q.text)) for q in questions}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(
+        line for line in Path(planted_config["cache_path"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["sha256"] not in digests), encoding="utf-8")
+    return cache
+
+
+def test_bench_question_that_fails_is_listed_and_the_others_timed(
+        tmp_path, config_file, planted, planted_config, capsys):
+    # One question's text is missing from the embedding cache: it fails
+    # alone, the report is written and lists it as a run sidecar does, and
+    # bench exits 1 after naming it on stderr, as run does.
+    uncached = planted.questions[5]
+    cache = _cache_without(tmp_path, planted_config, [uncached])
+    cfg = config_file({"embedding_provider": "cache", "cache_path": str(cache)})
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--iterations", "2"]) == 1
+    payload = json.loads(out.read_text())
+    error = (f"DataError: {cache}: no cached embedding for sha256 "
+             f"{text_sha256(preprocess_text(uncached.text))}")
+    assert payload["failed"] == [{"question_id": uncached.qid, "error": error}]
+    assert payload["n_questions"] == 12 and payload["mean_seconds"]["overall"] > 0
+    assert capsys.readouterr().err == f"1 question(s) failed:\n  {uncached.qid}: {error}\n"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "for `run` and `bench` —\nany question that failed" in readme
+    assert 'The report\'s `failed` list holds one `{"question_id", "error"}`' in readme
+
+
+def test_bench_where_every_question_fails_writes_nothing(
+        tmp_path, config_file, planted, planted_config, capsys):
+    cache = _cache_without(tmp_path, planted_config, planted.questions)
+    cfg = config_file({"embedding_provider": "cache", "cache_path": str(cache)})
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--iterations", "1"]) == 1
+    first = planted.questions[0]
+    assert capsys.readouterr().err == (
+        f"data error: no question was answered; the first, {first.qid}, failed: "
+        f"DataError: {cache}: no cached embedding for sha256 "
+        f"{text_sha256(preprocess_text(first.text))}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample-strata
 # ---------------------------------------------------------------------------

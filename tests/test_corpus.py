@@ -211,16 +211,28 @@ _SPLIT_STARTS = ("Next", "next", "3 more", '"Quoted"', "(Aside)", "'tis",
                  "É", "_x", ". Dot", "U.S")
 
 
+def _held_kinds(rng: random.Random, *choices: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Each of `choices` cut down to the strings that hold no terminator
+    outside one, two or three kinds drawn for one text, so that a text
+    holds each set of kinds, and a text of one kind takes the splitter's
+    literal scan."""
+    kinds = rng.sample(".!?", rng.randint(1, 3))
+    return [tuple(c for c in choice if all(ch in kinds for ch in c if ch in ".!?"))
+            for choice in choices]
+
+
 def _random_split_text(rng: random.Random) -> str:
+    starts, words, terminators = _held_kinds(rng, _SPLIT_STARTS, _SPLIT_WORDS,
+                                             _SPLIT_TERMINATORS)
     parts = []
     for _ in range(rng.randint(1, 8)):
-        parts.append(rng.choice(_SPLIT_STARTS))
+        parts.append(rng.choice(starts))
         for _ in range(rng.randint(0, 3)):
             parts.append(rng.choice(_SPLIT_GAPS) or " ")
-            parts.append(rng.choice(_SPLIT_WORDS))
+            parts.append(rng.choice(words))
         # A gap may fall between the last word and its terminator.
         parts.append(rng.choice(("", "", "", "\n", " ")))
-        parts.append(rng.choice(_SPLIT_TERMINATORS))
+        parts.append(rng.choice(terminators))
         parts.append(rng.choice(_SPLIT_GAPS))
     return "".join(parts)
 
@@ -228,7 +240,8 @@ def _random_split_text(rng: random.Random) -> str:
 def _flagged_outcomes(text: str, abbreviations: frozenset[str]) -> tuple[int, int]:
     """How many of the text's flagged boundaries stay splits, and how many
     the exact rule joins (the rule of `reference_split_sentences`)."""
-    parts = corpus._splitter(abbreviations)(text)
+    held = ("." in text, "!" in text, "?" in text)
+    parts = corpus._splitter(abbreviations, held)(text) if True in held else [text]
     split = joined = 0
     for piece, terminators, gap in zip(parts[::3], parts[1::3], parts[2::3]):
         if gap is not None:
@@ -274,14 +287,17 @@ def _long_split_text(rng: random.Random) -> str:
     """30-60 sentences, as long as a benchmark document, that may open with
     a terminator and whose gaps mix ASCII and Unicode whitespace."""
     gaps = _SPLIT_GAPS + _UNICODE_GAPS
-    parts = [rng.choice(("", "", ".", ". ", "?! ", "...\n", "\u3000. "))]
+    openings, starts, words, terminators = _held_kinds(
+        rng, ("", "", ".", ". ", "?! ", "...\n", "\u3000. ", "! ", "?\n"),
+        _SPLIT_STARTS, _SPLIT_WORDS, _SPLIT_TERMINATORS)
+    parts = [rng.choice(openings)]
     for _ in range(rng.randint(30, 60)):
-        parts.append(rng.choice(_SPLIT_STARTS))
+        parts.append(rng.choice(starts))
         for _ in range(rng.randint(0, 6)):
             parts.append(rng.choice(gaps) or " ")
-            parts.append(rng.choice(_SPLIT_WORDS))
+            parts.append(rng.choice(words))
         parts.append(rng.choice(("", "", "", "\n", " ", "\r\n", "\u2028", "\u0085")))
-        parts.append(rng.choice(_SPLIT_TERMINATORS))
+        parts.append(rng.choice(terminators))
         parts.append(rng.choice(gaps))
     return "".join(parts)
 
@@ -293,7 +309,12 @@ def test_split_sentences_matches_reference_on_long_and_unicode_texts():
                          _CASE_ABBREVIATIONS)
     blanks = ["".join(rng.choice(_UNICODE_GAPS + _SPLIT_GAPS) for _ in range(n))
               for n in range(8)]
-    texts = blanks + [_long_split_text(rng) for _ in range(800)]
+    # No terminator: words between Unicode whitespace, one sentence.
+    bare_words = [word for word in _SPLIT_WORDS if word and "." not in word]
+    bare = [rng.choice(_UNICODE_GAPS) + " ".join(rng.choices(bare_words, k=rng.randint(1, 5)))
+            + rng.choice(_UNICODE_GAPS) for _ in range(40)]
+    long_texts = [_long_split_text(rng) for _ in range(800)]
+    texts = blanks + bare + long_texts
     outcomes = {abbreviations: [0, 0] for abbreviations in abbreviation_sets}
     for text in texts:
         for abbreviations in abbreviation_sets:
@@ -304,6 +325,10 @@ def test_split_sentences_matches_reference_on_long_and_unicode_texts():
             outcomes[abbreviations][1] += joined
     assert all(split > 100 and joined > 100 for split, joined in outcomes.values()), outcomes
     assert all(split_sentences(text) == [] for text in blanks)
+    assert all(split_sentences(text) == [text.strip()] for text in bare)
+    # Long texts of each number of kinds of terminator were split.
+    kinds = [sum(t in text for t in ".!?") for text in long_texts]
+    assert min(map(kinds.count, (1, 2, 3))) > 100, kinds
 
 
 def test_segment_sentences_matches_reference_on_planted_documents(planted):

@@ -743,7 +743,7 @@ def _significance(run_b):
 
 
 def _latency(label):
-    return LatencyReport(label, 2, 12, 0.25, {"overall": 0.01}, False, None)
+    return LatencyReport(label, 2, 12, 0.25, {"overall": 0.01}, False, None, [])
 
 
 def _write_runs(path, runs):

@@ -455,6 +455,29 @@ def test_latency_bench_speedup(tmp_path, planted, planted_config):
     assert json.loads(out.read_text())["speedup"]["overall"] > 1.0
 
 
+def test_latency_bench_leaves_a_failing_question_out_of_the_means(
+        monkeypatch, planted, planted_config):
+    questions, docsets = _inputs(planted)
+    failing = questions[4].id
+    asked = []
+
+    class Stages:
+        def answer(self, question, docset):
+            asked.append(question.id)
+            if question.id == failing:
+                raise DataError("no vector")
+
+    # Each clock reading is one second after the last: an answer takes 1 s.
+    clock = iter(range(1_000))
+    monkeypatch.setattr(experiments, "load_stages", lambda config: (Stages(), 0.5))
+    monkeypatch.setattr(experiments, "perf_counter", lambda: float(next(clock)))
+    report = run_latency_bench(PipelineConfig(**planted_config), questions, docsets,
+                               iterations=3)
+    assert report.failed == [{"question_id": failing, "error": "DataError: no vector"}]
+    assert asked.count(failing) == 1 and len(asked) == 1 + 3 * (len(questions) - 1)
+    assert set(report.mean_seconds.values()) == {1.0}
+
+
 def test_latency_bench_rejects_empty_questions(planted, planted_config):
     _questions, docsets = _inputs(planted)
     with pytest.raises(DataError):

@@ -1,7 +1,7 @@
 """Paired benchmark: the end-to-end metrics of a base revision and of this
 checkout, run alternately, and a verdict per metric and workload.
 
-    python3 tools/bench_pairs.py --base main --label my-change --seed 59 --pairs 5
+    python3 tools/bench_pairs.py --base main --label my-change --seed 59 --seed 61 --pairs 5
 
 The base revision is checked out with `git worktree add` into a temporary
 directory, removed at the end; `--base-tree DIR` names an existing checkout
@@ -10,8 +10,9 @@ script lives in. Each pair runs the unchanged `bench/run.py --trace 0`, for
 BENCHMARK.json's `run_seconds`, once on each side for every workload, the
 side that runs first alternating from pair to pair; each tree's
 `bench/.work` is deleted before every run, so each run generates its inputs
-from the seed. The result is written to `BENCH_<label>.json` at the root of
-this checkout.
+from the seed. `--seed` may be given more than once: the pairs are run for
+each seed in turn. The result is written to `BENCH_<label>.json` at the
+root of this checkout.
 
 A metric's verdict, from its paired runs and the bound in BENCHMARK.json
 (a fraction of the base median):
@@ -27,7 +28,10 @@ A verdict holds only for the seed its runs used: the seed fixes the inputs,
 and a change of a few percent on one input set need not repeat on another.
 On one change, `ablate-grid` `ops_per_s` read better, +3.8% in 10 of 10
 pairs, at seed 83, and +0.3% in 3 of 6 pairs at seed 97. So a claimed gain
-needs a second run at another seed whose verdict agrees.
+needs a second seed whose verdict agrees, and each metric's overall
+verdict combines those of its seeds (`combine`): worse when any seed reads
+worse, better only when every seed reads better, else unresolved when any
+seed does, else flat.
 """
 
 from __future__ import annotations
@@ -76,6 +80,15 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
             "head_median": head_median, "change": head_median / base_median - 1.0
             if base_median else None, "base_q1": q1, "base_q3": q3,
             "head_wins": wins, "pairs": len(base), "verdict": verdict}
+
+
+def combine(verdicts: list[str]) -> str:
+    """One metric's overall verdict from its verdict at each seed."""
+    if "worse" in verdicts:
+        return "worse"
+    if all(v == "better" for v in verdicts):
+        return "better"
+    return "unresolved" if "unresolved" in verdicts else "flat"
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -139,58 +152,81 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     }
 
 
+def overall_verdicts(by_seed: dict[str, dict[str, dict]]) -> dict[str, dict[str, str]]:
+    """Per workload and metric, `combine` of its verdict at each seed;
+    `by_seed` maps each seed to its workloads' `summarise` results."""
+    summaries = list(by_seed.values())
+    return {workload: {name: combine([s[workload]["metrics"][name]["verdict"]
+                                      for s in summaries])
+                       for name in metrics["metrics"]}
+            for workload, metrics in summaries[0].items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     where = parser.add_mutually_exclusive_group(required=True)
     where.add_argument("--base", help="base revision, checked out with git worktree add")
     where.add_argument("--base-tree", help="an existing checkout of the base revision")
     parser.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True,
+                        help="the inputs' seed; give it again for each further seed")
     parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+    if len(set(args.seed)) < len(args.seed):
+        parser.error("each --seed must differ from the others")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     with base_checkout(args.base, args.base_tree) as base:
         trees = {"base": base, "head": ROOT}
-        pairs: dict[str, list[dict]] = {w: [] for w in workloads}
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for workload in workloads:
-                pair = {"first": order[0]}
-                for side in order:
-                    print(f"pair {i + 1}/{args.pairs} {workload} {side}", file=sys.stderr,
-                          flush=True)
-                    pair[side] = run_bench(trees[side], workload, args.seed, seconds)
-                pairs[workload].append(pair)
+        pairs = {seed: {w: [] for w in workloads} for seed in args.seed}
+        for seed in args.seed:
+            for i in range(args.pairs):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                for workload in workloads:
+                    pair = {"first": order[0]}
+                    for side in order:
+                        print(f"seed {seed} pair {i + 1}/{args.pairs} {workload} {side}",
+                              file=sys.stderr, flush=True)
+                        pair[side] = run_bench(trees[side], workload, seed, seconds)
+                    pairs[seed][workload].append(pair)
         revisions = {side: git(tree, "rev-parse", "HEAD") for side, tree in trees.items()}
         dirty = {side: bool(git(tree, "status", "--porcelain", "--untracked-files=no"))
                  for side, tree in trees.items()}
 
+    by_seed = {str(seed): {w: summarise(pairs[seed][w], spec) for w in workloads}
+               for seed in args.seed}
     report = {
         "label": args.label,
         "revisions": revisions,
         "uncommitted_changes": dirty,
-        "seed": args.seed,
+        "seeds": args.seed,
         "seconds": seconds,
         "pairs": args.pairs,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": version("numpy"), "scipy": version("scipy")},
-        "workloads": {w: summarise(pairs[w], spec) for w in workloads},
+        "verdicts": overall_verdicts(by_seed),
+        "by_seed": by_seed,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for workload, summary in report["workloads"].items():
-        for name, m in summary["metrics"].items():
-            print(f"{workload:20} {name:12} base {m['base_median']:.6g} head "
-                  f"{m['head_median']:.6g} wins {m['head_wins']}/{m['pairs']} {m['verdict']}")
-        print(f"{workload:20} sha256 agree {summary['sha256_agree']}")
+    for seed, workloads_of_seed in by_seed.items():
+        for workload, summary in workloads_of_seed.items():
+            for name, m in summary["metrics"].items():
+                print(f"seed {seed:6} {workload:20} {name:12} base {m['base_median']:.6g} "
+                      f"head {m['head_median']:.6g} wins {m['head_wins']}/{m['pairs']} "
+                      f"{m['verdict']}")
+            print(f"seed {seed:6} {workload:20} sha256 agree {summary['sha256_agree']}")
+    for workload, verdicts in report["verdicts"].items():
+        for name, verdict in verdicts.items():
+            print(f"overall     {workload:20} {name:12} {verdict}")
     print(f"wrote {out}")
-    print(f"these verdicts hold for seed {args.seed} only: "
-          "a claimed gain needs a second seed that agrees")
+    if len(args.seed) == 1:
+        print(f"these verdicts hold for seed {args.seed[0]} only: "
+              "a claimed gain needs a second seed that agrees")
     return 0
 
 
