@@ -213,8 +213,8 @@ _SPLIT_STARTS = ("Next", "next", "3 more", '"Quoted"', "(Aside)", "'tis",
 
 def _held_kinds(rng: random.Random, *choices: tuple[str, ...]) -> list[tuple[str, ...]]:
     """Each of `choices` cut down to the strings that hold no terminator
-    outside one, two or three kinds drawn for one text, so that a text
-    holds each set of kinds, and a text of one kind takes the splitter's
+    outside one, two or three kinds drawn for one text. So the texts hold
+    every set of kinds, and a text of one kind takes the splitter's
     literal scan."""
     kinds = rng.sample(".!?", rng.randint(1, 3))
     return [tuple(c for c in choice if all(ch in kinds for ch in c if ch in ".!?"))
