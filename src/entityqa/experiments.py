@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from time import perf_counter
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import DocumentSet, Question, read_field, read_json, write_json
@@ -36,7 +35,8 @@ from .evaluation import (METRICS, Judgment, MetricReport, SignificanceResult,
                          compare_reports, evaluate_run, matching_surfaces,
                          run_metrics, write_csv)
 from .pipeline import (CLASSIFIER_KINDS, PROVIDER_KINDS, PipelineConfig,
-                       aggregate_evidence, load_shared_stages, load_stages)
+                       aggregate_evidence, load_shared_stages, load_stages,
+                       run_pipeline)
 from .ranking import (ALPHA_BETA_GRID, COMBINE_MODES, RankingConfig,
                       load_runs, rank_answers)
 from .scoring import AGGREGATION_MODES
@@ -277,32 +277,26 @@ def run_latency_bench(config: PipelineConfig, questions: Sequence[Question],
     """Wall-clock per-question time, averaged over warm iterations.
 
     Stage loading happens once and is reported separately. The comparison
-    file is read and checked before any stage is loaded. A question that
-    raises is recorded in `failed`, is not asked again and is left out of
+    file is read and checked before any stage is loaded. Each iteration is
+    one `run_pipeline` over the questions not yet failed. A question that
+    fails (no document set, or an error while answering) is recorded in
+    `failed` as `run` records it, is not asked again and is left out of
     the means; when no question is answered, that is a DataError.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not questions:
         raise DataError("no questions to benchmark")
-    no_docs = sorted(q.id for q in questions if q.id not in docsets)
-    if no_docs:
-        raise DataError(f"questions without document sets: {no_docs}")
     other_means = None if comparison_path is None else _comparison_means(comparison_path)
     stages, load_seconds = load_stages(config)
     totals = {q.id: 0.0 for q in questions}
     errors: dict[str, str] = {}
     for _ in range(iterations):
-        for question in questions:
-            if question.id in errors:
-                continue
-            started = perf_counter()
-            try:
-                stages.answer(question, docsets[question.id])
-            except Exception as exc:  # recorded per question, as `run` does
-                errors[question.id] = f"{type(exc).__name__}: {exc}"
-                continue
-            totals[question.id] += perf_counter() - started
+        result = run_pipeline(config, [q for q in questions if q.id not in errors],
+                              docsets, stages)
+        errors.update(result.errors)
+        for run, seconds in zip(result.runs, result.seconds):
+            totals[run.question_id] += seconds
     if len(errors) == len(questions):
         qid, error = next(iter(errors.items()))
         raise DataError(f"no question was answered; the first, {qid}, failed: {error}")

@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import reprlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, lru_cache, partial
 from pathlib import Path
 from time import perf_counter
@@ -316,20 +316,23 @@ def load_stages(config: PipelineConfig) -> tuple[LoadedStages, float]:
 class PipelineResult:
     runs: tuple[TiedRun, ...]
     errors: tuple[tuple[str, str], ...]  # (question_id, message)
+    # The seconds each run's `answer` took, in run order; not compared.
+    seconds: tuple[float, ...] = field(default=(), compare=False)
 
 
 def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
                  docsets: Mapping[str, DocumentSet],
                  stages: LoadedStages | None = None) -> PipelineResult:
-    """Answer every question in order; per-question failures are recorded,
-    not fatal. Progress is logged at INFO, one record per question. Given
-    `stages` must be those of `config`, whose id the run file carries."""
+    """Answer and time every question in order; per-question failures are
+    recorded, not fatal. Progress is logged at INFO, one record per question.
+    Given `stages` must be those of `config`, whose id the run file carries."""
     if stages is None:
         stages, _ = load_stages(config)
     elif stages.config != config:
         raise ValueError(f"stages of config {stages.config.config_id} "
                          f"given for config {config.config_id}")
     runs: list[TiedRun] = []
+    seconds: list[float] = []
     errors: list[tuple[str, str]] = []
     for n, question in enumerate(questions, start=1):
         error = None
@@ -338,7 +341,9 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
             error = "no document set"
         else:
             try:
+                started = perf_counter()
                 runs.append(stages.answer(question, docset))
+                seconds.append(perf_counter() - started)
             except Exception as exc:  # recorded per question, surfaced in summary
                 log.exception("question %s failed", question.id)
                 error = f"{type(exc).__name__}: {exc}"
@@ -346,7 +351,7 @@ def run_pipeline(config: PipelineConfig, questions: Sequence[Question],
             errors.append((question.id, error))
         log.info("question %d/%d %s: %s", n, len(questions), question.id,
                  error or "answered")
-    return PipelineResult(runs=tuple(runs), errors=tuple(errors))
+    return PipelineResult(runs=tuple(runs), errors=tuple(errors), seconds=tuple(seconds))
 
 
 def write_run_file(path: str | Path, result: PipelineResult,

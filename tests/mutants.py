@@ -146,6 +146,17 @@ MUTANTS = (
            "    elif stages.config != config:\n",
            "    elif False:\n",
            ("tests/test_pipeline.py::test_run_pipeline_refuses_the_stages_of_another_config",)),
+    Mutant("run_pipeline that records a time for a question that raises",
+           "entityqa/pipeline.py",
+           '                log.exception("question %s failed", question.id)\n',
+           "                seconds.append(perf_counter() - started)\n"
+           '                log.exception("question %s failed", question.id)\n',
+           ("tests/test_pipeline.py::test_run_pipeline_times_each_run_and_no_failed_question",)),
+    Mutant("bench that asks a failed question again in each iteration",
+           "entityqa/experiments.py",
+           "[q for q in questions if q.id not in errors]",
+           "list(questions)",
+           ("tests/test_experiments.py::test_latency_bench_leaves_a_failing_question_out_of_the_means",)),
     Mutant("embedding cache that keeps the last of two vectors for one digest",
            "entityqa/scoring.py",
            "            kept = self.entries.setdefault(digest, vec)\n",

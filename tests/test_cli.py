@@ -576,6 +576,34 @@ def test_bench_where_every_question_fails_writes_nothing(
     assert not out.exists()
 
 
+def test_run_and_bench_list_the_same_failures(tmp_path, config_file, planted,
+                                              planted_config, capsys):
+    # One config, two failures: a question whose text the embedding cache
+    # lacks, and a later one without documents. Both commands fail each
+    # alone, list both in input order in the same objects, name them on
+    # stderr alike and exit 1.
+    uncached, no_docs = planted.questions[2], planted.questions[6]
+    documents = tmp_path / "documents.jsonl"
+    documents.write_text("".join(
+        line for line in Path(planted_config["documents_path"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["question_id"] != no_docs.qid), encoding="utf-8")
+    cache = _cache_without(tmp_path, planted_config, [uncached])
+    cfg = config_file({"documents_path": str(documents),
+                       "embedding_provider": "cache", "cache_path": str(cache)})
+    runs, bench = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    assert main(["run", "--config", str(cfg), "--out", str(runs)]) == 1
+    run_err = capsys.readouterr().err
+    assert main(["bench", "--config", str(cfg), "--out", str(bench),
+                 "--iterations", "2"]) == 1
+    failed = json.loads(bench.read_text())["failed"]
+    assert failed == json.loads((tmp_path / "runs.jsonl.config.json").read_text())["errors"]
+    assert [f["question_id"] for f in failed] == [uncached.qid, no_docs.qid]
+    assert failed[1]["error"] == "no document set"
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith("2 question(s) failed:\n")
+
+
 # ---------------------------------------------------------------------------
 # sample-strata
 # ---------------------------------------------------------------------------

@@ -455,10 +455,9 @@ def test_latency_bench_speedup(tmp_path, planted, planted_config):
     assert json.loads(out.read_text())["speedup"]["overall"] > 1.0
 
 
-def test_latency_bench_leaves_a_failing_question_out_of_the_means(
-        monkeypatch, planted, planted_config):
-    questions, docsets = _inputs(planted)
-    failing = questions[4].id
+def _timed_fake_stages(monkeypatch, config, failing=None) -> list[str]:
+    """Stages of `config` whose answer raises for `failing` and takes 1 s
+    of the clock `run_pipeline` reads; the ids asked, in order."""
     asked = []
 
     class Stages:
@@ -466,13 +465,23 @@ def test_latency_bench_leaves_a_failing_question_out_of_the_means(
             asked.append(question.id)
             if question.id == failing:
                 raise DataError("no vector")
+            return TiedRun(question.id, (), ())
 
+    Stages.config = config
     # Each clock reading is one second after the last: an answer takes 1 s.
     clock = iter(range(1_000))
     monkeypatch.setattr(experiments, "load_stages", lambda config: (Stages(), 0.5))
-    monkeypatch.setattr(experiments, "perf_counter", lambda: float(next(clock)))
-    report = run_latency_bench(PipelineConfig(**planted_config), questions, docsets,
-                               iterations=3)
+    monkeypatch.setattr(pipeline, "perf_counter", lambda: float(next(clock)))
+    return asked
+
+
+def test_latency_bench_leaves_a_failing_question_out_of_the_means(
+        monkeypatch, planted, planted_config):
+    questions, docsets = _inputs(planted)
+    config = PipelineConfig(**planted_config)
+    failing = questions[4].id
+    asked = _timed_fake_stages(monkeypatch, config, failing)
+    report = run_latency_bench(config, questions, docsets, iterations=3)
     assert report.failed == [{"question_id": failing, "error": "DataError: no vector"}]
     assert asked.count(failing) == 1 and len(asked) == 1 + 3 * (len(questions) - 1)
     assert set(report.mean_seconds.values()) == {1.0}
@@ -485,13 +494,19 @@ def test_latency_bench_rejects_empty_questions(planted, planted_config):
                           iterations=1)
 
 
-def test_latency_bench_rejects_zero_iterations_and_questions_without_documents(
-        planted, planted_config):
+def test_latency_bench_rejects_zero_iterations_and_lists_questions_without_documents(
+        monkeypatch, planted, planted_config):
     questions, docsets = _inputs(planted)
     config = PipelineConfig(**planted_config)
     with pytest.raises(ValueError, match="^iterations must be >= 1$"):
         run_latency_bench(config, questions, docsets, iterations=0)
-    del docsets[questions[2].id]
-    with pytest.raises(DataError) as err:
-        run_latency_bench(config, questions, docsets, iterations=1)
-    assert str(err.value) == f"questions without document sets: ['{questions[2].id}']"
+    # As in `run`, a question without documents fails alone: it is listed,
+    # never asked and left out of the means, where its 0 s would show.
+    no_docs = questions[2].id
+    del docsets[no_docs]
+    asked = _timed_fake_stages(monkeypatch, config)
+    report = run_latency_bench(config, questions, docsets, iterations=2)
+    assert report.failed == [{"question_id": no_docs, "error": "no document set"}]
+    assert asked == 2 * [q.id for q in questions if q.id != no_docs]
+    assert report.n_questions == len(questions)
+    assert set(report.mean_seconds.values()) == {1.0}

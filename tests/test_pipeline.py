@@ -29,7 +29,7 @@ from entityqa.pipeline import (
     write_run_file,
 )
 from entityqa.qtype import AnswerTypeMap
-from entityqa.ranking import ALPHA_BETA_GRID, COMBINE_MODES
+from entityqa.ranking import ALPHA_BETA_GRID, COMBINE_MODES, TiedRun
 from entityqa.scoring import AGGREGATION_MODES, EvidenceSet, WordAverageProvider
 
 
@@ -263,6 +263,38 @@ def test_run_pipeline_missing_docset_recorded(planted, planted_config):
     assert len(result.runs) == len(questions) - 1
     assert result.errors[0][0] == questions[0].id
     assert "document" in result.errors[0][1]
+
+
+def test_run_pipeline_times_each_run_and_no_failed_question(monkeypatch, planted,
+                                                            planted_config):
+    cfg = PipelineConfig(**planted_config)
+    questions, docsets = _inputs(planted)
+    result = run_pipeline(cfg, questions, docsets)
+    assert len(result.seconds) == len(result.runs) == len(questions)
+    assert all(type(s) is float and s > 0 for s in result.seconds)
+
+    # Each question takes a different time on a fake clock, so a time
+    # recorded for a failed question, or out of run order, shows.
+    no_docs, raising = questions[1].id, questions[4].id
+    docsets.pop(no_docs)
+    duration = {q.id: float(n) for n, q in enumerate(questions, start=1)}
+    now = [0.0]
+
+    class Stages:
+        config = cfg
+
+        def answer(self, question, docset):
+            now[0] += duration[question.id]
+            if question.id == raising:
+                raise ValueError("no answer")
+            return TiedRun(question.id, (), ())
+
+    monkeypatch.setattr(pipeline, "perf_counter", lambda: now[0])
+    result = run_pipeline(cfg, questions, docsets, stages=Stages())
+    answered = [q.id for q in questions if q.id not in (no_docs, raising)]
+    assert [run.question_id for run in result.runs] == answered
+    assert result.seconds == tuple(duration[qid] for qid in answered)
+    assert [qid for qid, _ in result.errors] == [no_docs, raising]
 
 
 def test_prepare_skips_segmentation_for_unmapped_type(monkeypatch, planted,
