@@ -4,8 +4,8 @@ Covers the front end of the pipeline: loading question and document files,
 normalising raw text (accent folding, contraction expansion), splitting
 documents into sentences, and building per-question document sets by
 stratified sampling over retrieval ranks. It also holds the one reader
-and the one atomic writer of each file format the package uses: JSON,
-JSON lines and plain text.
+of lines of text, and the one reader and the one atomic writer of each
+file format the package uses: JSON, JSON lines and plain text.
 """
 
 from __future__ import annotations
@@ -144,21 +144,37 @@ def load_strata_spec(path: str | Path) -> StrataSpec:
 # Ingestion
 # ---------------------------------------------------------------------------
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its newline) for each non-blank
+    line of a UTF-8 text file, where "\n", "\r\n" and "\r" each end a line;
+    a line that is not UTF-8 is a ParseError naming it. An undecodable byte
+    reads as a lone surrogate, which no UTF-8 decodes to, and is found line
+    by line, so an earlier line's fault is reported first."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(str(path), line_no, f"not UTF-8: byte "
+                                     f"{ord(line[exc.start]) - 0xDC00:#04x} at column "
+                                     f"{exc.start + 1}") from None
+            if line.strip():
+                yield line_no, line.rstrip("\n")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSON-lines
     file; a line that is not a JSON object is a ParseError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:  # also an integer too long for int()
-                raise ParseError(str(path), line_no,
-                                 f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            if not isinstance(raw, dict):
-                raise ParseError(str(path), line_no, "expected a JSON object")
-            yield line_no, raw
+    for line_no, line in read_lines(path):
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:  # also an integer too long for int()
+            raise ParseError(str(path), line_no,
+                             f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(str(path), line_no, "expected a JSON object")
+        yield line_no, raw
 
 
 def read_question_jsonl(path: str | Path, key: str) -> Iterator[tuple[int, dict, str]]:

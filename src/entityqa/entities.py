@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, canonicalize,
-                     read_field, read_jsonl)
+                     read_field, read_jsonl, read_lines)
 from .errors import ParseError
 
 ONTONOTES_TAGS = frozenset({
@@ -136,24 +136,22 @@ class GazetteerExtractor:
         """
         lexicon: dict[str, str] = {}
         line_of: dict[str, int] = {}  # surface -> its first line
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(str(path), line_no, "expected 'surface<TAB>tag'")
-                tag = parts[1].strip()
-                if tag not in ONTONOTES_TAGS:
-                    raise ParseError(str(path), line_no,
-                                     f"gazetteer tag {tag!r} not in the tagset")
-                surface = parts[0]
-                line_of.setdefault(surface, line_no)
-                if lexicon.setdefault(surface, tag) != tag:
-                    raise ParseError(str(path), line_no,
-                                     f"{surface!r} is tagged {tag} here but {lexicon[surface]}"
-                                     f" at line {line_of[surface]}")
+        for line_no, line in read_lines(path):
+            if line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(str(path), line_no, "expected 'surface<TAB>tag'")
+            tag = parts[1].strip()
+            if tag not in ONTONOTES_TAGS:
+                raise ParseError(str(path), line_no,
+                                 f"gazetteer tag {tag!r} not in the tagset")
+            surface = parts[0]
+            line_of.setdefault(surface, line_no)
+            if lexicon.setdefault(surface, tag) != tag:
+                raise ParseError(str(path), line_no,
+                                 f"{surface!r} is tagged {tag} here but {lexicon[surface]}"
+                                 f" at line {line_of[surface]}")
         _warn_of_entries_that_never_match(path, line_of)
         try:
             return cls(lexicon)

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import atomic_write_bytes, atomic_write_text, read_field, read_json
+from ..corpus import (atomic_write_bytes, atomic_write_text, read_field, read_json,
+                      read_lines)
 from ..errors import DataError, ParseError
 from .annotate import question_features
 from .features import NAMESPACES, FeatureSpace
@@ -49,26 +50,22 @@ def load_labeled_questions(path: str | Path) -> list[LabeledQuestion]:
     """
     taxonomy = default_taxonomy()
     out: list[LabeledQuestion] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" in line:
-                label, text = line.split("\t", 1)
-            elif " " in line:
-                label, text = line.split(" ", 1)
-            else:
-                raise ParseError(str(path), line_no, "expected 'LABEL:fine<TAB>text'")
-            label = label.strip()
-            if ":" not in label:
-                raise ParseError(str(path), line_no, f"label {label!r} lacks a fine part")
-            coarse, fine = label.split(":", 1)
-            if fine not in taxonomy.get(coarse, ()):
-                raise ParseError(str(path), line_no, f"unknown question label {label!r}")
-            if not text.strip():
-                raise ParseError(str(path), line_no, "empty question text")
-            out.append(LabeledQuestion(coarse=coarse, fine=fine, text=text.strip()))
+    for line_no, line in read_lines(path):
+        if "\t" in line:
+            label, text = line.split("\t", 1)
+        elif " " in line:
+            label, text = line.split(" ", 1)
+        else:
+            raise ParseError(str(path), line_no, "expected 'LABEL:fine<TAB>text'")
+        label = label.strip()
+        if ":" not in label:
+            raise ParseError(str(path), line_no, f"label {label!r} lacks a fine part")
+        coarse, fine = label.split(":", 1)
+        if fine not in taxonomy.get(coarse, ()):
+            raise ParseError(str(path), line_no, f"unknown question label {label!r}")
+        if not text.strip():
+            raise ParseError(str(path), line_no, "empty question text")
+        out.append(LabeledQuestion(coarse=coarse, fine=fine, text=text.strip()))
     if not out:
         raise DataError(f"{path}: no labeled questions")
     return out

@@ -17,7 +17,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .corpus import (_APOSTROPHES, WORD, DocumentSet, ascii_lower_words, read_field,
-                     read_jsonl)
+                     read_jsonl, read_lines)
 from .entities import CandidateEntity, CandidatePool
 from .errors import DataError, ParseError
 
@@ -100,32 +100,29 @@ class WordAverageProvider:
         vectors: dict[str, np.ndarray] = {}  # lower-cased word -> its vector
         line_of: dict[str, int] = {}  # lower-cased word -> its first line
         dim: int | None = None
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2:
-                    raise ParseError(str(path), line_no, "expected 'token v1 ... vd'")
-                try:
-                    values = [float(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise ParseError(str(path), line_no, f"bad float: {exc}") from exc
-                fault = _magnitude_fault(values)
-                if fault:
-                    raise ParseError(str(path), line_no, fault)
-                vec = np.array(values, dtype=float)
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise ParseError(str(path), line_no,
-                                     f"expected {dim} components, got {vec.size}")
-                word = parts[0].lower()
-                line_of.setdefault(word, line_no)
-                kept = vectors.setdefault(word, vec)
-                if kept is not vec and kept.tobytes() != vec.tobytes():
-                    raise ParseError(str(path), line_no, f"word {word!r} has another vector"
-                                     f" here than at line {line_of[word]}")
+        for line_no, line in read_lines(path):
+            parts = line.split(" ")
+            if len(parts) < 2:
+                raise ParseError(str(path), line_no, "expected 'token v1 ... vd'")
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(str(path), line_no, f"bad float: {exc}") from exc
+            fault = _magnitude_fault(values)
+            if fault:
+                raise ParseError(str(path), line_no, fault)
+            vec = np.array(values, dtype=float)
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise ParseError(str(path), line_no,
+                                 f"expected {dim} components, got {vec.size}")
+            word = parts[0].lower()
+            line_of.setdefault(word, line_no)
+            kept = vectors.setdefault(word, vec)
+            if kept is not vec and kept.tobytes() != vec.tobytes():
+                raise ParseError(str(path), line_no, f"word {word!r} has another vector"
+                                 f" here than at line {line_of[word]}")
         if not vectors:
             raise DataError(f"{path}: no vectors")
         return cls(vectors)

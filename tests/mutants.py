@@ -164,8 +164,8 @@ MUTANTS = (
            ("tests/test_scoring.py::test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines",)),
     Mutant("gazetteer line map that keeps a surface's last line",
            "entityqa/entities.py",
-           "                line_of.setdefault(surface, line_no)\n",
-           "                line_of[surface] = line_no\n",
+           "            line_of.setdefault(surface, line_no)\n",
+           "            line_of[surface] = line_no\n",
            ("tests/test_entities.py::test_gazetteer_names_the_first_line_of_a_repeated_surface",)),
     Mutant("embedding cache line map that keeps a digest's last line",
            "entityqa/scoring.py",
@@ -174,8 +174,8 @@ MUTANTS = (
            ("tests/test_scoring.py::test_cache_digest_given_two_vectors_is_a_data_error_naming_both_lines",)),
     Mutant("word vectors that keep the last row of a repeated word",
            "entityqa/scoring.py",
-           "                kept = vectors.setdefault(word, vec)\n",
-           "                kept = vectors[word] = vec\n",
+           "            kept = vectors.setdefault(word, vec)\n",
+           "            kept = vectors[word] = vec\n",
            ("tests/test_scoring.py::test_vectors_word_given_two_vectors_is_a_data_error_naming_both_lines",)),
     Mutant("t-test complement formed as 1 - x, which loses the digits of a small t",
            "entityqa/evaluation.py",
@@ -276,6 +276,18 @@ MUTANTS = (
            "        if stem in path_of:\n",
            "        if False:\n",
            ("tests/test_cli.py::test_evaluate_two_run_files_with_one_stem_is_a_data_error",)),
+    Mutant("line reader that opens its file strict, so a byte that is not UTF-8 is a traceback",
+           "entityqa/corpus.py",
+           'open(path, encoding="utf-8", errors="surrogateescape")',
+           'open(path, encoding="utf-8")',
+           ("tests/test_cli.py::test_evaluate_qrels_with_a_byte_that_is_not_utf8_is_a_data_error"
+            "_naming_its_line",)),
+    Mutant("line reader without its UTF-8 check, so a bad byte loads as a lone surrogate",
+           "entityqa/corpus.py",
+           "            if not line.isascii():\n",
+           "            if False:\n",
+           ("tests/test_cli.py::test_evaluate_qrels_with_a_byte_that_is_not_utf8_is_a_data_error"
+            "_naming_its_line",)),
 )
 
 

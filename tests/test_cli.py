@@ -472,6 +472,21 @@ def test_evaluate_run_file_with_a_question_twice_names_file_and_line(
     assert list(tmp_path.glob("x.*")) == []
 
 
+def test_evaluate_qrels_with_a_byte_that_is_not_utf8_is_a_data_error_naming_its_line(
+        tmp_path, capsys):
+    qrels = tmp_path / "qrels.jsonl"
+    qrels.write_bytes(b'{"question_id": "q1", "gold_answers": ["Rome"]}\n'
+                      b'{"question_id": "q2", "gold_answers": ["R\xffme"]}\n')
+    run = tmp_path / "run.jsonl"
+    run.write_text("".join(json.dumps({"question_id": qid, "groups": [["Rome"]],
+                                       "scores": [0.5]}) + "\n" for qid in ("q1", "q2")))
+    assert main(["evaluate", str(run), "--qrels", str(qrels),
+                 "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"data error: {qrels}:2: not UTF-8: byte 0xff at column 42\n")
+    assert list(tmp_path.glob("x.*")) == []
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

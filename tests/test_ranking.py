@@ -40,13 +40,23 @@ def test_combine_multiplicative_zero_df_absorbs():
 
 def test_combine_rejects_bad_counts():
     cfg = RankingConfig()
-    with pytest.raises(ValueError):
-        _combine_each([0.5], [1], 0, cfg)
-    with pytest.raises(ValueError):
+    # df 0 lies in 0..0, so only the n_docs check can reject the first call.
+    for dfs in ([0], [1]):
+        with pytest.raises(ValueError, match="^n_docs must be positive$"):
+            _combine_each([0.5], dfs, 0, cfg)
+    with pytest.raises(ValueError, match=r"^df 11 outside 0\.\.10$"):
         _combine_each([0.5], [11], 10, cfg)
 
 
+@pytest.mark.parametrize("dfs, named", [([0, 11, -1], 11), ([10, -1], -1)])
+def test_combine_names_the_first_df_out_of_range(dfs, named):
+    # The ends 0 and n_docs are in range: neither is named.
+    with pytest.raises(ValueError, match=rf"^df {named} outside 0\.\.10$"):
+        _combine_each([0.5] * len(dfs), dfs, 10, RankingConfig())
+
+
 def test_additive_config_requires_weights_in_range():
+    RankingConfig(combine_mode="additive", alpha=1.0, beta=1.0)  # 1 is in (0, 1]
     with pytest.raises(ValueError):
         RankingConfig(combine_mode="additive", alpha=0.0, beta=0.1)
     with pytest.raises(ValueError):
